@@ -25,7 +25,6 @@ from .dataio import (
     load_report,
     write_report,
 )
-from .kernels import DEFAULT_BACKEND, available_backends
 from .market import (
     MILLIONS_PER_BILLION,
     AssetClass,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, dataio, kernels, montecarlo
+from . import analytic, dataio, montecarlo
 from .market import ConfigError, HomogeneousSpec
 
 
@@ -166,8 +166,7 @@ def cmd_scenarios(args) -> int:
 
     config, model, scenarios, assumptions = dataio.build_market(rc)
     print(
-        f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}, "
-        f"backend={args.backend or kernels.DEFAULT_BACKEND}",
+        f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,
     )
     report = montecarlo.simulate(
@@ -178,7 +177,6 @@ def cmd_scenarios(args) -> int:
         rc.seed,
         threads=args.threads,
         level=args.level,
-        backend=args.backend,
         collect_histograms=args.histograms,
         keep_samples=args.dump_paths,
         assumptions=assumptions,
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--histograms", action=argparse.BooleanOptionalAction, default=True
     )
     p.add_argument("--dump-paths", action="store_true")
-    p.add_argument("--backend", choices=kernels.available_backends(), default=None)
     p.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser("report", help="re-render tables from a report dump")

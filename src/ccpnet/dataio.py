@@ -358,7 +358,6 @@ def _meta_lines(report: RiskReport) -> list[str]:
         f"# seed = {report.seed}",
         f"# paths = {report.n_paths}",
         f"# level = {report.level!r}",
-        f"# backend = {report.backend}",
     ]
     if report.base_index is not None:
         lines.append(f"# base_scenario = {report.scenario_names[report.base_index]}")
@@ -490,7 +489,10 @@ def _write_dump(report: RiskReport, path: str) -> None:
 
 
 def load_report(path: str) -> RiskReport:
-    """Rebuild a RiskReport from a dump written by :func:`write_report`."""
+    """Rebuild a RiskReport from a dump written by :func:`write_report`.
+
+    Header keys it does not use, such as the ``# backend`` line of older
+    dumps, are skipped."""
     meta = {}
     assumptions = []
     rows = []
@@ -554,7 +556,6 @@ def load_report(path: str) -> RiskReport:
         n_paths=int(meta["paths"]),
         seed=int(meta["seed"]),
         level=float(meta["level"]),
-        backend=meta.get("backend", "unknown"),
         ee=ee,
         ee_se=ee_se,
         var=var,

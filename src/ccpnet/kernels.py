@@ -1,73 +1,67 @@
-"""Kernel backend selection: compiled extension when built, numpy otherwise.
+"""Scenario-exposure kernel.
 
-Both backends implement the same contract; ``scenario_exposures`` routes to
-the active one and normalizes array dtypes/contiguity for the compiled path.
+Given a chunk of standardized pair shocks, computes every dealer's realized
+net exposure under every clearing scenario. Every temporary is at most
+(paths, pairs) in size; no (paths, pairs, classes) array is built besides
+the shocks themselves.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _kernel_py
-
-if os.environ.get("CCPNET_FORCE_NUMPY") == "1":
-    _ckernel = None
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _ckernel
-
-        HAVE_COMPILED = True
-    except ImportError:  # extension not built; fall back to numpy
-        _ckernel = None
-        HAVE_COMPILED = False
-
-DEFAULT_BACKEND = "cython" if HAVE_COMPILED else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "cython") if HAVE_COMPILED else ("numpy",)
+# The numpy kernel is the only one. The benchmark's operation runner
+# (perfbench/child.py) reads this name and records it in its metadata line.
+DEFAULT_BACKEND = "numpy"
 
 
 def scenario_exposures(
-    y,
-    s_plus,
-    s_minus,
-    pair_i,
-    pair_j,
-    resid_w,
-    ccp_w,
-    ccp_offsets,
-    n_dealers,
-    backend: str | None = None,
+    y: np.ndarray,          # (paths, pairs, classes) standardized shocks
+    s_plus: np.ndarray,     # (pairs, classes) scale, owner -> counterparty
+    s_minus: np.ndarray,    # (pairs, classes) scale for the reverse direction
+    pair_i: np.ndarray,     # (pairs,) owning dealer of the + direction
+    pair_j: np.ndarray,     # (pairs,) owning dealer of the - direction
+    resid_w: np.ndarray,    # (scenarios, classes) bilateral remainders 1-w
+    ccp_w: np.ndarray,      # (groups, classes) per-CCP clearing weights
+    ccp_offsets: np.ndarray,  # (scenarios+1,) group slice per scenario
+    n_dealers: int,
 ) -> np.ndarray:
-    """Realized exposures (paths, scenarios, dealers) on the chosen backend."""
-    name = backend or DEFAULT_BACKEND
-    if name == "numpy":
-        return _kernel_py.scenario_exposures(
-            y, s_plus, s_minus, pair_i, pair_j, resid_w, ccp_w, ccp_offsets, n_dealers
-        )
-    if name == "cython":
-        if not HAVE_COMPILED:
-            raise RuntimeError(
-                "compiled kernel requested but ccpnet._ckernel is not built; "
-                "run `pip install -e .` with a C compiler or use backend='numpy'"
-            )
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        out = np.empty((y.shape[0], resid_w.shape[0], n_dealers))
-        _ckernel.scenario_exposures(
-            y,
-            np.ascontiguousarray(s_plus, dtype=np.float64),
-            np.ascontiguousarray(s_minus, dtype=np.float64),
-            np.ascontiguousarray(pair_i, dtype=np.intp),
-            np.ascontiguousarray(pair_j, dtype=np.intp),
-            np.ascontiguousarray(resid_w, dtype=np.float64),
-            np.ascontiguousarray(ccp_w, dtype=np.float64),
-            np.ascontiguousarray(ccp_offsets, dtype=np.intp),
-            n_dealers,
-            out,
-        )
-        return out
-    raise ValueError(f"unknown kernel backend {name!r}")
+    """Return realized exposures with shape (paths, scenarios, dealers).
+
+    Bilateral remainders net across classes once per counterparty, so they
+    need one pass over the pairs per distinct row of ``resid_w`` and
+    direction; scenarios clearing the same fractions (two CCPs and one joint
+    CCP) share it. A CCP term max(sum_j w . x_ij, 0) is linear inside the
+    max, so each dealer's per-class net position is summed once per chunk
+    and every CCP group is a weighted sum of it.
+    """
+    n_paths, n_pairs, n_classes = y.shape
+    rows = np.arange(n_pairs)
+    owner_plus = np.zeros((n_pairs, n_dealers))
+    owner_plus[rows, pair_i] = 1.0
+    owner_minus = np.zeros((n_pairs, n_dealers))
+    owner_minus[rows, pair_j] = 1.0
+
+    # net[k, c, n]: dealer n's class-k position summed over counterparties
+    net = np.empty((n_classes, n_paths, n_dealers))
+    for k in range(n_classes):
+        signed = owner_plus * s_plus[:, k, None] - owner_minus * s_minus[:, k, None]
+        np.matmul(y[:, :, k], signed, out=net[k])
+    ccp = np.tensordot(ccp_w, net, axes=1)  # (groups, paths, dealers)
+    np.maximum(ccp, 0.0, out=ccp)
+
+    bilateral: dict[bytes, np.ndarray] = {}
+    out = np.empty((n_paths, resid_w.shape[0], n_dealers))
+    for s, r in enumerate(resid_w):
+        key = r.tobytes()
+        if key not in bilateral:
+            vp = np.einsum("cpk,pk->cp", y, s_plus * r)
+            vm = np.einsum("cpk,pk->cp", y, -(s_minus * r))
+            np.maximum(vp, 0.0, out=vp)
+            np.maximum(vm, 0.0, out=vm)
+            bilateral[key] = vp @ owner_plus + vm @ owner_minus
+        e = out[:, s, :]
+        e[...] = bilateral[key]
+        for g in range(ccp_offsets[s], ccp_offsets[s + 1]):
+            e += ccp[g]
+    return out

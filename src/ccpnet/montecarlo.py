@@ -185,10 +185,9 @@ def _uniforms(seed: int, layout: _PairLayout, start: int, count: int) -> np.ndar
     bg = np.random.Philox(key=seed)
     bg.advance(start * layout.padded_draws // 4)
     u = np.random.Generator(bg).random(count * layout.padded_draws)
+    np.maximum(u, _MIN_UNIFORM, out=u)
     u = u.reshape(count, layout.padded_draws)[:, : layout.draws_per_path]
-    return np.maximum(u, _MIN_UNIFORM).reshape(
-        count, layout.n_pairs, layout.n_classes + 1
-    )
+    return u.reshape(count, layout.n_pairs, layout.n_classes + 1)
 
 
 def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
@@ -198,8 +197,13 @@ def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     sqrt(rho) * common + sqrt(1-rho) * idiosyncratic; t3 classes are pushed
     through the Gaussian copula (normal CDF, then the t3 quantile).
     """
-    z = ndtri(u)
-    y = math.sqrt(rho) * z[..., :1] + math.sqrt(1.0 - rho) * z[..., 1:]
+    # Bit-identical to sqrt(rho) * z[..., :1] + sqrt(1-rho) * z[..., 1:]:
+    # addition commutes, and at rho = 0 that sum is 0.0 * z0 + 1.0 * z == z
+    # for finite z, so the common factor needs no ndtri at all.
+    y = ndtri(u[..., 1:])
+    if rho > 0.0:
+        y *= math.sqrt(1.0 - rho)
+        y += math.sqrt(rho) * ndtri(u[..., :1])
     for k, marginal in enumerate(marginals):
         if marginal is Marginal.STUDENT_T3:
             y[..., k] = student_t3_unit_ppf(ndtr(y[..., k]))
@@ -334,7 +338,6 @@ def exposures_for_paths(
     seed: int,
     start: int,
     count: int,
-    backend: str | None = None,
     unit_scale: float = MILLIONS_PER_BILLION,
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for the given paths.
@@ -355,7 +358,6 @@ def exposures_for_paths(
         ccp_w,
         offsets,
         layout.n_dealers,
-        backend=backend,
     )
 
 
@@ -423,7 +425,6 @@ class RiskReport:
     n_paths: int
     seed: int
     level: float
-    backend: str
     ee: np.ndarray              # (scenarios, dealers)
     ee_se: np.ndarray           # standard error of each EE estimate
     var: np.ndarray             # empirical quantile at `level`
@@ -507,7 +508,6 @@ def simulate(
     threads: int = 1,
     chunk_size: int = 4096,
     level: float = 0.99,
-    backend: str | None = None,
     collect_histograms: bool = False,
     check_invariants: bool = False,
     keep_samples: bool = False,
@@ -526,6 +526,8 @@ def simulate(
     n_paths, seed
         Path count (>= 1000) and Philox key. Fixed (seed, n_paths,
         chunk_size) gives a bit-identical report at any ``threads``.
+    threads
+        Chunks evaluated concurrently (>= 1).
     """
     validate(config).raise_if_invalid()
     if model is None:
@@ -546,7 +548,8 @@ def simulate(
         raise ConfigError("risk-measure level must lie in (0, 1)")
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    backend_name = backend or kernels.DEFAULT_BACKEND
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
 
     layout = _build_layout(config, model, MILLIONS_PER_BILLION)
     resid, ccp_w, offsets = _scenario_arrays(scenarios, layout.n_classes)
@@ -577,7 +580,6 @@ def simulate(
             ccp_w,
             offsets,
             n_dealers,
-            backend=backend_name,
         )
         if check_invariants:
             _check_pathwise(e, scenarios)
@@ -628,7 +630,6 @@ def simulate(
         n_paths=n_paths,
         seed=seed,
         level=level,
-        backend=backend_name,
         ee=ee,
         ee_se=ee_se,
         var=var,

@@ -247,6 +247,14 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_scenarios_rejects_nonpositive_threads(capsys, tmp_path, threads):
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "t", "--threads", threads))
+    assert code == 2
+    assert "threads" in err
+    assert not (tmp_path / "t").exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["threshold", "--bogus"])
@@ -264,11 +272,7 @@ def test_report_rerenders_tables(capsys, tmp_path):
     assert code == 0
     a = (tmp_path / "orig" / "ratios_expected_exposure.csv").read_text()
     b = (tmp_path / "rerender" / "ratios_expected_exposure.csv").read_text()
-    assert _strip_backend(a) == _strip_backend(b)
-
-
-def _strip_backend(text):
-    return "\n".join(l for l in text.splitlines() if not l.startswith("# backend"))
+    assert a == b
 
 
 def test_report_missing_dump_exits(capsys, tmp_path):

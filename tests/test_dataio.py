@@ -304,6 +304,17 @@ def test_report_metadata_headers(small_report, tmp_path):
     assert "# base_scenario = no_ccp" in text
 
 
+def test_load_report_reads_dump_with_backend_header(small_report, tmp_path):
+    """Older dumps carry a ``# backend`` header line; they still load to
+    the same report."""
+    files = write_report(small_report, str(tmp_path / "out"))
+    text = open(files["dump"]).read()
+    old = tmp_path / "old.csv"
+    old.write_text(text.replace("# level", "# backend = cython\n# level", 1))
+    assert "# backend = cython" in old.read_text()
+    assert reports_equal(small_report, load_report(str(old)))
+
+
 def test_load_report_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import stdtrit
+from scipy.special import ndtri, stdtrit
 
-from ccpnet import analytic, kernels
+from ccpnet import analytic
 from ccpnet.market import (
     ConfigError,
     Marginal,
@@ -20,6 +20,7 @@ from ccpnet.market import (
 )
 from ccpnet.montecarlo import (
     ExposureDraw,
+    _MIN_UNIFORM,
     SamplingModel,
     _build_layout,
     _copula_values,
@@ -128,6 +129,27 @@ def test_copula_recovers_linear_correlation():
     y = _copula_values(u, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
     corr = np.corrcoef(y.T)
     assert corr[0, 1] == pytest.approx(0.1, abs=0.01)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_copula_bitwise_equals_factor_split(rho):
+    """The copula's arithmetic is exactly the equicorrelation factor split
+    sqrt(rho) * common + sqrt(1-rho) * idiosyncratic, edge uniforms included."""
+    rng = np.random.Generator(np.random.Philox(key=8))
+    u = rng.random((500, 3, 4))
+    u[0, 0, :] = _MIN_UNIFORM
+    u[1, 1, :] = 0.5
+    u[2, 2, :] = np.nextafter(1.0, 0.0)
+    u[3, 0, :] = [_MIN_UNIFORM, 0.5, np.nextafter(1.0, 0.0), 0.5]
+    u[3, 1, :] = [0.5, _MIN_UNIFORM, 0.5, np.nextafter(1.0, 0.0)]
+    before = u.copy()
+    y = _copula_values(u, rho, (Marginal.GAUSSIAN,) * 3)
+    z = ndtri(u)
+    ref = math.sqrt(rho) * z[..., :1] + math.sqrt(1.0 - rho) * z[..., 1:]
+    assert np.isfinite(ref).all()
+    assert np.array_equal(y, ref)
+    assert np.array_equal(np.signbit(y), np.signbit(ref))
+    assert np.array_equal(u, before)  # the caller's uniforms are not overwritten
 
 
 def test_sampling_model_rejects_bad_rho():
@@ -355,6 +377,9 @@ def test_simulate_rejects_path_floor_and_bad_inputs():
         simulate(config, bad_model, scenarios, 2000, 1)
     with pytest.raises(ConfigError):
         simulate(config, None, scenarios, 2000, 1, level=1.0)
+    for threads in (0, -2):
+        with pytest.raises(ConfigError, match="threads"):
+            simulate(config, None, scenarios, 2000, 1, threads=threads)
 
 
 def test_simulate_deterministic_across_threads_and_reruns():
@@ -401,16 +426,6 @@ def test_simulate_dealer_with_no_positions():
     assert (report.es[:, 2] == 0).all()
     assert np.isnan(report.ee_ratio[:, 2]).all()
     assert np.isfinite(report.total_ee_ratio).all()
-
-
-def test_simulate_backends_agree_closely():
-    if not kernels.HAVE_COMPILED:
-        pytest.skip("compiled kernel not built")
-    config, scenarios = _small_market()
-    a = simulate(config, None, scenarios, 2000, 5, backend="numpy")
-    b = simulate(config, None, scenarios, 2000, 5, backend="cython")
-    assert np.allclose(a.ee, b.ee, rtol=1e-10, atol=1e-8)
-    assert np.allclose(a.var, b.var, rtol=1e-5, atol=1e-4)
 
 
 def test_simulate_zero_fraction_scenarios_bitwise_equal_base():
