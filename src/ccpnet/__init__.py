@@ -5,10 +5,6 @@ cross-class netting it displaces."""
 from .analytic import (
     ExpectedExposureResult,
     ThresholdResult,
-    expected_exposure_bilateral,
-    expected_exposure_joint_ccp,
-    expected_exposure_one_ccp,
-    expected_exposure_two_ccp,
     gaussian_positive_mean,
     homogeneous_ee,
     min_clearing_members,
@@ -38,22 +34,16 @@ from .market import (
     ValidationReport,
     joint_ccp,
     no_ccp,
-    pair_scale,
     single_ccp,
     standard_scenarios,
     two_ccps,
     validate,
 )
 from .montecarlo import (
-    ExposureDraw,
     RiskReport,
     SamplingModel,
-    ScenarioExposures,
     empirical_quantile,
-    evaluate_scenario,
-    evaluate_scenarios,
     sample_draws,
-    sample_pair_exposures,
     simulate,
     student_t3_unit_ppf,
 )

@@ -49,15 +49,6 @@ class ExpectedExposureResult:
         return float(sum(self.per_dealer))
 
 
-def _require_closed_form(config: MarketConfig) -> None:
-    validate(config).raise_if_invalid()
-    if config.has_t_marginals():
-        raise ConfigError(
-            "closed forms are Gaussian-only; use the Monte Carlo engine for "
-            "t-distributed marginals"
-        )
-
-
 def _expected_exposure(
     config: MarketConfig,
     i: int,
@@ -82,62 +73,21 @@ def _expected_exposure(
     return float(ee)
 
 
-def expected_exposure_bilateral(config: MarketConfig, i: int) -> float:
-    """Expected net exposure of dealer ``i`` with no central clearing."""
-    _require_closed_form(config)
-    return _expected_exposure(config, i, np.ones(config.n_classes), [])
-
-
-def expected_exposure_one_ccp(
-    config: MarketConfig, i: int, cleared: tuple[int, float]
-) -> float:
-    """Expected exposure of dealer ``i`` with one class partially cleared."""
-    _require_closed_form(config)
-    k, w = cleared
-    _check_fraction(w)
-    resid = np.ones(config.n_classes)
-    resid[k] -= w
-    wvec = np.zeros(config.n_classes)
-    wvec[k] = w
-    return _expected_exposure(config, i, resid, [wvec])
-
-
-def expected_exposure_two_ccp(
-    config: MarketConfig, i: int, cleared: list[tuple[int, float]]
-) -> float:
-    """Two separately cleared classes: one multilateral term per CCP."""
-    _require_closed_form(config)
-    resid = np.ones(config.n_classes)
-    groups = []
-    for k, w in cleared:
-        _check_fraction(w)
-        resid[k] -= w
-        wvec = np.zeros(config.n_classes)
-        wvec[k] = w
-        groups.append(wvec)
-    return _expected_exposure(config, i, resid, groups)
-
-
-def expected_exposure_joint_ccp(
-    config: MarketConfig, i: int, cleared: list[tuple[int, float]]
-) -> float:
-    """All cleared classes netted at a single CCP: the multilateral term
-    keeps cross-class correlation inside one max."""
-    _require_closed_form(config)
-    resid = np.ones(config.n_classes)
-    wvec = np.zeros(config.n_classes)
-    for k, w in cleared:
-        _check_fraction(w)
-        resid[k] -= w
-        wvec[k] = w
-    return _expected_exposure(config, i, resid, [wvec])
-
-
 def scenario_expected_exposures(
     config: MarketConfig, scenario: ClearingScenario
 ) -> ExpectedExposureResult:
-    """Closed-form per-dealer expected exposures for any clearing scenario."""
-    _require_closed_form(config)
+    """Closed-form per-dealer expected exposures for any clearing scenario.
+
+    The one closed-form entry point: pure bilateral netting is ``no_ccp()``,
+    and one, two or a joint CCP are ``single_ccp``, ``two_ccps`` and
+    ``joint_ccp``. A joint CCP keeps cross-class correlation inside one max.
+    """
+    validate(config).raise_if_invalid()
+    if config.has_t_marginals():
+        raise ConfigError(
+            "closed forms are Gaussian-only; use the Monte Carlo engine for "
+            "t-distributed marginals"
+        )
     resid = scenario.residual_weights(config.n_classes)
     groups = scenario.ccp_groups(config.n_classes)
     per = tuple(
@@ -258,9 +208,9 @@ def threshold_surface(
     rho_grid = np.asarray(rho_grid, dtype=float)
     if alpha_grid.size == 0 or rho_grid.size == 0:
         raise ConfigError("grids must be non-empty")
-    if (alpha_grid <= 0).any():
+    if not (alpha_grid > 0).all():
         raise ConfigError("alpha grid values must be > 0")
-    if ((rho_grid < 0) | (rho_grid >= 1)).any():
+    if not ((rho_grid >= 0) & (rho_grid < 1)).all():
         raise ConfigError("rho grid values must lie in [0, 1)")
     out = np.empty((alpha_grid.size, rho_grid.size), dtype=np.int64)
     for ai, alpha in enumerate(alpha_grid):

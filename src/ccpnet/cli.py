@@ -65,7 +65,7 @@ def _load_ce_file(path: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
     return tuple(names), tuple(values)
 
 
-def _homogeneous_spec(args) -> HomogeneousSpec:
+def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
     source = args.ce
     if source.startswith("equal:"):
         try:
@@ -77,7 +77,7 @@ def _homogeneous_spec(args) -> HomogeneousSpec:
         spec = HomogeneousSpec(
             credit_exposures=(1.0,) * k,
             alphas=(1.0,) * k,
-            rho=args.rho,
+            rho=rho,
             cleared_class=k - 1,
             class_names=tuple(f"class{i + 1}" for i in range(k)),
         )
@@ -86,7 +86,7 @@ def _homogeneous_spec(args) -> HomogeneousSpec:
         spec = HomogeneousSpec(
             credit_exposures=values,
             alphas=(1.0,) * len(values),
-            rho=args.rho,
+            rho=rho,
             cleared_class=len(values) - 1,
             class_names=names,
         )
@@ -95,7 +95,7 @@ def _homogeneous_spec(args) -> HomogeneousSpec:
         spec = HomogeneousSpec(
             credit_exposures=base.credit_exposures,
             alphas=base.alphas,
-            rho=args.rho,
+            rho=rho,
             cleared_class=base.cleared_class,
             class_names=base.class_names,
         )
@@ -114,14 +114,14 @@ def _homogeneous_spec(args) -> HomogeneousSpec:
     return HomogeneousSpec(
         credit_exposures=spec.credit_exposures,
         alphas=tuple(alphas),
-        rho=args.rho,
+        rho=rho,
         cleared_class=cleared,
         class_names=spec.class_names,
     )
 
 
 def cmd_threshold(args) -> int:
-    spec = _homogeneous_spec(args)
+    spec = _homogeneous_spec(args, args.rho)
     result = analytic.min_clearing_members(spec, w=args.w)
     n = result.n_star
     print(f"n_star={n}")
@@ -134,7 +134,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    spec = _homogeneous_spec(args)
+    # threshold_surface sets rho per cell from the grid
+    spec = _homogeneous_spec(args, 0.0)
     alpha_grid = _parse_grid(args.alpha_grid)
     rho_grid = _parse_grid(args.rho_grid)
     surface = analytic.threshold_surface(spec, alpha_grid, rho_grid, w=args.w)
@@ -151,10 +152,7 @@ def cmd_scenarios(args) -> int:
         rc.rho = args.rho
     rc.betas.update(_parse_kv(args.beta, "--beta"))
     rc.w.update(_parse_kv(args.w, "--w"))
-    for cls, marg in _parse_kv(args.marginal, "--marginal", cast=str).items():
-        if marg not in ("gaussian", "t3"):
-            raise ConfigError(f"marginal must be gaussian or t3, got {marg!r}")
-        rc.marginals[cls] = marg
+    rc.marginals.update(_parse_kv(args.marginal, "--marginal", cast=str))
     if args.paths is not None:
         rc.paths = args.paths
     if args.seed is not None:
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface", help="threshold over an (alpha, rho) grid")
     p.add_argument("--ce", default="bis-2010h1")
     p.add_argument("--alpha", action="append", metavar="CLASS=V")
-    p.add_argument("--rho", type=float, default=0.0, help="base rho (unused in grid)")
     p.add_argument("--cleared", default=None, metavar="CLASS")
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--alpha-grid", required=True, metavar="LO:HI:N")

@@ -289,6 +289,10 @@ def build_market(rc: RunConfig):
                     f"unknown class {cls!r} in {what} settings; "
                     f"table has {table.classes}"
                 )
+    marginals = {m.value: m for m in Marginal}
+    for law in rc.marginals.values():
+        if law not in marginals:
+            raise ConfigError(f"marginal must be gaussian or t3, got {law!r}")
     for _, cls in rc.scenario_w:
         if cls not in table.classes:
             raise ConfigError(
@@ -308,7 +312,7 @@ def build_market(rc: RunConfig):
             id=k,
             name=cls,
             beta=rc.beta_for(cls),
-            marginal=Marginal(rc.marginals.get(cls, "gaussian")),
+            marginal=marginals[rc.marginals.get(cls, "gaussian")],
         )
         for k, cls in enumerate(table.classes)
     )
@@ -579,12 +583,7 @@ def write_analytic_ee(config, scenarios, out_dir: str) -> str:
 
     os.makedirs(out_dir, exist_ok=True)
     results = [analytic.scenario_expected_exposures(config, s) for s in scenarios]
-    base = next(
-        (r for r, s in zip(results, scenarios) if not s.cleared or all(
-            c.fraction == 0.0 for c in s.cleared
-        )),
-        None,
-    )
+    base = next((r for r, s in zip(results, scenarios) if s.clears_nothing), None)
     path = os.path.join(out_dir, "analytic_ee.csv")
     with open(path, "w", newline="") as fh:
         fh.write("# ccpnet closed-form expected exposures (millions USD)\n")
@@ -619,22 +618,3 @@ def write_histograms(report: RiskReport, path: str) -> None:
                 writer.writerow(
                     [scen, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])]
                 )
-
-
-def reports_equal(a: RiskReport, b: RiskReport) -> bool:
-    """Field-by-field numeric equality; used by the round-trip checks."""
-    return (
-        a.dealer_names == b.dealer_names
-        and a.scenario_names == b.scenario_names
-        and a.n_paths == b.n_paths
-        and a.seed == b.seed
-        and a.level == b.level
-        and a.base_index == b.base_index
-        and a.assumptions == b.assumptions
-        and np.array_equal(a.ee, b.ee)
-        and np.array_equal(a.ee_se, b.ee_se)
-        and np.array_equal(a.var, b.var)
-        and np.array_equal(a.es, b.es)
-        and np.array_equal(a.es_exceedances, b.es_exceedances)
-        and np.array_equal(a.mean_max, b.mean_max)
-    )

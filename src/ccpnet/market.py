@@ -12,6 +12,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,9 +145,11 @@ def validate(config: MarketConfig) -> ValidationReport:
             v.append(f"dealer {d.name!r}: notionals length {len(d.notionals)} != K={k}")
         if any(z < 0 for z in d.notionals):
             v.append(f"dealer {d.name!r}: negative notional")
+        if not all(math.isfinite(z) for z in d.notionals):
+            v.append(f"dealer {d.name!r}: non-finite notional")
     for c in config.classes:
-        if not c.beta > 0:
-            v.append(f"class {c.name!r}: beta must be > 0")
+        if not 0 < c.beta < math.inf:
+            v.append(f"class {c.name!r}: beta must be finite and > 0")
     if isinstance(config.rho, float):
         # scalar equicorrelation must keep the K x K matrix positive definite;
         # combined with rho >= 0 this pins rho to [0, 1)
@@ -178,30 +181,24 @@ def validate(config: MarketConfig) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def pair_scale(config: MarketConfig, i: int, j: int, k: int) -> float:
-    """Standard deviation of the position value of dealer ``i`` facing ``j``
-    in class ``k``: beta_k * Z_i * Z_j / sum of the other dealers' notionals.
+def pair_scales(config: MarketConfig, i, j) -> np.ndarray:
+    """Standard deviation of the position value of dealer ``i`` facing ``j``,
+    one entry per class: beta_k * Z_ik * Z_jk / sum of the other dealers'
+    notionals in class k.
 
-    Zero-notional dealers get a zero scale rather than an error.
-    """
-    if i == j:
-        raise ConfigError("pair_scale requires two distinct dealers")
-    z = config.notional_matrix()
-    zi, zj = z[i, k], z[j, k]
-    if zi == 0.0 or zj == 0.0:
-        return 0.0
-    denom = z[:, k].sum() - zi  # >= zj > 0 here
-    return config.classes[k].beta * zi * zj / denom
-
-
-def pair_scale_matrix(config: MarketConfig, i: int) -> np.ndarray:
-    """All scales of dealer ``i`` at once: entry [j, k] is ``pair_scale(i, j, k)``.
-
-    Row ``i`` is zero. Vectorized workhorse behind the analytic formulas.
+    ``i`` and ``j`` are dealer indices, index arrays or slices that broadcast
+    against each other; the class axis is last. Zero-notional dealers get a
+    zero scale rather than an error.
     """
     z = config.notional_matrix()
     denom = z.sum(axis=0) - z[i]
-    s = config.betas() * z[i] * z / np.where(denom > 0, denom, 1.0)
+    return config.betas() * z[i] * z[j] / np.where(denom > 0, denom, 1.0)
+
+
+def pair_scale_matrix(config: MarketConfig, i: int) -> np.ndarray:
+    """All scales of dealer ``i`` at once: entry [j, k] faces dealer ``j`` in
+    class ``k``. Row ``i`` is zero."""
+    s = pair_scales(config, i, slice(None))
     s[i] = 0.0
     return s
 
@@ -275,6 +272,12 @@ class ClearingScenario:
             vec[c.class_id] = c.fraction
         return list(groups.values())
 
+    @property
+    def clears_nothing(self) -> bool:
+        """True when no fraction of any class is cleared: the scenario is the
+        no-clearing base that ratios and exposure reductions compare against."""
+        return all(c.fraction == 0.0 for c in self.cleared)
+
 
 def no_ccp(name: str = "no_ccp") -> ClearingScenario:
     return ClearingScenario(ScenarioKind.NO_CCP, (), name)
@@ -346,10 +349,10 @@ class HomogeneousSpec:
             raise ConfigError("credit_exposures and alphas must have equal length")
         if not ce:
             raise ConfigError("at least one asset class required")
-        if any(x <= 0 for x in ce):
-            raise ConfigError("credit exposures must be > 0")
-        if any(a <= 0 for a in al):
-            raise ConfigError("alphas must be > 0")
+        if not all(0 < x < math.inf for x in ce):
+            raise ConfigError("credit exposures must be finite and > 0")
+        if not all(0 < a < math.inf for a in al):
+            raise ConfigError("alphas must be finite and > 0")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("rho must lie in [0, 1)")
         if not 0 <= self.cleared_class < len(ce):

@@ -23,12 +23,11 @@ from scipy.special import ndtr, ndtri
 from . import kernels
 from .market import (
     MILLIONS_PER_BILLION,
-    ClearingScenario,
     ConfigError,
     Marginal,
     MarketConfig,
     ScenarioKind,
-    pair_scale,
+    pair_scales,
     validate,
 )
 
@@ -105,12 +104,8 @@ class SamplingModel:
         return len(self.marginals)
 
     @classmethod
-    def from_config(cls, config: MarketConfig, antisymmetric: bool = True):
-        return cls(
-            rho=config.scalar_rho(),
-            marginals=config.marginals(),
-            antisymmetric=antisymmetric,
-        )
+    def from_config(cls, config: MarketConfig):
+        return cls(rho=config.scalar_rho(), marginals=config.marginals())
 
 
 @dataclass(frozen=True)
@@ -146,13 +141,7 @@ class _PairLayout:
         return -(-self.draws_per_path // 4) * 4
 
 
-def _build_layout(
-    config: MarketConfig, model: SamplingModel, unit_scale: float
-) -> _PairLayout:
-    z = config.notional_matrix()
-    beta = config.betas()
-    denom = z.sum(axis=0) - z
-    safe = np.where(denom > 0, denom, 1.0)
+def _build_layout(config: MarketConfig, model: SamplingModel) -> _PairLayout:
     n = config.n_dealers
     if model.antisymmetric:
         ii, jj = np.triu_indices(n, k=1)
@@ -161,9 +150,9 @@ def _build_layout(
         ii, jj = np.meshgrid(grid, grid, indexing="ij")
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
-    s_plus = beta * z[ii] * z[jj] / safe[ii] * unit_scale
+    s_plus = pair_scales(config, ii, jj) * MILLIONS_PER_BILLION
     if model.antisymmetric:
-        s_minus = beta * z[jj] * z[ii] / safe[jj] * unit_scale
+        s_minus = pair_scales(config, jj, ii) * MILLIONS_PER_BILLION
     else:
         s_minus = np.zeros_like(s_plus)
     return _PairLayout(
@@ -210,111 +199,32 @@ def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     return y
 
 
-def sample_pair_exposures(
-    config: MarketConfig, model: SamplingModel, i: int, j: int, u: np.ndarray
-):
-    """Per-class position values for the pair (i, j) given uniform noise.
-
-    ``u`` has shape (..., K+1): one common factor and K idiosyncratic
-    coordinates. Returns ``(x_ij, x_ji)`` where the reverse direction is the
-    negated draw under its own scale; ``x_ji`` is None when directions are
-    sampled independently.
-    """
-    if not i < j:
-        raise ConfigError("canonical pair ordering requires i < j")
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != config.n_classes + 1:
-        raise ConfigError("noise must provide K+1 uniforms per draw")
-    y = _copula_values(u, model.rho, model.marginals)
-    s_ij = np.array([pair_scale(config, i, j, k) for k in range(config.n_classes)])
-    x_ij = y * s_ij
-    if not model.antisymmetric:
-        return x_ij, None
-    s_ji = np.array([pair_scale(config, j, i, k) for k in range(config.n_classes)])
-    return x_ij, -y * s_ji
-
-
-# ---------------------------------------------------------------------------
-# Draw matrices and the reference scenario evaluator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ExposureDraw:
-    """One sampled position matrix; ``x[i, j, k]`` is what dealer i holds in
-    class k facing dealer j (millions USD for billions-denominated configs)."""
-
-    x: np.ndarray
+def _shocks(
+    layout: _PairLayout, model: SamplingModel, seed: int, start: int, count: int
+) -> np.ndarray:
+    """Standardized class shocks for paths [start, start+count):
+    (count, pairs, K)."""
+    u = _uniforms(seed, layout, start, count)
+    return _copula_values(u, model.rho, model.marginals)
 
 
 def sample_draws(
-    config: MarketConfig,
-    model: SamplingModel,
-    seed: int,
-    start: int,
-    count: int,
-    unit_scale: float = MILLIONS_PER_BILLION,
+    config: MarketConfig, model: SamplingModel, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Position matrices for paths [start, start+count): (count, N, N, K).
 
-    Identical to what the simulation kernel consumes for the same seed and
-    path indices; used by the oracle-equivalence tests.
+    Entry [c, i, j, k] is what dealer i holds in class k facing dealer j
+    (millions USD), identical to what the simulation kernel consumes for the
+    same seed and path indices; used by the oracle-equivalence tests.
     """
-    layout = _build_layout(config, model, unit_scale)
-    y = _copula_values(_uniforms(seed, layout, start, count), model.rho, model.marginals)
+    layout = _build_layout(config, model)
+    y = _shocks(layout, model, seed, start, count)
     n, k = layout.n_dealers, layout.n_classes
     x = np.zeros((count, n, n, k))
     x[:, layout.pair_i, layout.pair_j, :] = y * layout.s_plus
     if model.antisymmetric:
         x[:, layout.pair_j, layout.pair_i, :] = -y * layout.s_minus
     return x
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioExposures:
-    """Realized per-dealer exposures of one scenario on one draw; ``eps`` is
-    the per-dealer reduction against the no-clearing base, defined only when
-    both were evaluated on the same draw."""
-
-    scenario: str
-    e: np.ndarray
-    eps: np.ndarray | None = None
-
-
-def evaluate_scenarios(draw: ExposureDraw, scenarios) -> list[ScenarioExposures]:
-    """Evaluate every scenario on one common draw; when a scenario clearing
-    nothing is present, attach each scenario's exposure reduction against it."""
-    n = np.asarray(draw.x).shape[0]
-    realized = [
-        np.array([evaluate_scenario(draw, scen, i) for i in range(n)])
-        for scen in scenarios
-    ]
-    base = next(
-        (e for e, scen in zip(realized, scenarios) if _is_base(scen)), None
-    )
-    return [
-        ScenarioExposures(
-            scenario=scen.name,
-            e=e,
-            eps=None if base is None else base - e,
-        )
-        for e, scen in zip(realized, scenarios)
-    ]
-
-
-def evaluate_scenario(draw: ExposureDraw, scenario: ClearingScenario, i: int) -> float:
-    """Realized net exposure of dealer ``i`` on one draw under one scenario:
-    per-counterparty max over the bilateral remainder plus one max per CCP."""
-    x = np.asarray(draw.x, dtype=float)
-    n, _, k = x.shape
-    if not 0 <= i < n:
-        raise IndexError(f"dealer index {i} out of range")
-    others = np.arange(n) != i
-    resid = scenario.residual_weights(k)
-    e = float(np.maximum((x[i, others] * resid).sum(axis=1), 0.0).sum())
-    for wvec in scenario.ccp_groups(k):
-        e += max(float((x[i, others] * wvec).sum()), 0.0)
-    return e
 
 
 def _scenario_arrays(scenarios, n_classes: int):
@@ -331,6 +241,26 @@ def _scenario_arrays(scenarios, n_classes: int):
     return resid, ccp_w, np.asarray(offsets, dtype=np.intp)
 
 
+def _chunk_exposures(
+    layout: _PairLayout,
+    model: SamplingModel,
+    scenario_arrays: tuple,
+    seed: int,
+    start: int,
+    count: int,
+) -> np.ndarray:
+    """Realized exposures (count, scenarios, dealers) for one chunk of paths."""
+    return kernels.scenario_exposures(
+        _shocks(layout, model, seed, start, count),
+        layout.s_plus,
+        layout.s_minus,
+        layout.pair_i,
+        layout.pair_j,
+        *scenario_arrays,
+        layout.n_dealers,
+    )
+
+
 def exposures_for_paths(
     config: MarketConfig,
     model: SamplingModel,
@@ -338,27 +268,15 @@ def exposures_for_paths(
     seed: int,
     start: int,
     count: int,
-    unit_scale: float = MILLIONS_PER_BILLION,
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for the given paths.
 
     This is exactly the simulation hot path; ``simulate`` runs it chunk by
     chunk and aggregates.
     """
-    layout = _build_layout(config, model, unit_scale)
-    resid, ccp_w, offsets = _scenario_arrays(scenarios, layout.n_classes)
-    y = _copula_values(_uniforms(seed, layout, start, count), model.rho, model.marginals)
-    return kernels.scenario_exposures(
-        y,
-        layout.s_plus,
-        layout.s_minus,
-        layout.pair_i,
-        layout.pair_j,
-        resid,
-        ccp_w,
-        offsets,
-        layout.n_dealers,
-    )
+    layout = _build_layout(config, model)
+    arrays = _scenario_arrays(scenarios, layout.n_classes)
+    return _chunk_exposures(layout, model, arrays, seed, start, count)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +392,6 @@ class RiskReport:
         return self.es_exceedances < 100
 
 
-def _is_base(scenario: ClearingScenario) -> bool:
-    return scenario.kind is ScenarioKind.NO_CCP or all(
-        c.fraction == 0.0 for c in scenario.cleared
-    )
-
-
 def _check_pathwise(e: np.ndarray, scenarios) -> None:
     if (e < 0.0).any():
         raise AssertionError("negative realized exposure")
@@ -551,11 +463,11 @@ def simulate(
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
-    layout = _build_layout(config, model, MILLIONS_PER_BILLION)
-    resid, ccp_w, offsets = _scenario_arrays(scenarios, layout.n_classes)
+    layout = _build_layout(config, model)
+    arrays = _scenario_arrays(scenarios, layout.n_classes)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
 
-    base_candidates = [s for s, scen in enumerate(scenarios) if _is_base(scen)]
+    base_candidates = [s for s, scen in enumerate(scenarios) if scen.clears_nothing]
     base_index = base_candidates[0] if base_candidates else None
 
     samples = np.empty((n_scen, n_paths, n_dealers), dtype=np.float32)
@@ -567,20 +479,7 @@ def simulate(
 
     def run_chunk(job):
         ci, start, count = job
-        y = _copula_values(
-            _uniforms(seed, layout, start, count), model.rho, model.marginals
-        )
-        e = kernels.scenario_exposures(
-            y,
-            layout.s_plus,
-            layout.s_minus,
-            layout.pair_i,
-            layout.pair_j,
-            resid,
-            ccp_w,
-            offsets,
-            n_dealers,
-        )
+        e = _chunk_exposures(layout, model, arrays, seed, start, count)
         if check_invariants:
             _check_pathwise(e, scenarios)
         samples[:, start : start + count, :] = e.transpose(1, 0, 2)

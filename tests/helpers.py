@@ -120,3 +120,23 @@ def oracle_exposures(x, scenarios):
             per_dealer.append(e)
         out[scen.name] = per_dealer
     return out
+
+
+def reports_equal(a, b) -> bool:
+    """Field-by-field numeric equality of two RiskReports; used by the
+    round-trip and thread-determinism checks."""
+    return (
+        a.dealer_names == b.dealer_names
+        and a.scenario_names == b.scenario_names
+        and a.n_paths == b.n_paths
+        and a.seed == b.seed
+        and a.level == b.level
+        and a.base_index == b.base_index
+        and a.assumptions == b.assumptions
+        and np.array_equal(a.ee, b.ee)
+        and np.array_equal(a.ee_se, b.ee_se)
+        and np.array_equal(a.var, b.var)
+        and np.array_equal(a.es, b.es)
+        and np.array_equal(a.es_exceedances, b.es_exceedances)
+        and np.array_equal(a.mean_max, b.mean_max)
+    )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ccpnet import analytic, cli, dataio
-from ccpnet.dataio import RunConfig, build_market, reports_equal
+from ccpnet.dataio import RunConfig, build_market
 from ccpnet.market import joint_ccp, no_ccp, single_ccp, two_ccps
 from ccpnet.montecarlo import (
     SamplingModel,
@@ -23,7 +23,7 @@ from ccpnet.montecarlo import (
     student_t3_unit_ppf,
 )
 from ccpnet.market import Marginal
-from helpers import make_config, oracle_exposures
+from helpers import make_config, oracle_exposures, reports_equal
 
 PATHS = 100_000
 SEED = 20120601

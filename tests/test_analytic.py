@@ -10,18 +10,27 @@ from hypothesis import strategies as st
 
 from ccpnet import analytic, dataio
 from ccpnet.analytic import (
-    expected_exposure_bilateral,
-    expected_exposure_joint_ccp,
-    expected_exposure_one_ccp,
-    expected_exposure_two_ccp,
     gaussian_positive_mean,
     homogeneous_ee,
     min_clearing_members,
     scenario_expected_exposures,
     threshold_surface,
 )
-from ccpnet.market import ConfigError, HomogeneousSpec, Marginal
+from ccpnet.market import (
+    ConfigError,
+    HomogeneousSpec,
+    Marginal,
+    joint_ccp,
+    no_ccp,
+    single_ccp,
+    two_ccps,
+)
 from helpers import make_config, quad_bilateral_ee, quad_positive_mean
+
+
+def _ee(config, scenario):
+    """Closed-form expected exposure of every dealer under one scenario."""
+    return scenario_expected_exposures(config, scenario).per_dealer
 
 
 def test_gaussian_positive_mean_values():
@@ -41,7 +50,7 @@ def test_gaussian_positive_mean_matches_quadrature():
 
 def test_bilateral_single_pair_unit_scale():
     config = make_config([[1.0], [1.0]], betas=[1.0])
-    assert expected_exposure_bilateral(config, 0) == pytest.approx(
+    assert _ee(config, no_ccp())[0] == pytest.approx(
         0.3989422804014327, rel=1e-14
     )
 
@@ -50,7 +59,7 @@ def test_bilateral_three_dealers_two_classes():
     # two counterparties, each pair sum has std sqrt(2)/2; total EE = 1/sqrt(pi)
     config = make_config(np.ones((3, 2)), betas=[1.0, 1.0], rho=0.0)
     expected = 0.5641895835477563  # frozen from the quadrature oracle below
-    got = expected_exposure_bilateral(config, 0)
+    got = _ee(config, no_ccp())[0]
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(quad_bilateral_ee(config, 0), rel=5e-7)
 
@@ -60,47 +69,43 @@ def test_bilateral_matches_quadrature_on_correlated_market():
     config = make_config(
         rng.uniform(0.5, 20.0, size=(4, 3)), betas=[0.4, 1.3, 0.02], rho=0.25
     )
+    bilateral = _ee(config, no_ccp())
     for i in range(4):
-        assert expected_exposure_bilateral(config, i) == pytest.approx(
-            quad_bilateral_ee(config, i), rel=5e-7
-        )
+        assert bilateral[i] == pytest.approx(quad_bilateral_ee(config, i), rel=5e-7)
 
 
 def test_one_ccp_with_zero_fraction_is_bilateral():
     rng = np.random.default_rng(3)
     config = make_config(rng.uniform(0.1, 10.0, (4, 2)), betas=[0.5, 1.5], rho=0.1)
+    idle, bilateral = _ee(config, single_ccp(1, 0.0)), _ee(config, no_ccp())
     for i in range(4):
-        assert expected_exposure_one_ccp(config, i, (1, 0.0)) == pytest.approx(
-            expected_exposure_bilateral(config, i), rel=0.0, abs=0.0
-        )
+        assert idle[i] == pytest.approx(bilateral[i], rel=0.0, abs=0.0)
 
 
 def test_one_ccp_full_clearing_single_class():
     # three equal dealers, one fully cleared class: only the CCP term remains
     config = make_config(np.ones((3, 1)), betas=[1.0])
-    got = expected_exposure_one_ccp(config, 0, (0, 1.0))
+    got = _ee(config, single_ccp(0, 1.0))[0]
     assert got == pytest.approx(0.28209479177387814, rel=1e-14)
 
 
 def test_two_ccp_reductions():
     rng = np.random.default_rng(11)
     config = make_config(rng.uniform(0.1, 10.0, (4, 3)), betas=[0.5, 1.5, 1.0], rho=0.2)
+    bilateral, one = _ee(config, no_ccp()), _ee(config, single_ccp(2, 0.85))
+    both_zero = _ee(config, two_ccps([(1, 0.0), (2, 0.0)]))
+    one_zero = _ee(config, two_ccps([(1, 0.0), (2, 0.85)]))
     for i in range(4):
-        both_zero = expected_exposure_two_ccp(config, i, [(1, 0.0), (2, 0.0)])
-        assert both_zero == expected_exposure_bilateral(config, i)
-        one_zero = expected_exposure_two_ccp(config, i, [(1, 0.0), (2, 0.85)])
-        assert one_zero == pytest.approx(
-            expected_exposure_one_ccp(config, i, (2, 0.85)), rel=1e-14
-        )
+        assert both_zero[i] == bilateral[i]
+        assert one_zero[i] == pytest.approx(one[i], rel=1e-14)
 
 
 def test_joint_of_single_class_equals_one_ccp():
     rng = np.random.default_rng(5)
     config = make_config(rng.uniform(0.1, 10.0, (3, 2)), betas=[1.0, 2.0], rho=0.3)
+    joint, one = _ee(config, joint_ccp([(1, 0.7)])), _ee(config, single_ccp(1, 0.7))
     for i in range(3):
-        assert expected_exposure_joint_ccp(config, i, [(1, 0.7)]) == pytest.approx(
-            expected_exposure_one_ccp(config, i, (1, 0.7)), rel=0.0, abs=0.0
-        )
+        assert joint[i] == pytest.approx(one[i], rel=0.0, abs=0.0)
 
 
 @given(
@@ -113,10 +118,10 @@ def test_joint_of_single_class_equals_one_ccp():
 def test_joint_never_exceeds_two_ccps(seed, rho, w1, w2):
     rng = np.random.default_rng(seed)
     config = make_config(rng.uniform(0.1, 10.0, (3, 3)), betas=[1.0, 0.5, 2.0], rho=rho)
+    joint = _ee(config, joint_ccp([(0, w1), (2, w2)]))
+    two = _ee(config, two_ccps([(0, w1), (2, w2)]))
     for i in range(3):
-        joint = expected_exposure_joint_ccp(config, i, [(0, w1), (2, w2)])
-        two = expected_exposure_two_ccp(config, i, [(0, w1), (2, w2)])
-        assert joint <= two * (1 + 1e-12) + 1e-12
+        assert joint[i] <= two[i] * (1 + 1e-12) + 1e-12
 
 
 def test_closed_forms_scale_with_notionals_and_beta():
@@ -125,10 +130,11 @@ def test_closed_forms_scale_with_notionals_and_beta():
     config = make_config(z, betas=[0.5, 1.5], rho=0.1)
     doubled_z = make_config(2.0 * z, betas=[0.5, 1.5], rho=0.1)
     doubled_b = make_config(z, betas=[1.0, 3.0], rho=0.1)
+    scen = single_ccp(1, 0.6)
+    base, ee_z, ee_b = (_ee(c, scen) for c in (config, doubled_z, doubled_b))
     for i in range(4):
-        base = expected_exposure_one_ccp(config, i, (1, 0.6))
-        assert expected_exposure_one_ccp(doubled_z, i, (1, 0.6)) == 2.0 * base
-        assert expected_exposure_one_ccp(doubled_b, i, (1, 0.6)) == 2.0 * base
+        assert ee_z[i] == 2.0 * base[i]
+        assert ee_b[i] == 2.0 * base[i]
 
 
 def test_closed_forms_reject_t_marginals():
@@ -138,13 +144,13 @@ def test_closed_forms_reject_t_marginals():
         marginals=[Marginal.GAUSSIAN, Marginal.STUDENT_T3],
     )
     with pytest.raises(ConfigError):
-        expected_exposure_bilateral(config, 0)
+        scenario_expected_exposures(config, no_ccp())
 
 
 def test_closed_forms_reject_invalid_config():
     config = make_config([[1.0]], betas=[1.0])
     with pytest.raises(ConfigError):
-        expected_exposure_bilateral(config, 0)
+        scenario_expected_exposures(config, no_ccp())
 
 
 def test_dealer_table_ratios(paper_market):
@@ -152,11 +158,11 @@ def test_dealer_table_ratios(paper_market):
     ~0.72 of bilateral; adding the credit CCP and then merging the CCPs
     keeps improving it."""
     config, _, _, _ = paper_market
-    base = expected_exposure_bilateral(config, 0)
-    irs = expected_exposure_one_ccp(config, 0, (2, 0.90)) / base
-    cds = expected_exposure_one_ccp(config, 0, (3, 0.85)) / base
-    two = expected_exposure_two_ccp(config, 0, [(2, 0.90), (3, 0.85)]) / base
-    joint = expected_exposure_joint_ccp(config, 0, [(2, 0.90), (3, 0.85)]) / base
+    base = _ee(config, no_ccp())[0]
+    irs = _ee(config, single_ccp(2, 0.90))[0] / base
+    cds = _ee(config, single_ccp(3, 0.85))[0] / base
+    two = _ee(config, two_ccps([(2, 0.90), (3, 0.85)]))[0] / base
+    joint = _ee(config, joint_ccp([(2, 0.90), (3, 0.85)]))[0] / base
     assert irs == pytest.approx(0.72, abs=0.01)
     assert cds == pytest.approx(1.03, abs=0.01)
     assert two == pytest.approx(0.65, abs=0.01)
@@ -299,6 +305,10 @@ def test_surface_rejects_bad_grids():
         threshold_surface(spec, [1.0], [1.0])
     with pytest.raises(ConfigError):
         threshold_surface(spec, [-1.0], [0.0])
+    with pytest.raises(ConfigError):
+        threshold_surface(spec, [math.nan], [0.0])
+    with pytest.raises(ConfigError):
+        threshold_surface(spec, [1.0], [math.nan])
 
 
 def test_write_surface_format(tmp_path):

@@ -83,6 +83,8 @@ def test_threshold_bad_inputs_exit_2(capsys):
     assert run_cli(capsys, "threshold", "--cleared", "missing")[0] == 2
     assert run_cli(capsys, "threshold", "--ce", "equal:0")[0] == 2
     assert run_cli(capsys, "threshold", "--ce", "equal:six")[0] == 2
+    assert run_cli(capsys, "threshold", "--alpha", "credit=nan")[0] == 2
+    assert run_cli(capsys, "threshold", "--alpha", "credit=inf")[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +127,19 @@ def test_surface_monotone_and_corner(capsys, tmp_path):
 
 
 def test_surface_bad_grid_exits_2(capsys, tmp_path):
-    code, _, _ = run_cli(
-        capsys,
-        "surface",
-        "--alpha-grid", "1:3",
-        "--rho-grid", "0:0.2:5",
-        "--out", str(tmp_path / "s.csv"),
-    )
-    assert code == 2
+    for alpha_grid, rho_grid in [
+        ("1:3", "0:0.2:5"),
+        ("nan:1:2", "0:0.2:5"),
+        ("1:3:2", "0:nan:2"),
+    ]:
+        code, _, _ = run_cli(
+            capsys,
+            "surface",
+            "--alpha-grid", alpha_grid,
+            "--rho-grid", rho_grid,
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2, (alpha_grid, rho_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +248,13 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert run_cli(capsys, *_scen_args(tmp_path, "x", "--paths", "10"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "y", "--beta", "swaps"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "z", "--marginal", "credit=cauchy"))[0] == 2
+    assert run_cli(capsys, *_scen_args(tmp_path, "b", "--beta", "swaps=inf"))[0] == 2
+    assert run_cli(capsys, *_scen_args(tmp_path, "n", "--beta", "swaps=nan"))[0] == 2
+    nan_row = tmp_path / "nan.csv"
+    nan_row.write_text("dealer,forwards,options,swaps,credit\nA,1,1,nan,1\nB,1,1,1,1\n")
+    assert run_cli(capsys, *_scen_args(tmp_path, "c", "--notionals", str(nan_row)))[0] == 2
+    for sub in ("b", "n", "c"):
+        assert not (tmp_path / sub).exists()
     assert (
         run_cli(capsys, "scenarios", "--notionals", "/missing.csv", "--paths", "1000")[0]
         == 2

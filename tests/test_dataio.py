@@ -12,10 +12,10 @@ from ccpnet.dataio import (
     load_notionals,
     load_report,
     parse_run_config,
-    reports_equal,
     write_report,
 )
 from ccpnet.market import ConfigError, Marginal
+from helpers import reports_equal
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,8 @@ def test_build_market_rejects_unknown_class_settings():
     rc.scenario_w[("irs_ccp", "bonds")] = 0.5
     with pytest.raises(ConfigError, match="unknown class"):
         build_market(rc)
+    with pytest.raises(ConfigError, match="gaussian or t3"):
+        build_market(RunConfig(marginals={"credit": "cauchy"}))
 
 
 def test_build_market_requires_standard_classes(tmp_path):

@@ -1,5 +1,7 @@
 """Market types: validation reporting, pair scales, scenario invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,12 @@ from ccpnet.market import (
     ClearingScenario,
     ConfigError,
     Dealer,
+    HomogeneousSpec,
     Marginal,
     ScenarioKind,
     joint_ccp,
     no_ccp,
-    pair_scale,
+    pair_scale_matrix,
     single_ccp,
     standard_scenarios,
     two_ccps,
@@ -65,27 +68,45 @@ def test_validate_negative_notional_and_beta():
     assert not validate(make_config([[1.0], [1.0]], [0.0])).ok
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_flags_non_finite_notional_and_beta(bad):
+    notional = validate(make_config([[1.0, 2.0], [bad, 1.0]], [1.0, 1.0]))
+    assert any("non-finite notional" in v for v in notional.violations)
+    beta = validate(make_config([[1.0, 2.0], [3.0, 1.0]], [1.0, bad]))
+    assert any("beta must be finite" in v for v in beta.violations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_homogeneous_spec_rejects_non_finite(bad):
+    with pytest.raises(ConfigError, match="credit exposures"):
+        HomogeneousSpec((1.0, bad), (1.0, 1.0), 0.0, 1)
+    with pytest.raises(ConfigError, match="alphas"):
+        HomogeneousSpec((1.0, 2.0), (bad, 1.0), 0.0, 1)
+
+
 def test_pair_scale_two_dealers_unit():
     config = make_config([[1.0], [1.0]], betas=[1.0])
-    assert pair_scale(config, 0, 1, 0) == 1.0
+    assert pair_scale_matrix(config, 0)[1, 0] == 1.0
 
 
 def test_pair_scale_hand_value():
     # beta * Z_i * Z_j / (sum of the others): 0.5 * 10 * 4 / 10 = 2
     config = make_config([[10.0], [4.0], [6.0]], betas=[0.5])
-    assert pair_scale(config, 0, 1, 0) == pytest.approx(2.0, abs=0.0)
+    assert pair_scale_matrix(config, 0)[1, 0] == pytest.approx(2.0, abs=0.0)
 
 
 def test_pair_scale_zero_notional_is_zero():
     config = make_config([[10.0], [0.0], [6.0]], betas=[0.5])
-    assert pair_scale(config, 0, 1, 0) == 0.0
-    assert pair_scale(config, 1, 0, 0) == 0.0
+    assert pair_scale_matrix(config, 0)[1, 0] == 0.0
+    assert pair_scale_matrix(config, 1)[0, 0] == 0.0
 
 
-def test_pair_scale_rejects_diagonal():
-    config = make_config([[1.0], [1.0]], betas=[1.0])
-    with pytest.raises(ConfigError):
-        pair_scale(config, 1, 1, 0)
+def test_pair_scale_diagonal_row_is_zero():
+    config = make_config([[1.0, 2.0], [1.0, 3.0], [4.0, 1.0]], betas=[1.0, 0.5])
+    for i in range(3):
+        s = pair_scale_matrix(config, i)
+        assert np.array_equal(s[i], np.zeros(2))
+        assert (np.delete(s, i, axis=0) > 0).all()
 
 
 @given(
@@ -102,8 +123,8 @@ def test_pair_scale_homogeneous_in_notionals(z, beta, c):
     config = make_config(z, betas=[beta, beta])
     scaled = make_config([[c * v for v in row] for row in z], betas=[beta, beta])
     for k in range(2):
-        assert pair_scale(scaled, 0, 1, k) == pytest.approx(
-            c * pair_scale(config, 0, 1, k), rel=1e-12
+        assert pair_scale_matrix(scaled, 0)[1, k] == pytest.approx(
+            c * pair_scale_matrix(config, 0)[1, k], rel=1e-12
         )
 
 
@@ -120,7 +141,7 @@ def test_pair_scales_sum_to_beta_times_own_notional(z, beta):
     config = make_config(z, betas=[beta])
     n = len(z)
     for i in range(n):
-        total = sum(pair_scale(config, i, j, 0) for j in range(n) if j != i)
+        total = sum(pair_scale_matrix(config, i)[j, 0] for j in range(n) if j != i)
         assert total == pytest.approx(beta * z[i][0], rel=1e-12)
 
 

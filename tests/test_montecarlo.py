@@ -8,30 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, stdtrit
 
-from ccpnet import analytic
+from ccpnet import analytic, kernels
 from ccpnet.market import (
+    MILLIONS_PER_BILLION,
     ConfigError,
     Marginal,
     joint_ccp,
     no_ccp,
+    pair_scale_matrix,
     single_ccp,
     standard_scenarios,
     two_ccps,
 )
 from ccpnet.montecarlo import (
-    ExposureDraw,
     _MIN_UNIFORM,
     SamplingModel,
     _build_layout,
     _copula_values,
+    _scenario_arrays,
     _uniforms,
     empirical_quantile,
-    evaluate_scenario,
-    evaluate_scenarios,
     exposures_for_paths,
     freedman_diaconis_edges,
     sample_draws,
-    sample_pair_exposures,
     simulate,
     student_t3_unit_cdf,
     student_t3_unit_ppf,
@@ -55,7 +54,7 @@ def _model(config, rho=None, antisymmetric=True):
 
 def test_uniforms_are_pure_functions_of_path_index():
     config = make_config(np.ones((4, 3)), betas=[1.0] * 3)
-    layout = _build_layout(config, _model(config), 1.0)
+    layout = _build_layout(config, _model(config))
     whole = _uniforms(99, layout, 0, 16)
     assert np.array_equal(_uniforms(99, layout, 5, 4), whole[5:9])
     assert np.array_equal(_uniforms(99, layout, 15, 1), whole[15:16])
@@ -65,7 +64,7 @@ def test_uniforms_are_pure_functions_of_path_index():
 
 def test_uniforms_shape_and_range():
     config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
-    layout = _build_layout(config, _model(config), 1.0)
+    layout = _build_layout(config, _model(config))
     u = _uniforms(1, layout, 0, 100)
     assert u.shape == (100, 3, 3)  # 3 unordered pairs, K+1 coordinates
     assert (u > 0).all() and (u < 1).all()
@@ -160,34 +159,34 @@ def test_sampling_model_rejects_bad_rho():
 
 
 def test_sample_pair_exposures_scales_and_antisymmetry():
+    """Both directions of a pair are one standardized draw, each under its
+    owner's pair scale, the reverse direction negated."""
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
     model = _model(config)
-    rng = np.random.Generator(np.random.Philox(key=9))
-    u = rng.random((1000, 3))
-    x_ij, x_ji = sample_pair_exposures(config, model, 0, 1, u)
-    y = _copula_values(u, model.rho, model.marginals)
-    from ccpnet.market import pair_scale
-
-    for k in range(2):
-        assert np.allclose(x_ij[:, k], y[:, k] * pair_scale(config, 0, 1, k))
-        assert np.allclose(x_ji[:, k], -y[:, k] * pair_scale(config, 1, 0, k))
+    layout = _build_layout(config, model)
+    # one row per unordered pair, owned by the lower index
+    assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (0, 2), (1, 2)]
+    y = _copula_values(_uniforms(9, layout, 0, 1000), model.rho, model.marginals)
+    x = sample_draws(config, model, seed=9, start=0, count=1000)
+    for p, (i, j) in enumerate(zip(layout.pair_i, layout.pair_j)):
+        s_ij = pair_scale_matrix(config, i)[j] * MILLIONS_PER_BILLION
+        s_ji = pair_scale_matrix(config, j)[i] * MILLIONS_PER_BILLION
+        assert np.array_equal(x[:, i, j], y[:, p] * s_ij)
+        assert np.array_equal(x[:, j, i], -y[:, p] * s_ji)
 
 
 def test_sample_pair_exposures_independent_mode_has_no_mirror():
+    """Independent directions: one draw per ordered pair, no mirrored scale."""
     config = make_config([[1.0], [2.0]], betas=[1.0])
     model = _model(config, antisymmetric=False)
-    u = np.random.default_rng(0).random((10, 2))
-    x_ij, x_ji = sample_pair_exposures(config, model, 0, 1, u)
-    assert x_ji is None
-    assert x_ij.shape == (10, 1)
-
-
-def test_sample_pair_exposures_requires_canonical_order():
-    config = make_config([[1.0], [2.0]], betas=[1.0])
-    with pytest.raises(ConfigError):
-        sample_pair_exposures(config, _model(config), 1, 0, np.zeros((1, 2)))
-    with pytest.raises(ConfigError):
-        sample_pair_exposures(config, _model(config), 0, 1, np.zeros((1, 5)))
+    layout = _build_layout(config, model)
+    assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (1, 0)]
+    assert not layout.s_minus.any()
+    y = _copula_values(_uniforms(0, layout, 0, 10), model.rho, model.marginals)
+    x = sample_draws(config, model, seed=0, start=0, count=10)
+    assert x.shape == (10, 2, 2, 1)
+    assert np.array_equal(x[:, 0, 1], y[:, 0] * layout.s_plus[0])
+    assert np.array_equal(x[:, 1, 0], y[:, 1] * layout.s_plus[1])
 
 
 def test_sample_draws_antisymmetric_structure():
@@ -198,10 +197,8 @@ def test_sample_draws_antisymmetric_structure():
     assert np.array_equal(x[:, 0, 0, :], np.zeros((50, 2)))
     # both directions are driven by one standardized draw: the ratio of
     # opposite entries equals minus the ratio of their scales
-    from ccpnet.market import pair_scale
-
     for k in range(2):
-        s01, s10 = pair_scale(config, 0, 1, k), pair_scale(config, 1, 0, k)
+        s01, s10 = pair_scale_matrix(config, 0)[1, k], pair_scale_matrix(config, 1)[0, k]
         assert np.allclose(x[:, 1, 0, k] * s01, -x[:, 0, 1, k] * s10, atol=1e-9)
 
 
@@ -211,10 +208,13 @@ def test_sample_draws_antisymmetric_structure():
 
 
 def test_evaluate_scenario_zero_draw_is_zero():
-    draw = ExposureDraw(np.zeros((3, 3, 2)))
-    for scen in standard_scenarios(irs_class=0, cds_class=1):
-        for i in range(3):
-            assert evaluate_scenario(draw, scen, i) == 0.0
+    scenarios = standard_scenarios(irs_class=0, cds_class=1)
+    ii, jj = np.triu_indices(3, k=1)
+    scales = np.ones((3, 2))
+    e = kernels.scenario_exposures(
+        np.zeros((1, 3, 2)), scales, scales, ii, jj, *_scenario_arrays(scenarios, 2), 3
+    )
+    assert np.array_equal(e, np.zeros((1, len(scenarios), 3)))
 
 
 def test_evaluate_scenario_hand_values():
@@ -227,46 +227,54 @@ def test_evaluate_scenario_hand_values():
     x[2, 0] = (2.0, -5.0)
     x[2, 1] = (-3.0, -3.0)
     scen = single_ccp(1, 1.0, name="full_clearing")
-    draw = ExposureDraw(x)
+    # independent mode: one unit-scale row per ordered pair, no reverse scale
+    ii, jj = np.nonzero(~np.eye(3, dtype=bool))
+    e = kernels.scenario_exposures(
+        x[ii, jj][None],
+        np.ones((6, 2)),
+        np.zeros((6, 2)),
+        ii,
+        jj,
+        *_scenario_arrays([scen], 2),
+        3,
+    )[0, 0]
     ref = oracle_exposures(x, [scen])["full_clearing"]
     for i in range(3):
-        assert evaluate_scenario(draw, scen, i) == pytest.approx(ref[i], rel=1e-15)
+        assert e[i] == pytest.approx(ref[i], rel=1e-15)
     # dealer 0: bilateral remainder max(4,0)+max(-2,0)=4; CCP max(-1+5,0)=4
-    assert evaluate_scenario(draw, scen, 0) == pytest.approx(8.0)
+    assert e[0] == pytest.approx(8.0)
 
 
 def test_evaluate_scenarios_reductions():
     rng = np.random.default_rng(14)
     config = make_config(rng.uniform(0.5, 5.0, (3, 2)), betas=[1.0, 2.0])
-    x = sample_draws(config, _model(config), seed=2, start=0, count=1)[0]
+    model = _model(config)
     scenarios = [no_ccp(), single_ccp(1, 0.8, name="one"), single_ccp(1, 0.0, name="idle")]
-    results = evaluate_scenarios(ExposureDraw(x), scenarios)
-    assert [r.scenario for r in results] == ["no_ccp", "one", "idle"]
-    base = results[0]
-    assert np.array_equal(base.eps, np.zeros(3))
-    assert np.allclose(results[1].eps, base.e - results[1].e)
-    assert np.array_equal(results[2].eps, np.zeros(3))  # w=0 clears nothing
-    for r in results:
-        assert (r.e >= 0).all()
+    assert [scen.clears_nothing for scen in scenarios] == [True, False, True]
+    e = exposures_for_paths(config, model, scenarios, seed=2, start=0, count=1)[0]
+    ref = oracle_exposures(sample_draws(config, model, seed=2, start=0, count=1)[0], scenarios)
+    for s, scen in enumerate(scenarios):
+        assert np.allclose(e[s], ref[scen.name], rtol=1e-12, atol=1e-9)
+        assert (e[s] >= 0).all()
+    eps = e[0] - e  # per-dealer reduction against the base
+    assert np.array_equal(eps[0], np.zeros(3))
+    assert np.array_equal(eps[2], np.zeros(3))  # w=0 clears nothing
 
 
 def test_evaluate_scenarios_without_base_has_no_eps():
     config = make_config([[1.0], [2.0]], betas=[1.0])
-    x = sample_draws(config, _model(config), seed=3, start=0, count=1)[0]
-    results = evaluate_scenarios(ExposureDraw(x), [single_ccp(0, 0.5, name="only")])
-    assert results[0].eps is None
+    only = [single_ccp(0, 0.5, name="only")]
+    report = simulate(config, None, only, 1000, 3, collect_histograms=True)
+    assert report.base_index is None
+    assert report.histograms is None
 
 
 def test_evaluate_scenario_zero_fraction_matches_base():
     rng = np.random.default_rng(8)
     config = make_config(rng.uniform(0.5, 5.0, (3, 2)), betas=[1.0, 2.0])
-    x = sample_draws(config, _model(config), seed=1, start=0, count=20)
-    idle = single_ccp(1, 0.0, name="idle")
-    base = no_ccp()
-    for c in range(20):
-        draw = ExposureDraw(x[c])
-        for i in range(3):
-            assert evaluate_scenario(draw, idle, i) == evaluate_scenario(draw, base, i)
+    scenarios = [no_ccp(), single_ccp(1, 0.0, name="idle")]
+    e = exposures_for_paths(config, _model(config), scenarios, seed=1, start=0, count=20)
+    assert np.array_equal(e[:, 1], e[:, 0])
 
 
 @pytest.mark.parametrize("antisymmetric", [True, False])
@@ -298,10 +306,6 @@ def test_engine_matches_oracle_and_reference_evaluator(antisymmetric, rho):
             assert np.allclose(
                 engine[c, s], ref[scen.name], rtol=1e-12, atol=1e-12 * max(scale, 1.0)
             )
-            for i in range(4):
-                assert evaluate_scenario(ExposureDraw(draws[c]), scen, i) == pytest.approx(
-                    engine[c, s, i], rel=1e-12, abs=1e-12 * max(scale, 1.0)
-                )
 
 
 # ---------------------------------------------------------------------------

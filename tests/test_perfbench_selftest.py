@@ -1,0 +1,19 @@
+"""The benchmark's own self-test: its traced function names, call counts and
+checks must keep matching the package."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
