@@ -9,7 +9,6 @@ headers and never a timestamp, so identical runs write identical bytes.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 

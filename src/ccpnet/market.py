@@ -170,10 +170,13 @@ def validate(config: MarketConfig) -> ValidationReport:
                 v.append("correlation matrix not positive definite")
     if not v or all(len(d.notionals) == k for d in config.dealers):
         z = config.notional_matrix() if n and k else np.zeros((n, k))
-        totals = z.sum(axis=0)
+        # non-finite notionals are reported above: a NaN total (inf + -inf)
+        # fails every comparison below, and an infinite notional is skipped
+        with np.errstate(invalid="ignore"):
+            totals = z.sum(axis=0)
         for i, d in enumerate(config.dealers):
             for kk in range(k):
-                if z[i, kk] > 0 and totals[kk] - z[i, kk] <= 0:
+                if 0 < z[i, kk] < math.inf and totals[kk] - z[i, kk] <= 0:
                     v.append(
                         f"zero counterparty notional denominator: dealer {d.name!r}, "
                         f"class {config.classes[kk].name!r}"

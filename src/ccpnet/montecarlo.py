@@ -50,29 +50,96 @@ def student_t3_unit_cdf(x):
     return 0.5 + (np.arctan(v) + v / (1.0 + v * v)) / np.pi
 
 
+# Values are inverted in blocks of this size so that the three Halley scratch
+# buffers stay in cache; results do not depend on it.
+_T3_BLOCK = 32768
+# Below this tail probability F(x) - q loses digits to cancellation, so such
+# quantiles come from the tail series instead of the Halley iteration.
+_T3_TAIL_Q = 1e-4
+# pi q = w^3 P(w^2) for the tail probability q at |v| = 1/w, with
+# P(y) = sum_{n>=1} (-1)^(n+1) 2n/(2n+1) y^(n-1); highest power first
+_T3_TAIL_SERIES = tuple((-1) ** (n + 1) * 2 * n / (2 * n + 1) for n in range(13, 0, -1))
+
+
+def _t3_tail_magnitude(q):
+    """|v| with tail probability 1 - F(|v|) = q, for 0 <= q < _T3_TAIL_Q.
+
+    Three Newton steps on z = w / cbrt(pi q), which solves z^3 P(w^2) = 1 and
+    tends to (3/2)^(1/3) as q -> 0; nothing underflows or cancels.
+    """
+    c = np.cbrt(np.pi * q)
+    z = np.full_like(q, 1.5 ** (1.0 / 3.0))
+    for _ in range(3):
+        y = (c * z) ** 2
+        z -= (z**3 * np.polyval(_T3_TAIL_SERIES, y) - 1.0) * (1.0 + y) ** 2 / (2.0 * z * z)
+    with np.errstate(divide="ignore"):  # q = 0 is u = 0 or 1: infinite quantile
+        return 1.0 / (c * z)
+
+
 def student_t3_unit_ppf(u):
-    """Quantile of the unit-variance t3 marginal by Halley iteration.
+    """Quantile of the unit-variance t3 marginal.
 
     There is no algebraic closed form at 3 dof (the CDF mixes arctan with a
-    rational term), so we invert numerically: cubic-tail / linear-center
-    starting points, then five Halley steps. The round-trip defect
-    |cdf(ppf(u)) - u| is at machine epsilon; relative accuracy vs an
-    independent inversion is ~1e-10 and limited only by float64
-    conditioning in the extreme tails.
+    rational term), so it is inverted numerically on the lower half: with
+    q = min(u, 1-u), which is exact, solve F(x) = q for x <= 0 and return
+    x for u < 1/2 and -x above.
+
+    Start from a rational guess near the median and from the cubic tail
+    2/(3 pi |x|^3) for q < 0.15, then take three Halley steps. With
+    s = 1+x^2 and g = pi (F(x) - q), and since F''/F'^2 = -2 pi x s, the
+    Halley step is x -= g s^2 / 2 / (1 + g x s). For q < 1e-4, where
+    F(x) - q cancels, x comes instead from the series
+    pi q = sum_n (-1)^(n+1) 2n/(2n+1) w^(2n+1) in w = 1/|x|
+    (see _t3_tail_magnitude).
+
+    The round-trip defect |cdf(ppf(u)) - u| is at machine epsilon. Against
+    a 60-digit inversion the relative error is at most about 1e-13 (near
+    q = 1e-4) and about 1e-16 in the series range, for u down to 1e-300 and
+    up to 1 - 2^-53. u = 0 and 1 map to -inf and inf.
     """
     u = np.asarray(u, dtype=float)
-    lower = u < 0.5
-    q = np.where(lower, u, 1.0 - u)
-    # tail: 1 - F(v) ~ 2/(3 pi v^3); center: slope pi/2 at the median
-    tail = np.cbrt(2.0 / (3.0 * np.pi * np.maximum(q, 1e-300)))
-    center = (u - 0.5) * (np.pi / 2.0) / (1.0 - (u - 0.5) ** 2 * 1.6)
-    v = np.where(q < 0.15, tail, np.abs(center))
-    v = np.where(lower, -v, v)
-    for _ in range(5):
-        f = student_t3_unit_cdf(v) - u
-        d = (2.0 / np.pi) / (1.0 + v * v) ** 2
-        d2 = -8.0 * v / (np.pi * (1.0 + v * v) ** 3)
-        v = v - f / d / (1.0 - 0.5 * f * d2 / (d * d))
+    v = np.empty(u.shape)
+    flat_u, flat_v = u.reshape(-1), v.reshape(-1)
+    scratch = np.empty((3, min(_T3_BLOCK, flat_u.size)))
+    for start in range(0, flat_u.size, _T3_BLOCK):
+        ub = flat_u[start : start + _T3_BLOCK]
+        x = flat_v[start : start + _T3_BLOCK]
+        q, a, b = scratch[:, : ub.size]
+        np.subtract(1.0, ub, out=q)
+        np.minimum(q, ub, out=q)
+        tail = np.flatnonzero(q < _T3_TAIL_Q)
+        q_tail = q[tail]
+        # the Halley pass runs on q >= _T3_TAIL_Q; the tail is overwritten
+        np.maximum(q, _T3_TAIL_Q, out=q)
+        # start: slope pi/2 at the median, 1 - F(v) ~ 2/(3 pi v^3) in the tail
+        np.subtract(q, 0.5, out=x)
+        np.multiply(x, x, out=a)
+        a *= -1.6
+        a += 1.0
+        x *= np.pi / 2.0
+        x /= a
+        far = q < 0.15
+        x[far] = -np.cbrt(2.0 / (3.0 * np.pi * q[far]))
+        q -= 0.5
+        q *= -np.pi  # pi (1/2 - q), so that g = q + arctan x + x/s
+        for _ in range(3):
+            np.multiply(x, x, out=b)
+            b += 1.0
+            np.divide(x, b, out=b)
+            np.arctan(x, out=a)
+            a += b
+            a += q
+            np.multiply(x, x, out=b)
+            b += 1.0
+            a *= b  # g s
+            b *= a
+            b *= 0.5  # g s^2 / 2
+            a *= x
+            a += 1.0  # 1 + g x s
+            b /= a
+            x -= b
+        x[tail] = -_t3_tail_magnitude(q_tail)
+        np.negative(x, out=x, where=ub > 0.5)
     return v
 
 

@@ -72,6 +72,9 @@ def test_validate_negative_notional_and_beta():
 def test_validate_flags_non_finite_notional_and_beta(bad):
     notional = validate(make_config([[1.0, 2.0], [bad, 1.0]], [1.0, 1.0]))
     assert any("non-finite notional" in v for v in notional.violations)
+    # +bad and -bad in one class: the class total is NaN at bad = inf
+    mixed = validate(make_config([[1.0, 2.0], [bad, 1.0], [-bad, 1.0]], [1.0, 1.0]))
+    assert sum("non-finite notional" in v for v in mixed.violations) == 2
     beta = validate(make_config([[1.0, 2.0], [3.0, 1.0]], [1.0, bad]))
     assert any("beta must be finite" in v for v in beta.violations)
 

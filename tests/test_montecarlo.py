@@ -1,6 +1,7 @@
 """Monte Carlo engine: sampling law, counter determinism, risk measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,34 @@ def test_t3_ppf_agrees_with_independent_inversion():
     assert err.max() < 1e-8
 
 
+def test_t3_ppf_extreme_tails_relative_accuracy():
+    # the copula reaches u ~ 1e-24 at rho = 0.1, and 1 - u down to 2^-53
+    upper = 1.0 - np.array([2.0**-53, 1e-15, 1e-12, 1e-9])
+    u = np.concatenate([np.logspace(-100, -6, 941), upper])
+    ref = stdtrit(3, u) / math.sqrt(3.0)
+    assert np.abs(student_t3_unit_ppf(u) / ref - 1.0).max() < 1e-8
+    # stdtrit itself fails this deep (-inf at 1e-300), so compare with the
+    # leading tail term, exact to ~q^(2/3) relative
+    q = np.logspace(-300, -150, 151)
+    lead = np.cbrt(2.0 / (3.0 * np.pi * q))
+    assert np.abs(-student_t3_unit_ppf(q) / lead - 1.0).max() < 1e-12
+    assert student_t3_unit_ppf(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+
+def _peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_t3_ppf_peak_memory():
+    u = np.random.Generator(np.random.Philox(key=5)).random(4096 * 190)
+    assert _peak_traced_bytes(student_t3_unit_ppf, u) <= 4 * u.nbytes
+
+
 def test_t3_ppf_symmetry_and_median():
     u = np.array([0.01, 0.2, 0.4])
     assert np.allclose(student_t3_unit_ppf(u), -student_t3_unit_ppf(1 - u), atol=1e-12)
@@ -149,6 +178,13 @@ def test_copula_bitwise_equals_factor_split(rho):
     assert np.array_equal(y, ref)
     assert np.array_equal(np.signbit(y), np.signbit(ref))
     assert np.array_equal(u, before)  # the caller's uniforms are not overwritten
+
+
+def test_copula_peak_memory_with_t3_class():
+    u = np.random.Generator(np.random.Philox(key=9)).random((4096, 190, 5))
+    marginals = (Marginal.STUDENT_T3,) + (Marginal.GAUSSIAN,) * 3
+    out_nbytes = u[..., 1:].size * 8
+    assert _peak_traced_bytes(_copula_values, u, 0.1, marginals) <= 2.5 * out_nbytes
 
 
 def test_sampling_model_rejects_bad_rho():
