@@ -108,15 +108,28 @@ def _check_fraction(w: float) -> None:
 
 def _pair_stds(spec: HomogeneousSpec, w: float) -> tuple[float, float]:
     """Std dev of a pair's class-sum position: all classes bilateral (A) and
-    with the cleared class reduced to its 1-w remainder (B)."""
-    sig = spec.sigmas()
-    corr = spec.correlation_matrix()
-    a = math.sqrt(float(sig @ corr @ sig))
-    resid = np.ones(spec.n_classes)
-    resid[spec.cleared_class] -= w
-    sr = sig * resid
-    b = math.sqrt(float(sr @ corr @ sr))
-    return a, b
+    with the cleared class reduced to its 1-w remainder (B).
+
+    Under equicorrelation rho the variance of a sum of class positions with
+    std devs v is sum v^2 + rho ((sum v)^2 - sum v^2). The cross term is kept
+    as that difference so it is exactly zero for one class: otherwise A may
+    round away from sigma and break the exact N=2 tie of a single class.
+    """
+    sig = [a * c for a, c in zip(spec.alphas, spec.credit_exposures)]
+    resid = sig.copy()
+    resid[spec.cleared_class] *= 1.0 - w
+
+    def std(v: list[float]) -> float:
+        total = sum(v)
+        squares = sum(x * x for x in v)
+        return math.sqrt(squares + spec.rho * (total * total - squares))
+
+    return std(sig), std(resid)
+
+
+def _cleared_sigma(spec: HomogeneousSpec) -> float:
+    c = spec.cleared_class
+    return spec.alphas[c] * spec.credit_exposures[c]
 
 
 def homogeneous_ee(
@@ -135,7 +148,7 @@ def homogeneous_ee(
     a, b = _pair_stds(spec, w)
     if not with_ccp:
         return (n - 1) * a * _INV_SQRT_2PI
-    sigma_c = float(spec.sigmas()[spec.cleared_class])
+    sigma_c = _cleared_sigma(spec)
     return ((n - 1) * b + w * sigma_c * math.sqrt(n - 1)) * _INV_SQRT_2PI
 
 
@@ -159,10 +172,10 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
     """Smallest integer N >= 2 where clearing the chosen class lowers
     expected exposure below the pure bilateral value.
 
-    Solved in closed form via sqrt(N-1) > w*sigma_c / (A - B), then confirmed
-    by an integer scan up to 10x the solution so a floating-point edge can
-    never misplace the crossing. A <= B would mean the CCP never wins; that
-    cannot happen for rho >= 0 and a positive cleared-class sigma.
+    Solved in closed form via sqrt(N-1) > w*sigma_c / (A - B), then moved to
+    the first N where the floating-point curves cross, so rounding can never
+    misplace the crossing. A <= B would mean the CCP never wins; that cannot
+    happen for rho >= 0 and a positive cleared-class sigma.
     """
     _check_fraction(w)
     if w == 0.0:
@@ -170,19 +183,27 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
     a, b = _pair_stds(spec, w)
     if a <= b:
         raise ConfigError("CCP never reduces expected exposure for this spec")
-    sigma_c = float(spec.sigmas()[spec.cleared_class])
+    sigma_c = _cleared_sigma(spec)
     x = w * sigma_c / (a - b)
     n_star = max(2, math.floor(1.0 + x * x) + 1)
 
-    # confirm by integer scan up to 10x the closed-form solution so a
-    # floating-point edge cannot misplace the crossing; for gigantic
-    # thresholds a window around the solution bounds the memory instead
-    # (the gap (N-1)(A-B) - w*sigma_c*sqrt(N-1) is increasing once positive,
-    # so a single crossing is guaranteed)
+    # the gap (N-1)(A-B) - w*sigma_c*sqrt(N-1) is increasing once positive,
+    # so there is a single crossing; walk from the closed form to it with
+    # the same strict test the window scan below applies to a whole range
     if n_star <= 100_000:
-        ns = np.arange(2, 10 * n_star + 1)
-    else:
-        ns = np.arange(max(2, n_star - 1000), n_star + 1000)
+
+        def ccp_below(n: int) -> bool:
+            return (n - 1) * b + w * sigma_c * math.sqrt(n - 1.0) < (n - 1) * a
+
+        while not ccp_below(n_star):
+            n_star += 1
+        while n_star > 2 and ccp_below(n_star - 1):
+            n_star -= 1
+        return ThresholdResult(spec=spec, w=w, n_star=n_star)
+
+    # for gigantic thresholds the curves differ by rounding noise near the
+    # crossing, so a window around the solution must show a single one
+    ns = np.arange(max(2, n_star - 1000), n_star + 1000)
     bilat = (ns - 1) * a
     ccp = (ns - 1) * b + w * sigma_c * np.sqrt(ns - 1.0)
     below = ccp < bilat
@@ -213,15 +234,16 @@ def threshold_surface(
     if not ((rho_grid >= 0) & (rho_grid < 1)).all():
         raise ConfigError("rho grid values must lie in [0, 1)")
     out = np.empty((alpha_grid.size, rho_grid.size), dtype=np.int64)
-    for ai, alpha in enumerate(alpha_grid):
-        alphas = list(spec.alphas)
-        alphas[spec.cleared_class] = float(alpha)
-        for ri, rho in enumerate(rho_grid):
+    c = spec.cleared_class
+    rhos = rho_grid.tolist()
+    for ai, alpha in enumerate(alpha_grid.tolist()):
+        alphas = spec.alphas[:c] + (alpha,) + spec.alphas[c + 1 :]
+        for ri, rho in enumerate(rhos):
             cell = HomogeneousSpec(
                 credit_exposures=spec.credit_exposures,
-                alphas=tuple(alphas),
-                rho=float(rho),
-                cleared_class=spec.cleared_class,
+                alphas=alphas,
+                rho=rho,
+                cleared_class=c,
                 class_names=spec.class_names,
             )
             out[ai, ri] = min_clearing_members(cell, w=w).n_star
@@ -230,10 +252,10 @@ def threshold_surface(
 
 def write_surface(path, alpha_grid, rho_grid, surface: np.ndarray) -> None:
     """Emit the surface as delimited text with columns alpha, rho, n_star."""
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    rho_grid = np.asarray(rho_grid, dtype=float)
+    alphas = np.asarray(alpha_grid, dtype=float).tolist()
+    rhos = [repr(rho) for rho in np.asarray(rho_grid, dtype=float).tolist()]
     with open(path, "w") as fh:
         fh.write("alpha,rho,n_star\n")
-        for ai, alpha in enumerate(alpha_grid):
-            for ri, rho in enumerate(rho_grid):
-                fh.write(f"{float(alpha)!r},{float(rho)!r},{int(surface[ai, ri])}\n")
+        for alpha, row in zip(alphas, np.asarray(surface).tolist()):
+            prefix = f"{alpha!r},"
+            fh.write("".join(f"{prefix}{rho},{n}\n" for rho, n in zip(rhos, row)))

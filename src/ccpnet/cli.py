@@ -9,6 +9,7 @@ goes to standard error. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,6 +40,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"grid must be lo:hi:steps, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got {text!r}")
     if n < 1:
         raise ConfigError("grid needs at least one point")
     return np.linspace(lo, hi, n)

@@ -328,6 +328,11 @@ def standard_scenarios(
 # ---------------------------------------------------------------------------
 
 
+def _all_positive_finite(values: tuple[float, ...]) -> bool:
+    # a NaN makes the sum NaN, and min and max are exact once NaN is ruled out
+    return not math.isnan(sum(values)) and 0 < min(values) and max(values) < math.inf
+
+
 @dataclass(frozen=True)
 class HomogeneousSpec:
     """Homogeneous-dealer market where every pair's class-k position has
@@ -343,8 +348,8 @@ class HomogeneousSpec:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ce = tuple(float(x) for x in self.credit_exposures)
-        al = tuple(float(x) for x in self.alphas)
+        ce = tuple(map(float, self.credit_exposures))
+        al = tuple(map(float, self.alphas))
         object.__setattr__(self, "credit_exposures", ce)
         object.__setattr__(self, "alphas", al)
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -352,9 +357,9 @@ class HomogeneousSpec:
             raise ConfigError("credit_exposures and alphas must have equal length")
         if not ce:
             raise ConfigError("at least one asset class required")
-        if not all(0 < x < math.inf for x in ce):
+        if not _all_positive_finite(ce):
             raise ConfigError("credit exposures must be finite and > 0")
-        if not all(0 < a < math.inf for a in al):
+        if not _all_positive_finite(al):
             raise ConfigError("alphas must be finite and > 0")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("rho must lie in [0, 1)")

@@ -251,7 +251,10 @@ def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
 
     Gaussian coordinates come from the equicorrelation factor split
     sqrt(rho) * common + sqrt(1-rho) * idiosyncratic; t3 classes are pushed
-    through the Gaussian copula (normal CDF, then the t3 quantile).
+    through the Gaussian copula (normal CDF, then the t3 quantile). The t3
+    quantile takes the tail probability Phi(-|y|) and gets the sign of y back,
+    so both tails resolve as far as the lower one: Phi(y) itself rounds to
+    1.0 for y above about 8.3.
     """
     # Bit-identical to sqrt(rho) * z[..., :1] + sqrt(1-rho) * z[..., 1:]:
     # addition commutes, and at rho = 0 that sum is 0.0 * z0 + 1.0 * z == z
@@ -262,7 +265,11 @@ def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
         y += math.sqrt(rho) * ndtri(u[..., :1])
     for k, marginal in enumerate(marginals):
         if marginal is Marginal.STUDENT_T3:
-            y[..., k] = student_t3_unit_ppf(ndtr(y[..., k]))
+            col = y[..., k]
+            p = np.abs(col)
+            np.negative(p, out=p)
+            ndtr(p, out=p)
+            np.copysign(student_t3_unit_ppf(p), col, out=col)
     return y
 
 

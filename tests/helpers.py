@@ -12,7 +12,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from ccpnet.market import AssetClass, Dealer, Marginal, MarketConfig
+from ccpnet.market import (
+    AssetClass,
+    ConfigError,
+    Dealer,
+    HomogeneousSpec,
+    Marginal,
+    MarketConfig,
+)
 
 
 def make_config(notionals, betas, rho=0.0, marginals=None, names=None):
@@ -140,3 +147,35 @@ def reports_equal(a, b) -> bool:
         and np.array_equal(a.es_exceedances, b.es_exceedances)
         and np.array_equal(a.mean_max, b.mean_max)
     )
+
+
+def oracle_min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> int:
+    """Member threshold by the matrix form of the pair variances and an
+    integer scan: every N in [2, 10 n*] below the closed form's n* <= 100,000,
+    a +-1000 window around it above. Raises the engine's ConfigError messages
+    when the curves never cross or cross more than once."""
+    sig = spec.sigmas()
+    corr = spec.correlation_matrix()
+    a = math.sqrt(float(sig @ corr @ sig))
+    resid = np.ones(spec.n_classes)
+    resid[spec.cleared_class] -= w
+    sr = sig * resid
+    b = math.sqrt(float(sr @ corr @ sr))
+    if a <= b:
+        raise ConfigError("CCP never reduces expected exposure for this spec")
+    sigma_c = float(spec.sigmas()[spec.cleared_class])
+    x = w * sigma_c / (a - b)
+    n_star = max(2, math.floor(1.0 + x * x) + 1)
+    if n_star <= 100_000:
+        ns = np.arange(2, 10 * n_star + 1)
+    else:
+        ns = np.arange(max(2, n_star - 1000), n_star + 1000)
+    bilat = (ns - 1) * a
+    ccp = (ns - 1) * b + w * sigma_c * np.sqrt(ns - 1.0)
+    below = ccp < bilat
+    crossing = np.flatnonzero(below)
+    if crossing.size == 0:
+        raise ConfigError("CCP never reduces expected exposure for this spec")
+    if not below[crossing[0]:].all():
+        raise ConfigError("expected-exposure curves cross more than once")
+    return int(ns[crossing[0]])

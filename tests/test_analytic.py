@@ -25,7 +25,12 @@ from ccpnet.market import (
     single_ccp,
     two_ccps,
 )
-from helpers import make_config, quad_bilateral_ee, quad_positive_mean
+from helpers import (
+    make_config,
+    oracle_min_clearing_members,
+    quad_bilateral_ee,
+    quad_positive_mean,
+)
 
 
 def _ee(config, scenario):
@@ -246,6 +251,54 @@ def test_min_clearing_members_equal_classes():
     assert crossing == result.n_star
 
 
+def _oracle_outcome(spec, w):
+    try:
+        return oracle_min_clearing_members(spec, w)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _outcome(spec, w):
+    try:
+        return min_clearing_members(spec, w).n_star
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec,w,expected",
+    [
+        (_bis_spec(1.0, 0.0), 1.0, 461),
+        (_bis_spec(3.0, 0.0), 1.0, 54),
+        (_bis_spec(3.0, 0.1), 1.0, 17),
+        (_bis_spec(2.0, 0.2), 1.0, 11),
+        # one class: the curves tie exactly at N=2
+        (HomogeneousSpec((1.0,), (1.0,), 0.0, 0), 1.0, 3),
+        (HomogeneousSpec((1.0,) * 6, (1.0,) * 6, 0.0, 5), 1.0, 23),
+        # above 100,000 members: the window branch
+        (_bis_spec(0.02, 0.0), 0.05, 301_006),
+        (_bis_spec(0.005, 0.0), 0.5, 8_139_144),
+        # n* ~ 4.6e8, where the curves flicker in rounding noise
+        (_bis_spec(0.001, 0.0), 1.0, "expected-exposure curves cross more than once"),
+    ],
+)
+def test_threshold_matches_scan_oracle(spec, w, expected):
+    assert _oracle_outcome(spec, w) == expected
+    assert _outcome(spec, w) == expected
+
+
+@pytest.mark.parametrize("w", [1.0, 0.5, 0.05])
+def test_surface_matches_scan_oracle(w):
+    spec = _bis_spec()
+    alphas, rhos = np.linspace(0.25, 3.0, 40), np.linspace(0.0, 0.5, 40)
+    surf = threshold_surface(spec, alphas, rhos, w=w)
+    expected = [
+        [oracle_min_clearing_members(_bis_spec(a, r), w) for r in rhos.tolist()]
+        for a in alphas.tolist()
+    ]
+    assert surf.tolist() == expected
+
+
 def test_threshold_curves_cross_at_n_star():
     result = min_clearing_members(_bis_spec(3.0, 0.1))
     n = result.n_star
@@ -309,6 +362,8 @@ def test_surface_rejects_bad_grids():
         threshold_surface(spec, [math.nan], [0.0])
     with pytest.raises(ConfigError):
         threshold_surface(spec, [1.0], [math.nan])
+    with pytest.raises(ConfigError):
+        threshold_surface(spec, [math.inf], [0.0])
 
 
 def test_write_surface_format(tmp_path):

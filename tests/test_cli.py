@@ -1,5 +1,11 @@
 """Command-line contract: outputs, files, exit codes, reproducibility."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ccpnet import cli
@@ -131,6 +137,9 @@ def test_surface_bad_grid_exits_2(capsys, tmp_path):
         ("1:3", "0:0.2:5"),
         ("nan:1:2", "0:0.2:5"),
         ("1:3:2", "0:nan:2"),
+        ("1:inf:3", "0:0.2:5"),
+        ("inf:3:3", "0:0.2:5"),
+        ("1:3:2", "0:inf:2"),
     ]:
         code, _, _ = run_cli(
             capsys,
@@ -140,6 +149,23 @@ def test_surface_bad_grid_exits_2(capsys, tmp_path):
             "--out", str(tmp_path / "s.csv"),
         )
         assert code == 2, (alpha_grid, rho_grid)
+
+
+def test_surface_benchmark_grid_digest(capsys, tmp_path):
+    """The 300x300 benchmark grid is pinned byte for byte."""
+    out = tmp_path / "surface.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "surface",
+        "--ce", "bis-2010h1",
+        "--alpha-grid", "1:3:300",
+        "--rho-grid", "0:0.5:300",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ac843a9612a8c50507a8e37c9d8ac93199d41fe02967344288a2900e70fd8e56"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +299,24 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["threshold", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_python_m_ccpnet():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ccpnet", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = run("threshold", "--ce", "bis-2010h1", "--rho", "0")
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines()[0] == "n_star=461"
+    assert run("threshold", "--bogus").returncode == 2
 
 
 def test_report_rerenders_tables(capsys, tmp_path):

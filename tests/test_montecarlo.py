@@ -180,6 +180,22 @@ def test_copula_bitwise_equals_factor_split(rho):
     assert np.array_equal(u, before)  # the caller's uniforms are not overwritten
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_copula_t3_tails_finite_and_mirrored(rho):
+    """Mirrored uniforms give mirrored t3 shocks, at the extremes too: the
+    upper tail must not round to a CDF of 1.0 and an infinite quantile."""
+    hi, lo = np.nextafter(1.0, 0.0), _MIN_UNIFORM
+    u = np.full((4, 1, 4), 0.5)
+    u[0], u[1] = hi, lo  # common factor and every class at the extreme
+    u[2, 0, 1], u[3, 0, 1] = hi, lo  # the t3 class alone
+    marginals = (Marginal.STUDENT_T3, Marginal.GAUSSIAN, Marginal.GAUSSIAN)
+    y = _copula_values(u, rho, marginals)[:, 0, 0]
+    assert np.isfinite(y).all()
+    assert y[0] > 0 and y[2] > 0
+    assert y[0] == pytest.approx(-y[1], rel=1e-12)
+    assert y[2] == pytest.approx(-y[3], rel=1e-12)
+
+
 def test_copula_peak_memory_with_t3_class():
     u = np.random.Generator(np.random.Philox(key=9)).random((4096, 190, 5))
     marginals = (Marginal.STUDENT_T3,) + (Marginal.GAUSSIAN,) * 3
