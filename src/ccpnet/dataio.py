@@ -264,6 +264,8 @@ def _apply_config_key(rc: RunConfig, key: str, value: str, base_dir: str) -> Non
 
 
 def load_run_config(path: str) -> RunConfig:
+    if not os.path.isfile(path):
+        raise ConfigError(f"run config not found: {path!r}")
     with open(path) as fh:
         return parse_run_config(fh.read(), base_dir=os.path.dirname(path) or ".")
 
@@ -355,6 +357,12 @@ def _fmt(v) -> str:
     return f"{float(v):.6g}"
 
 
+def _level_tag(level: float) -> str:
+    """Percent label that names the tail measures of a level: 0.99 gives
+    '99' (``var99``, ``es99``), 0.975 gives '97.5'."""
+    return f"{level * 100:.10g}"
+
+
 def _meta_lines(report: RiskReport) -> list[str]:
     lines = [
         "# ccpnet risk report",
@@ -375,10 +383,11 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     files = {}
 
+    tag = _level_tag(report.level)
     ratio_specs = [
         ("expected_exposure", report.ee_ratio if report.base_index is not None else None),
-        ("var99", report.var_ratio if report.base_index is not None else None),
-        ("es99", report.es_ratio if report.base_index is not None else None),
+        (f"var{tag}", report.var_ratio if report.base_index is not None else None),
+        (f"es{tag}", report.es_ratio if report.base_index is not None else None),
     ]
     for measure, ratios in ratio_specs:
         if ratios is None:
@@ -424,12 +433,16 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
 
 
 def _write_dump(report: RiskReport, path: str) -> None:
-    """Machine-readable dump at full float precision; reloadable losslessly."""
-    ratios = {
-        "ee": report.ee_ratio if report.base_index is not None else None,
-        "var99": report.var_ratio if report.base_index is not None else None,
-        "es99": report.es_ratio if report.base_index is not None else None,
-    }
+    """Machine-readable dump at full float precision; reloadable losslessly.
+    The tail measures are named from the level: ``var99``, ``es99`` and
+    ``es99_exceedances`` at 0.99."""
+    tag = _level_tag(report.level)
+    has_base = report.base_index is not None
+    measures = (
+        ("ee", report.ee, report.ee_ratio if has_base else None),
+        (f"var{tag}", report.var, report.var_ratio if has_base else None),
+        (f"es{tag}", report.es, report.es_ratio if has_base else None),
+    )
     with open(path, "w", newline="") as fh:
         for line in _meta_lines(report):
             fh.write(line + "\n")
@@ -439,12 +452,7 @@ def _write_dump(report: RiskReport, path: str) -> None:
         )
         for s, scen in enumerate(report.scenario_names):
             for n, dealer in enumerate(report.dealer_names):
-                for measure, values in (
-                    ("ee", report.ee),
-                    ("var99", report.var),
-                    ("es99", report.es),
-                ):
-                    ratio = ratios[measure]
+                for measure, values, ratio in measures:
                     writer.writerow(
                         [
                             dealer,
@@ -459,7 +467,7 @@ def _write_dump(report: RiskReport, path: str) -> None:
                     [
                         dealer,
                         scen,
-                        "es99_exceedances",
+                        f"es{tag}_exceedances",
                         str(int(report.es_exceedances[s, n])),
                         "",
                         "",
@@ -495,7 +503,10 @@ def load_report(path: str) -> RiskReport:
     """Rebuild a RiskReport from a dump written by :func:`write_report`.
 
     Header keys it does not use, such as the ``# backend`` line of older
-    dumps, are skipped."""
+    dumps, are skipped. Tail measures are read whatever level they are
+    named after: older dumps call them ``var99`` and ``es99`` at any level."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"report dump not found: {path!r}")
     meta = {}
     assumptions = []
     rows = []
@@ -544,12 +555,12 @@ def load_report(path: str) -> RiskReport:
         if measure == "ee":
             ee[s, n] = float(value)
             ee_se[s, n] = float(std_error)
-        elif measure == "var99":
+        elif measure.startswith("var"):
             var[s, n] = float(value)
-        elif measure == "es99":
-            es[s, n] = float(value)
-        elif measure == "es99_exceedances":
+        elif measure.endswith("_exceedances"):
             exceed[s, n] = int(value)
+        elif measure.startswith("es"):
+            es[s, n] = float(value)
     base_index = (
         scenario_names.index(meta["base_scenario"]) if "base_scenario" in meta else None
     )

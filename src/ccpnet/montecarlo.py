@@ -9,6 +9,11 @@ at any thread count.
 All clearing scenarios are evaluated on the same draws (common random
 numbers), which is what makes scenario differences and the exposure-reduction
 histograms low-variance.
+
+Each chunk streams through uniforms, copula and kernel in equal blocks of a
+bounded number of paths (``_BLOCK_DOUBLES`` uniforms each), so a worker's
+working set is one block's shocks and temporaries plus its chunk's
+(paths, scenarios, dealers) exposures, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -254,15 +259,29 @@ def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     through the Gaussian copula (normal CDF, then the t3 quantile). The t3
     quantile takes the tail probability Phi(-|y|) and gets the sign of y back,
     so both tails resolve as far as the lower one: Phi(y) itself rounds to
-    1.0 for y above about 8.3.
+    1.0 for y above about 8.3. The simulation applies the two steps apart
+    (see ``_shocks``).
     """
+    return _apply_marginals(_gaussian_copula(u, rho), marginals)
+
+
+def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
+    """Equicorrelated standard normals (..., K) from uniforms (..., K+1),
+    written to ``out`` when it is given."""
     # Bit-identical to sqrt(rho) * z[..., :1] + sqrt(1-rho) * z[..., 1:]:
     # addition commutes, and at rho = 0 that sum is 0.0 * z0 + 1.0 * z == z
     # for finite z, so the common factor needs no ndtri at all.
-    y = ndtri(u[..., 1:])
+    y = ndtri(u[..., 1:], out=out)
     if rho > 0.0:
         y *= math.sqrt(1.0 - rho)
-        y += math.sqrt(rho) * ndtri(u[..., :1])
+        common = ndtri(u[..., :1])
+        common *= math.sqrt(rho)
+        y += common
+    return y
+
+
+def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
+    """Replace the Gaussian coordinates of t3 classes by t3 ones, in place."""
     for k, marginal in enumerate(marginals):
         if marginal is Marginal.STUDENT_T3:
             col = y[..., k]
@@ -273,13 +292,23 @@ def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     return y
 
 
+# Uniforms are drawn and mapped to normals in sub-blocks of at most this many
+# doubles, so a block's shocks never coexist with all of its uniforms. The
+# mapping is elementwise: results do not depend on it.
+_UNIFORM_DOUBLES = 2**18
+
+
 def _shocks(
     layout: _PairLayout, model: SamplingModel, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Standardized class shocks for paths [start, start+count):
-    (count, pairs, K)."""
-    u = _uniforms(seed, layout, start, count)
-    return _copula_values(u, model.rho, model.marginals)
+    (count, pairs, K), the ``_copula_values`` of their uniforms."""
+    y = np.empty((count, layout.n_pairs, layout.n_classes))
+    step = max(1, _UNIFORM_DOUBLES // layout.padded_draws)
+    for a in range(0, count, step):
+        u = _uniforms(seed, layout, start + a, min(step, count - a))
+        _gaussian_copula(u, model.rho, out=y[a : a + u.shape[0]])
+    return _apply_marginals(y, model.marginals)
 
 
 def sample_draws(
@@ -315,6 +344,25 @@ def _scenario_arrays(scenarios, n_classes: int):
     return resid, ccp_w, np.asarray(offsets, dtype=np.intp)
 
 
+# A chunk is sampled and evaluated in equal blocks of paths (their sizes
+# differ by at most one) holding at most this many uniform doubles, so a
+# worker's working set does not grow with the chunk size. BLAS products can
+# round differently for another row count: a short tail block moved the last
+# bits of reports, while equal blocks reproduce the whole-chunk bytes on the
+# benchmark workloads. 2**21 keeps a 2000-path chunk of the default market
+# in one block, where the benchmark self-test (perfbench/selftest.py)
+# counts one t3 quantile call.
+_BLOCK_DOUBLES = 2**21
+
+
+def _path_blocks(layout: _PairLayout, start: int, count: int) -> list[int]:
+    """Bounds [b_0 = start, ..., b_n = start + count] of the equal blocks
+    that paths [start, start+count) are evaluated in."""
+    per_block = max(1, _BLOCK_DOUBLES // layout.padded_draws)
+    n_blocks = -(-count // per_block)
+    return [start + count * b // n_blocks for b in range(n_blocks + 1)]
+
+
 def _chunk_exposures(
     layout: _PairLayout,
     model: SamplingModel,
@@ -323,9 +371,14 @@ def _chunk_exposures(
     start: int,
     count: int,
 ) -> np.ndarray:
-    """Realized exposures (count, scenarios, dealers) for one chunk of paths."""
+    """Realized exposures (count, scenarios, dealers) for one chunk of paths.
+
+    The kernel draws each block's shocks just before it evaluates them, so
+    only one block of uniforms and shocks exists at a time."""
+    bounds = _path_blocks(layout, start, count)
     return kernels.scenario_exposures(
-        _shocks(layout, model, seed, start, count),
+        (_shocks(layout, model, seed, a, b - a) for a, b in zip(bounds, bounds[1:])),
+        count,
         layout.s_plus,
         layout.s_minus,
         layout.pair_i,
@@ -514,6 +567,11 @@ def simulate(
         chunk_size) gives a bit-identical report at any ``threads``.
     threads
         Chunks evaluated concurrently (>= 1).
+    chunk_size
+        Paths per chunk (>= 1). Each worker evaluates its chunk in blocks of
+        bounded size, so its working set does not grow with ``chunk_size``;
+        the chunk size still regroups the EE sums, so it is part of what
+        fixes the report's bits.
     """
     validate(config).raise_if_invalid()
     if model is None:

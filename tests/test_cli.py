@@ -270,6 +270,30 @@ def test_scenarios_level_flag(capsys, tmp_path):
     assert run_cli(capsys, *_scen_args(tmp_path, "lvl2", "--level", "1.5"))[0] == 2
 
 
+def test_tail_measures_named_from_level(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, *_scen_args(tmp_path, "lvl", "--level", "0.95"))
+    assert code == 0
+    names = sorted(os.listdir(tmp_path / "lvl"))
+    assert "ratios_var95.csv" in names and "ratios_es95.csv" in names
+    assert not any("99" in name for name in names)
+    assert "file_ratios_var95=" in out
+    measures = {
+        line.split(",")[2]
+        for line in (tmp_path / "lvl" / "report.csv").read_text().splitlines()
+        if not line.startswith("#")
+    }
+    assert {"var95", "es95", "es95_exceedances"} <= measures
+    assert not any("99" in m for m in measures)
+    # re-rendering a dump keeps its level's names
+    code, _, _ = run_cli(
+        capsys, "report", "--dump", str(tmp_path / "lvl" / "report.csv"),
+        "--out", str(tmp_path / "again"),
+    )
+    assert code == 0
+    again = sorted(n for n in os.listdir(tmp_path / "again") if n.startswith("ratios_"))
+    assert again == [n for n in names if n.startswith("ratios_")]
+
+
 def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert run_cli(capsys, *_scen_args(tmp_path, "x", "--paths", "10"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "y", "--beta", "swaps"))[0] == 2
@@ -285,6 +309,12 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
         run_cli(capsys, "scenarios", "--notionals", "/missing.csv", "--paths", "1000")[0]
         == 2
     )
+    code, _, err = run_cli(
+        capsys, *_scen_args(tmp_path, "m", "--config", str(tmp_path / "none.cfg"))
+    )
+    assert code == 2
+    assert "config error: run config not found" in err
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -337,4 +367,5 @@ def test_report_missing_dump_exits(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "report", "--dump", str(tmp_path / "none.csv"), "--out", str(tmp_path)
     )
-    assert code == 3  # runtime error: unreadable file
+    assert code == 2  # a missing input file is a configuration error
+    assert "config error: report dump not found" in err

@@ -1,5 +1,7 @@
 """Datasets, notional ingestion, run configs, and report round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,20 @@ def test_load_report_reads_dump_with_backend_header(small_report, tmp_path):
     old.write_text(text.replace("# level", "# backend = cython\n# level", 1))
     assert "# backend = cython" in old.read_text()
     assert reports_equal(small_report, load_report(str(old)))
+
+
+def test_load_report_reads_var99_names_at_any_level(small_report, tmp_path):
+    """Dumps written before the tail measures were named from the level call
+    them var99 and es99 whatever the level; they still load."""
+    report = dataclasses.replace(small_report, level=0.95)
+    files = write_report(report, str(tmp_path / "out"))
+    text = open(files["dump"]).read()
+    assert ",var95," in text and ",es95_exceedances," in text
+    old = tmp_path / "old.csv"
+    old.write_text(text.replace(",var95,", ",var99,").replace(",es95", ",es99"))
+    assert ",var95," not in old.read_text()
+    for path in (files["dump"], str(old)):
+        assert reports_equal(report, load_report(path))
 
 
 def test_load_report_rejects_garbage(tmp_path):

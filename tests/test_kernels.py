@@ -44,7 +44,9 @@ def test_no_ccp_only_and_empty_groups():
     y, sp, sm, pi, pj, *_, n = _random_problem(7)
     resid, ccp_w, offsets = _scenario_arrays([no_ccp()], 3)
     assert ccp_w.shape[0] == 0
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    out = kernels.scenario_exposures(
+        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
+    )
     assert out.shape == (y.shape[0], 1, n)
     assert (out >= 0).all()
 
@@ -53,13 +55,17 @@ def test_zero_fraction_scenario_bitwise_equals_base():
     y, sp, sm, pi, pj, *_, n = _random_problem(11)
     scens = [no_ccp(), single_ccp(1, 0.0, name="idle_ccp")]
     resid, ccp_w, offsets = _scenario_arrays(scens, 3)
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    out = kernels.scenario_exposures(
+        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
+    )
     assert np.array_equal(out[:, 0, :], out[:, 1, :])
 
 
 def test_zero_weight_group_adds_exactly_nothing():
     y, sp, sm, pi, pj, resid, ccp_w, offsets, n = _random_problem(13, scenarios=ZERO_GROUP)
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    out = kernels.scenario_exposures(
+        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
+    )
     assert np.array_equal(out[:, 1, :], out[:, 2, :])
 
 
@@ -80,7 +86,9 @@ def test_kernel_matches_straight_line_oracle(kwargs):
         3, n_paths=8, **{"n_dealers": 4, **kwargs}
     )
     k = y.shape[2]
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    out = kernels.scenario_exposures(
+        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
+    )
     assert out.shape == (y.shape[0], len(scenarios), n)
     for c in range(y.shape[0]):
         x = np.zeros((n, n, k))
@@ -90,3 +98,14 @@ def test_kernel_matches_straight_line_oracle(kwargs):
         ref = oracle_exposures(x, scenarios)
         for s, scen in enumerate(scenarios):
             assert np.allclose(out[c, s], ref[scen.name], rtol=1e-12, atol=1e-10)
+
+
+def test_blocks_match_one_block_and_cover_the_paths():
+    y, *args = _random_problem(17, n_paths=30)
+    whole = kernels.scenario_exposures([y], 30, *args)
+    split = kernels.scenario_exposures(iter([y[:10], y[10:20], y[20:]]), 30, *args)
+    assert np.allclose(split, whole, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="expected 30"):
+        kernels.scenario_exposures([y[:20]], 30, *args)
+    with pytest.raises(ValueError, match="more than 20"):
+        kernels.scenario_exposures([y[:10], y[10:]], 20, *args)

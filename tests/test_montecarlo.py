@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, stdtrit
 
-from ccpnet import analytic, kernels
+from ccpnet import analytic, kernels, montecarlo
 from ccpnet.market import (
     MILLIONS_PER_BILLION,
     ConfigError,
@@ -37,7 +37,7 @@ from ccpnet.montecarlo import (
     student_t3_unit_ppf,
     write_path_dump,
 )
-from helpers import make_config, oracle_exposures, quad_tail_stats
+from helpers import make_config, oracle_exposures, quad_tail_stats, reports_equal
 
 
 def _model(config, rho=None, antisymmetric=True):
@@ -203,6 +203,33 @@ def test_copula_peak_memory_with_t3_class():
     assert _peak_traced_bytes(_copula_values, u, 0.1, marginals) <= 2.5 * out_nbytes
 
 
+def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
+    """One 4096-path chunk holds its (paths, scenarios, dealers) output plus
+    the working set of one block of paths, not chunk-sized shocks."""
+    config, model, scenarios = paper_market_t3
+    layout = _build_layout(config, model)
+    bounds = montecarlo._path_blocks(layout, 0, 4096)
+    assert len(bounds) > 2  # the chunk is evaluated in more than one block
+    block_nbytes = max(np.diff(bounds)) * layout.n_pairs * layout.n_classes * 8
+    out_nbytes = 4096 * len(scenarios) * layout.n_dealers * 8
+    peak = _peak_traced_bytes(exposures_for_paths, config, model, scenarios, 1, 0, 4096)
+    assert peak <= out_nbytes + 2 * block_nbytes
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_shocks_bitwise_equal_one_pass_copula(rho):
+    """Shocks are mapped from their uniforms in sub-blocks; the mapping is
+    elementwise, so any sub-block seam gives the one-pass values exactly."""
+    config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho)
+    model = SamplingModel(rho=rho, marginals=(Marginal.STUDENT_T3, Marginal.GAUSSIAN))
+    layout = _build_layout(config, model)
+    step = montecarlo._UNIFORM_DOUBLES // layout.padded_draws
+    count = 2 * step + 7  # two full sub-blocks and a short one
+    y = montecarlo._shocks(layout, model, 4, 3, count)
+    ref = _copula_values(_uniforms(4, layout, 3, count), rho, model.marginals)
+    assert np.array_equal(y, ref)
+
+
 def test_sampling_model_rejects_bad_rho():
     with pytest.raises(ConfigError):
         SamplingModel(rho=1.0, marginals=(Marginal.GAUSSIAN,))
@@ -264,7 +291,8 @@ def test_evaluate_scenario_zero_draw_is_zero():
     ii, jj = np.triu_indices(3, k=1)
     scales = np.ones((3, 2))
     e = kernels.scenario_exposures(
-        np.zeros((1, 3, 2)), scales, scales, ii, jj, *_scenario_arrays(scenarios, 2), 3
+        [np.zeros((1, 3, 2))], 1, scales, scales, ii, jj,
+        *_scenario_arrays(scenarios, 2), 3,
     )
     assert np.array_equal(e, np.zeros((1, len(scenarios), 3)))
 
@@ -282,7 +310,8 @@ def test_evaluate_scenario_hand_values():
     # independent mode: one unit-scale row per ordered pair, no reverse scale
     ii, jj = np.nonzero(~np.eye(3, dtype=bool))
     e = kernels.scenario_exposures(
-        x[ii, jj][None],
+        [x[ii, jj][None]],
+        1,
         np.ones((6, 2)),
         np.zeros((6, 2)),
         ii,
@@ -470,6 +499,32 @@ def test_per_path_samples_independent_of_chunking():
     assert np.array_equal(a.es, b.es)
     assert np.allclose(a.ee, b.ee, rtol=1e-12, atol=1e-12)
     assert np.allclose(a.mean_max, b.mean_max, rtol=1e-12, atol=1e-9)
+
+
+def test_block_seams_on_default_market(paper_market_t3):
+    """A chunk that is not a whole number of blocks: reports are bitwise
+    equal at 1 and 2 threads, and the paths on both sides of a block seam
+    match the straight-line oracle."""
+    config, model, scenarios = paper_market_t3
+    layout = _build_layout(config, model)
+    # chunks [0, 2501) and [2501, 5000), each evaluated in two blocks
+    start, count = 2501, 2499
+    bounds = montecarlo._path_blocks(layout, start, count)
+    assert len(bounds) == 3
+    kw = dict(chunk_size=start, check_invariants=True)
+    a = simulate(config, model, scenarios, 5000, 8, threads=1, **kw)
+    b = simulate(config, model, scenarios, 5000, 8, threads=2, **kw)
+    assert reports_equal(a, b)
+
+    seam = bounds[1]
+    engine = exposures_for_paths(config, model, scenarios, 8, start, count)
+    draws = sample_draws(config, model, 8, seam - 1, 2)  # the paths either side
+    for c in range(2):
+        ref = oracle_exposures(draws[c], scenarios)
+        for s, scen in enumerate(scenarios):
+            assert np.allclose(
+                engine[seam - 1 - start + c, s], ref[scen.name], rtol=1e-12, atol=1e-9
+            )
 
 
 def test_simulate_dealer_with_no_positions():
