@@ -84,7 +84,9 @@ def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
             cleared_class=k - 1,
             class_names=tuple(f"class{i + 1}" for i in range(k)),
         )
-    elif os.path.exists(source):
+    elif os.path.isdir(source):
+        raise ConfigError(f"credit-exposure file is a directory: {source!r}")
+    elif os.path.isfile(source):
         names, values = _load_ce_file(source)
         spec = HomogeneousSpec(
             credit_exposures=values,

@@ -131,7 +131,7 @@ def load_notionals(path_or_name: str) -> NotionalTable:
     """
     if path_or_name in _NOTIONAL_BUILTINS:
         return builtin_notionals(path_or_name)
-    if not os.path.exists(path_or_name):
+    if not os.path.isfile(path_or_name):
         raise ConfigError(f"notional table not found: {path_or_name!r}")
     with open(path_or_name, newline="") as fh:
         return _parse_notionals(fh, source=os.path.basename(path_or_name))
@@ -221,7 +221,7 @@ def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: {exc}") from None
-    if rc.notionals not in _NOTIONAL_BUILTINS and not os.path.exists(rc.notionals):
+    if rc.notionals not in _NOTIONAL_BUILTINS and not os.path.isfile(rc.notionals):
         raise ConfigError(f"notional table not found: {rc.notionals!r}")
     return rc
 

@@ -155,8 +155,8 @@ def student_t3_unit_ppf(u):
 
 @dataclass(frozen=True)
 class SamplingModel:
-    """How pair shocks are drawn: copula correlation, per-class marginal law,
-    and whether the two directions of a pair are two sides of one trade.
+    """How pair shocks are drawn: copula correlation and per-class marginal
+    law. The two directions of a pair are two sides of one trade.
 
     The t3 marginal is the raw t3 scaled by 1/sqrt(3), so its variance is
     exactly one by construction.
@@ -164,7 +164,6 @@ class SamplingModel:
 
     rho: float
     marginals: tuple[Marginal, ...]
-    antisymmetric: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
@@ -184,10 +183,10 @@ class SamplingModel:
 class _PairLayout:
     """Pair bookkeeping shared by every chunk of a run.
 
-    Each row holds one copula draw. Antisymmetric mode: one row per unordered
-    pair i<j, feeding dealer i with scale ``s_plus`` and dealer j with the
-    negated draw and scale ``s_minus``. Independent mode: one row per ordered
-    pair, ``s_minus`` all zero.
+    Each row holds one copula draw: one row per unordered pair i<j, in
+    ``np.triu_indices`` order (so ``pair_i`` is sorted), feeding dealer i
+    with scale ``s_plus`` and dealer j with the negated draw and scale
+    ``s_minus``.
     """
 
     pair_i: np.ndarray
@@ -213,20 +212,11 @@ class _PairLayout:
         return -(-self.draws_per_path // 4) * 4
 
 
-def _build_layout(config: MarketConfig, model: SamplingModel) -> _PairLayout:
+def _build_layout(config: MarketConfig) -> _PairLayout:
     n = config.n_dealers
-    if model.antisymmetric:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        grid = np.arange(n)
-        ii, jj = np.meshgrid(grid, grid, indexing="ij")
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
+    ii, jj = np.triu_indices(n, k=1)
     s_plus = pair_scales(config, ii, jj) * MILLIONS_PER_BILLION
-    if model.antisymmetric:
-        s_minus = pair_scales(config, jj, ii) * MILLIONS_PER_BILLION
-    else:
-        s_minus = np.zeros_like(s_plus)
+    s_minus = pair_scales(config, jj, ii) * MILLIONS_PER_BILLION
     return _PairLayout(
         pair_i=ii.astype(np.intp),
         pair_j=jj.astype(np.intp),
@@ -320,13 +310,12 @@ def sample_draws(
     (millions USD), identical to what the simulation kernel consumes for the
     same seed and path indices; used by the oracle-equivalence tests.
     """
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     y = _shocks(layout, model, seed, start, count)
     n, k = layout.n_dealers, layout.n_classes
     x = np.zeros((count, n, n, k))
     x[:, layout.pair_i, layout.pair_j, :] = y * layout.s_plus
-    if model.antisymmetric:
-        x[:, layout.pair_j, layout.pair_i, :] = -y * layout.s_minus
+    x[:, layout.pair_j, layout.pair_i, :] = -y * layout.s_minus
     return x
 
 
@@ -346,12 +335,11 @@ def _scenario_arrays(scenarios, n_classes: int):
 
 # A chunk is sampled and evaluated in equal blocks of paths (their sizes
 # differ by at most one) holding at most this many uniform doubles, so a
-# worker's working set does not grow with the chunk size. BLAS products can
-# round differently for another row count: a short tail block moved the last
-# bits of reports, while equal blocks reproduce the whole-chunk bytes on the
-# benchmark workloads. 2**21 keeps a 2000-path chunk of the default market
-# in one block, where the benchmark self-test (perfbench/selftest.py)
-# counts one t3 quantile call.
+# worker's working set does not grow with the chunk size. The split moves no
+# bits: the kernel's BLAS products run per pair over classes, with paths as
+# columns, and round every path alike whatever the block or sub-block width.
+# 2**21 keeps a 2000-path chunk of the default market in one block, where the
+# benchmark self-test (perfbench/selftest.py) counts one t3 quantile call.
 _BLOCK_DOUBLES = 2**21
 
 
@@ -401,7 +389,7 @@ def exposures_for_paths(
     This is exactly the simulation hot path; ``simulate`` runs it chunk by
     chunk and aggregates.
     """
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     arrays = _scenario_arrays(scenarios, layout.n_classes)
     return _chunk_exposures(layout, model, arrays, seed, start, count)
 
@@ -558,7 +546,7 @@ def simulate(
     ----------
     config, model
         Market and sampling model; ``model=None`` derives the model from the
-        config (scalar rho, per-class marginals, antisymmetric directions).
+        config (scalar rho, per-class marginals).
     scenarios
         Clearing scenarios, all evaluated on the same draws. Ratios are
         reported against the first scenario that clears nothing.
@@ -595,7 +583,7 @@ def simulate(
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     arrays = _scenario_arrays(scenarios, layout.n_classes)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
 

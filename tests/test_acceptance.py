@@ -279,9 +279,7 @@ def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(314)
     worst = 0.0
     n_paths = 10_000
-    for trial, (rho, use_t3, antisym) in enumerate(
-        [(0.0, False, True), (0.3, True, True), (0.2, False, False)]
-    ):
+    for trial, (rho, use_t3) in enumerate([(0.0, False), (0.3, True), (0.2, False)]):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, 4))
         z = rng.uniform(0.1, 10.0, (n, k))
@@ -293,7 +291,7 @@ def test_criterion_8_oracle_equivalence():
         config = make_config(
             z, betas=rng.uniform(0.1, 2.0, k), rho=rho, marginals=marginals
         )
-        model = SamplingModel(rho=rho, marginals=marginals, antisymmetric=antisym)
+        model = SamplingModel(rho=rho, marginals=marginals)
         scenarios = [no_ccp(), single_ccp(k - 1, 0.75, name="one")]
         if k >= 2:
             scenarios += [

@@ -82,7 +82,7 @@ def test_threshold_ce_file_errors(capsys, tmp_path):
     assert run_cli(capsys, "threshold", "--ce", str(empty))[0] == 2
 
 
-def test_threshold_bad_inputs_exit_2(capsys):
+def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
     assert run_cli(capsys, "threshold", "--ce", "unknown-set")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "nope=3")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit")[0] == 2
@@ -91,6 +91,9 @@ def test_threshold_bad_inputs_exit_2(capsys):
     assert run_cli(capsys, "threshold", "--ce", "equal:six")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit=nan")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit=inf")[0] == 2
+    code, _, err = run_cli(capsys, "threshold", "--ce", str(tmp_path))
+    assert code == 2
+    assert "is a directory" in err
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +312,10 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
         run_cli(capsys, "scenarios", "--notionals", "/missing.csv", "--paths", "1000")[0]
         == 2
     )
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "d", "--notionals", str(tmp_path)))
+    assert code == 2
+    assert "notional table not found" in err
+    assert not (tmp_path / "d").exists()
     code, _, err = run_cli(
         capsys, *_scen_args(tmp_path, "m", "--config", str(tmp_path / "none.cfg"))
     )

@@ -18,16 +18,38 @@ ZERO_GROUP = (
     joint_ccp([(0, 0.6), (1, 0.3)], name="joint"),
 )
 SINGLE_CLASS = (no_ccp(), single_ccp(0, 0.7, name="all"), single_ccp(0, 1.0, name="full"))
+# CCP groups that clear nothing: no class enters a net position
+NOTHING_CLEARED = (
+    no_ccp(),
+    single_ccp(1, 0.0, name="idle"),
+    two_ccps([(0, 0.0), (2, 0.0)], name="idle_two"),
+)
+# every class is cleared by some CCP
+ALL_CLEARED = (
+    no_ccp(),
+    joint_ccp([(0, 0.5), (1, 0.7), (2, 1.0)], name="all_joint"),
+    two_ccps([(0, 0.5), (2, 0.4)], name="two"),
+    single_ccp(1, 0.7, name="one"),
+)
 
 
 def _random_problem(
-    seed, n_paths=64, n_dealers=5, n_classes=3, antisymmetric=True, scenarios=STANDARD
+    seed,
+    n_paths=64,
+    n_dealers=5,
+    n_classes=3,
+    antisymmetric=True,
+    shuffled=False,
+    scenarios=STANDARD,
 ):
     rng = np.random.default_rng(seed)
     if antisymmetric:
         ii, jj = np.triu_indices(n_dealers, k=1)
     else:  # one row per ordered pair, reverse direction unscaled
         ii, jj = np.nonzero(~np.eye(n_dealers, dtype=bool))
+    if shuffled:  # pair rows in no dealer's order
+        rows = rng.permutation(ii.size)
+        ii, jj = ii[rows], jj[rows]
     n_pairs = ii.size
     y = rng.standard_normal((n_paths, n_pairs, n_classes))
     s_plus = rng.uniform(0.0, 2.0, (n_pairs, n_classes))
@@ -77,8 +99,20 @@ def test_zero_weight_group_adds_exactly_nothing():
         {"antisymmetric": False},
         {"n_classes": 1, "scenarios": SINGLE_CLASS},
         {"n_dealers": 2, "scenarios": SINGLE_CLASS, "n_classes": 1},
+        {"shuffled": True},
+        {"scenarios": NOTHING_CLEARED},
+        {"scenarios": ALL_CLEARED},
     ],
-    ids=["standard", "zero_group", "independent", "one_class", "one_pair"],
+    ids=[
+        "standard",
+        "zero_group",
+        "independent",
+        "one_class",
+        "one_pair",
+        "shuffled",
+        "nothing_cleared",
+        "all_cleared",
+    ],
 )
 def test_kernel_matches_straight_line_oracle(kwargs):
     scenarios = kwargs.get("scenarios", STANDARD)
@@ -109,3 +143,25 @@ def test_blocks_match_one_block_and_cover_the_paths():
         kernels.scenario_exposures([y[:20]], 30, *args)
     with pytest.raises(ValueError, match="more than 20"):
         kernels.scenario_exposures([y[:10], y[10:]], 20, *args)
+
+
+def test_shuffled_pairs_permute_both_directions():
+    *_, pi, pj, _, _, _, n = _random_problem(3, n_dealers=4, shuffled=True)
+    assert kernels._owner_slabs(pi, n)[0] is not None
+    assert kernels._owner_slabs(pj, n)[0] is not None
+    # triu rows are already in + owner order; the - direction needs a permutation
+    ii, jj = np.triu_indices(4, k=1)
+    assert kernels._owner_slabs(ii, 4)[0] is None
+    assert kernels._owner_slabs(jj, 4)[0] is not None
+
+
+def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
+    """Each path rounds alike whatever the block and sub-block widths, a
+    lone path included."""
+    y, *args = _random_problem(19, n_paths=301, n_dealers=7)
+    whole = kernels.scenario_exposures([y], 301, *args)
+    for cuts in ([1, 2, 300], [150], [7, 100, 299]):
+        split = kernels.scenario_exposures(np.split(y, cuts), 301, *args)
+        assert np.array_equal(split, whole)
+    monkeypatch.setattr(kernels, "_SCRATCH_DOUBLES", 1)  # one path per sub-block
+    assert np.array_equal(kernels.scenario_exposures([y], 301, *args), whole)

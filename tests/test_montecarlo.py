@@ -40,11 +40,10 @@ from ccpnet.montecarlo import (
 from helpers import make_config, oracle_exposures, quad_tail_stats, reports_equal
 
 
-def _model(config, rho=None, antisymmetric=True):
+def _model(config, rho=None):
     return SamplingModel(
         rho=config.scalar_rho() if rho is None else rho,
         marginals=config.marginals(),
-        antisymmetric=antisymmetric,
     )
 
 
@@ -55,7 +54,7 @@ def _model(config, rho=None, antisymmetric=True):
 
 def test_uniforms_are_pure_functions_of_path_index():
     config = make_config(np.ones((4, 3)), betas=[1.0] * 3)
-    layout = _build_layout(config, _model(config))
+    layout = _build_layout(config)
     whole = _uniforms(99, layout, 0, 16)
     assert np.array_equal(_uniforms(99, layout, 5, 4), whole[5:9])
     assert np.array_equal(_uniforms(99, layout, 15, 1), whole[15:16])
@@ -65,7 +64,7 @@ def test_uniforms_are_pure_functions_of_path_index():
 
 def test_uniforms_shape_and_range():
     config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
-    layout = _build_layout(config, _model(config))
+    layout = _build_layout(config)
     u = _uniforms(1, layout, 0, 100)
     assert u.shape == (100, 3, 3)  # 3 unordered pairs, K+1 coordinates
     assert (u > 0).all() and (u < 1).all()
@@ -207,7 +206,7 @@ def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
     """One 4096-path chunk holds its (paths, scenarios, dealers) output plus
     the working set of one block of paths, not chunk-sized shocks."""
     config, model, scenarios = paper_market_t3
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     bounds = montecarlo._path_blocks(layout, 0, 4096)
     assert len(bounds) > 2  # the chunk is evaluated in more than one block
     block_nbytes = max(np.diff(bounds)) * layout.n_pairs * layout.n_classes * 8
@@ -222,7 +221,7 @@ def test_shocks_bitwise_equal_one_pass_copula(rho):
     elementwise, so any sub-block seam gives the one-pass values exactly."""
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho)
     model = SamplingModel(rho=rho, marginals=(Marginal.STUDENT_T3, Marginal.GAUSSIAN))
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     step = montecarlo._UNIFORM_DOUBLES // layout.padded_draws
     count = 2 * step + 7  # two full sub-blocks and a short one
     y = montecarlo._shocks(layout, model, 4, 3, count)
@@ -242,7 +241,7 @@ def test_sample_pair_exposures_scales_and_antisymmetry():
     owner's pair scale, the reverse direction negated."""
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
     model = _model(config)
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     # one row per unordered pair, owned by the lower index
     assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (0, 2), (1, 2)]
     y = _copula_values(_uniforms(9, layout, 0, 1000), model.rho, model.marginals)
@@ -252,20 +251,6 @@ def test_sample_pair_exposures_scales_and_antisymmetry():
         s_ji = pair_scale_matrix(config, j)[i] * MILLIONS_PER_BILLION
         assert np.array_equal(x[:, i, j], y[:, p] * s_ij)
         assert np.array_equal(x[:, j, i], -y[:, p] * s_ji)
-
-
-def test_sample_pair_exposures_independent_mode_has_no_mirror():
-    """Independent directions: one draw per ordered pair, no mirrored scale."""
-    config = make_config([[1.0], [2.0]], betas=[1.0])
-    model = _model(config, antisymmetric=False)
-    layout = _build_layout(config, model)
-    assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (1, 0)]
-    assert not layout.s_minus.any()
-    y = _copula_values(_uniforms(0, layout, 0, 10), model.rho, model.marginals)
-    x = sample_draws(config, model, seed=0, start=0, count=10)
-    assert x.shape == (10, 2, 2, 1)
-    assert np.array_equal(x[:, 0, 1], y[:, 0] * layout.s_plus[0])
-    assert np.array_equal(x[:, 1, 0], y[:, 1] * layout.s_plus[1])
 
 
 def test_sample_draws_antisymmetric_structure():
@@ -307,7 +292,7 @@ def test_evaluate_scenario_hand_values():
     x[2, 0] = (2.0, -5.0)
     x[2, 1] = (-3.0, -3.0)
     scen = single_ccp(1, 1.0, name="full_clearing")
-    # independent mode: one unit-scale row per ordered pair, no reverse scale
+    # explicit layout: one unit-scale row per ordered pair, no reverse scale
     ii, jj = np.nonzero(~np.eye(3, dtype=bool))
     e = kernels.scenario_exposures(
         [x[ii, jj][None]],
@@ -358,9 +343,8 @@ def test_evaluate_scenario_zero_fraction_matches_base():
     assert np.array_equal(e[:, 1], e[:, 0])
 
 
-@pytest.mark.parametrize("antisymmetric", [True, False])
 @pytest.mark.parametrize("rho", [0.0, 0.3])
-def test_engine_matches_oracle_and_reference_evaluator(antisymmetric, rho):
+def test_engine_matches_oracle_and_reference_evaluator(rho):
     rng = np.random.default_rng(123)
     z = rng.uniform(0.1, 10.0, (4, 3))
     z[2, 1] = 0.0  # keep a zero-notional cell in play
@@ -370,7 +354,7 @@ def test_engine_matches_oracle_and_reference_evaluator(antisymmetric, rho):
         rho=rho,
         marginals=[Marginal.GAUSSIAN, Marginal.STUDENT_T3, Marginal.GAUSSIAN],
     )
-    model = _model(config, antisymmetric=antisymmetric)
+    model = _model(config)
     scenarios = [
         no_ccp(),
         single_ccp(2, 0.7, name="one"),
@@ -501,12 +485,13 @@ def test_per_path_samples_independent_of_chunking():
     assert np.allclose(a.mean_max, b.mean_max, rtol=1e-12, atol=1e-9)
 
 
-def test_block_seams_on_default_market(paper_market_t3):
-    """A chunk that is not a whole number of blocks: reports are bitwise
-    equal at 1 and 2 threads, and the paths on both sides of a block seam
-    match the straight-line oracle."""
+def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
+    """A chunk that is not a whole number of blocks, whose blocks are not a
+    whole number of kernel sub-blocks: reports are bitwise equal at 1 and 2
+    threads, and the paths on both sides of a block seam and of sub-block
+    seams match the straight-line oracle."""
     config, model, scenarios = paper_market_t3
-    layout = _build_layout(config, model)
+    layout = _build_layout(config)
     # chunks [0, 2501) and [2501, 5000), each evaluated in two blocks
     start, count = 2501, 2499
     bounds = montecarlo._path_blocks(layout, start, count)
@@ -516,15 +501,27 @@ def test_block_seams_on_default_market(paper_market_t3):
     b = simulate(config, model, scenarios, 5000, 8, threads=2, **kw)
     assert reports_equal(a, b)
 
-    seam = bounds[1]
+    widths = []  # paths of each kernel sub-block, in order
+    carve = kernels._carve
+
+    def recording_carve(flat, paths, *shapes):
+        widths.append(paths)
+        return carve(flat, paths, *shapes)
+
+    monkeypatch.setattr(kernels, "_carve", recording_carve)
     engine = exposures_for_paths(config, model, scenarios, 8, start, count)
-    draws = sample_draws(config, model, 8, seam - 1, 2)  # the paths either side
-    for c in range(2):
-        ref = oracle_exposures(draws[c], scenarios)
-        for s, scen in enumerate(scenarios):
-            assert np.allclose(
-                engine[seam - 1 - start + c, s], ref[scen.name], rtol=1e-12, atol=1e-9
-            )
+    step = widths[0]
+    first = bounds[1] - start
+    assert first % step  # the first block ends in a short sub-block
+    short = start + first // step * step
+    for seam in (start + step, short, bounds[1]):
+        draws = sample_draws(config, model, 8, seam - 1, 2)  # the paths either side
+        for c in range(2):
+            ref = oracle_exposures(draws[c], scenarios)
+            for s, scen in enumerate(scenarios):
+                assert np.allclose(
+                    engine[seam - 1 - start + c, s], ref[scen.name], rtol=1e-12, atol=1e-9
+                )
 
 
 def test_simulate_dealer_with_no_positions():
@@ -592,21 +589,6 @@ def test_simulate_ee_matches_analytic_within_three_se(paper_market):
         )
         dev = np.abs(report.ee[s] - ref) / np.maximum(report.ee_se[s], 1e-12)
         assert (dev < 3.0).all(), f"{scen.name}: max dev {dev.max():.2f} SE"
-
-
-def test_simulate_independent_directions_have_same_marginals():
-    """Direction coupling changes the joint law, not per-dealer marginals, so
-    expected exposures still match the closed forms."""
-    config, scenarios = _small_market()
-    gaussian = make_config(config.notional_matrix(), betas=[0.5, 1.0], rho=0.1)
-    model = SamplingModel(rho=0.1, marginals=gaussian.marginals(), antisymmetric=False)
-    report = simulate(gaussian, model, scenarios, 50_000, 31)
-    for s, scen in enumerate(scenarios):
-        ref = 1000.0 * np.array(
-            analytic.scenario_expected_exposures(gaussian, scen).per_dealer
-        )
-        dev = np.abs(report.ee[s] - ref) / np.maximum(report.ee_se[s], 1e-12)
-        assert (dev < 3.5).all()
 
 
 def test_clearing_benefit_grows_with_correlation(paper_market):
