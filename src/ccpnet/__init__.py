@@ -41,7 +41,6 @@ from .market import (
 )
 from .montecarlo import (
     RiskReport,
-    SamplingModel,
     empirical_quantile,
     sample_draws,
     simulate,

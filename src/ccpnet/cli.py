@@ -50,7 +50,7 @@ def _parse_grid(text: str) -> np.ndarray:
 def _load_ce_file(path: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """Two-column class,exposure text file (header optional)."""
     names, values = [], []
-    with open(path) as fh:
+    with dataio.open_input(path, "credit-exposure file") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.lower().replace(" ", "") == "class,exposure":
@@ -167,14 +167,13 @@ def cmd_scenarios(args) -> int:
     if args.out is not None:
         rc.out_dir = args.out
 
-    config, model, scenarios, assumptions = dataio.build_market(rc)
+    config, scenarios, assumptions = dataio.build_market(rc)
     print(
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,
     )
     report = montecarlo.simulate(
         config,
-        model,
         scenarios,
         rc.paths,
         rc.seed,

@@ -8,6 +8,7 @@ headers and never a timestamp, so identical runs write identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, field
@@ -21,9 +22,12 @@ from .market import (
     HomogeneousSpec,
     Marginal,
     MarketConfig,
-    standard_scenarios,
+    joint_ccp,
+    no_ccp,
+    single_ccp,
+    two_ccps,
 )
-from .montecarlo import RiskReport, SamplingModel
+from .montecarlo import RiskReport
 
 # ---------------------------------------------------------------------------
 # Built-in datasets
@@ -122,6 +126,17 @@ def builtin_credit_exposures(name: str = "bis-2010h1") -> HomogeneousSpec:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def open_input(path: str, what: str, newline: str | None = None):
+    """Open an input text file for reading; bytes that do not decode are a
+    configuration error naming the file, wherever the reading hits them."""
+    try:
+        with open(path, newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not {exc.encoding} text: {path!r}") from None
+
+
 def load_notionals(path_or_name: str) -> NotionalTable:
     """Load a notional table from a builtin name or a CSV file.
 
@@ -133,7 +148,7 @@ def load_notionals(path_or_name: str) -> NotionalTable:
         return builtin_notionals(path_or_name)
     if not os.path.isfile(path_or_name):
         raise ConfigError(f"notional table not found: {path_or_name!r}")
-    with open(path_or_name, newline="") as fh:
+    with open_input(path_or_name, "notional table", newline="") as fh:
         return _parse_notionals(fh, source=os.path.basename(path_or_name))
 
 
@@ -266,12 +281,13 @@ def _apply_config_key(rc: RunConfig, key: str, value: str, base_dir: str) -> Non
 def load_run_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"run config not found: {path!r}")
-    with open(path) as fh:
-        return parse_run_config(fh.read(), base_dir=os.path.dirname(path) or ".")
+    with open_input(path, "run config") as fh:
+        text = fh.read()
+    return parse_run_config(text, base_dir=os.path.dirname(path) or ".")
 
 
 def build_market(rc: RunConfig):
-    """Materialize (MarketConfig, SamplingModel, scenarios, assumptions).
+    """Materialize (MarketConfig, scenarios, assumptions).
 
     With ``mirror_dealers`` every dealer gains an identically sized European
     twin, doubling the member count while preserving size heterogeneity; the
@@ -321,31 +337,18 @@ def build_market(rc: RunConfig):
         Dealer(id=i, name=name, notionals=vals) for i, (name, vals) in enumerate(rows)
     )
     config = MarketConfig(dealers=dealers, classes=classes, rho=rc.rho)
-    irs_k = table.classes.index("swaps")
-    cds_k = table.classes.index("credit")
-    scenarios = standard_scenarios(
-        irs_class=irs_k,
-        cds_class=cds_k,
-        w_irs=rc.w_for("irs_ccp", "swaps"),
-        w_cds=rc.w_for("cds_ccp", "credit"),
+    # the five standard scenarios; per-scenario overrides, when given,
+    # replace the shared fractions
+    irs, cds = table.classes.index("swaps"), table.classes.index("credit")
+    w = rc.w_for
+    scenarios = (
+        no_ccp(),
+        single_ccp(irs, w("irs_ccp", "swaps"), name="irs_ccp"),
+        single_ccp(cds, w("cds_ccp", "credit"), name="cds_ccp"),
+        two_ccps([(irs, w("two_ccps", "swaps")), (cds, w("two_ccps", "credit"))]),
+        joint_ccp([(irs, w("joint_ccp", "swaps")), (cds, w("joint_ccp", "credit"))]),
     )
-    # per-scenario overrides, when given, replace the shared fractions
-    rebuilt = []
-    for scen in scenarios:
-        if not scen.cleared:
-            rebuilt.append(scen)
-            continue
-        entries = tuple(
-            type(c)(
-                c.class_id,
-                rc.w_for(scen.name, table.classes[c.class_id]),
-                c.ccp,
-            )
-            for c in scen.cleared
-        )
-        rebuilt.append(type(scen)(scen.kind, entries, scen.name))
-    model = SamplingModel.from_config(config)
-    return config, model, tuple(rebuilt), tuple(assumptions)
+    return config, scenarios, tuple(assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +507,15 @@ def load_report(path: str) -> RiskReport:
 
     Header keys it does not use, such as the ``# backend`` line of older
     dumps, are skipped. Tail measures are read whatever level they are
-    named after: older dumps call them ``var99`` and ``es99`` at any level."""
+    named after: older dumps call them ``var99`` and ``es99`` at any level.
+    A malformed dump is a configuration error naming the file and line."""
     if not os.path.isfile(path):
         raise ConfigError(f"report dump not found: {path!r}")
-    meta = {}
+    meta = {}  # header key -> (line number, value)
     assumptions = []
-    rows = []
-    with open(path, newline="") as fh:
-        body = []
-        for line in fh:
+    rows = []  # (line number, fields)
+    with open_input(path, "report dump", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 stripped = line[1:].strip()
                 if "=" in stripped:
@@ -520,19 +523,30 @@ def load_report(path: str) -> RiskReport:
                     if key == "assumption":
                         assumptions.append(value)
                     else:
-                        meta[key] = value
-                continue
-            body.append(line)
-        rows = list(csv.reader(body))
+                        meta[key] = (lineno, value)
+            elif line.strip():
+                rows.append((lineno, next(csv.reader([line]))))
     if not rows:
         raise ConfigError(f"{path}: empty report dump")
-    header = rows[0]
+    header = rows[0][1]
     if header[:3] != ["dealer", "scenario", "measure"]:
         raise ConfigError(f"{path}: not a ccpnet report dump")
+    for lineno, row in rows[1:]:
+        if len(row) != 6:
+            raise ConfigError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+
+    def meta_value(key, cast):
+        if key not in meta:
+            raise ConfigError(f"{path}: missing '# {key} = ...' header")
+        lineno, value = meta[key]
+        try:
+            return cast(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad {key} value {value!r}") from None
 
     scenario_names: list[str] = []
     dealer_names: list[str] = []
-    for dealer, scen, *_ in rows[1:]:
+    for _, (dealer, scen, *_) in rows[1:]:
         if scen not in scenario_names:
             scenario_names.append(scen)
         if dealer not in ("__total__", "__max__") and dealer not in dealer_names:
@@ -544,32 +558,40 @@ def load_report(path: str) -> RiskReport:
     es = np.zeros((n_scen, n_dealers))
     exceed = np.zeros((n_scen, n_dealers), dtype=np.int64)
     mean_max = np.zeros(n_scen)
-    for dealer, scen, measure, value, _ratio, std_error in rows[1:]:
+    for lineno, (dealer, scen, measure, value, _ratio, std_error) in rows[1:]:
         s = scenario_names.index(scen)
-        if dealer == "__max__":
-            mean_max[s] = float(value)
-            continue
-        if dealer == "__total__":
-            continue  # totals re-derive from the per-dealer values
-        n = dealer_names.index(dealer)
-        if measure == "ee":
-            ee[s, n] = float(value)
-            ee_se[s, n] = float(std_error)
-        elif measure.startswith("var"):
-            var[s, n] = float(value)
-        elif measure.endswith("_exceedances"):
-            exceed[s, n] = int(value)
-        elif measure.startswith("es"):
-            es[s, n] = float(value)
-    base_index = (
-        scenario_names.index(meta["base_scenario"]) if "base_scenario" in meta else None
-    )
+        try:
+            if dealer == "__max__":
+                mean_max[s] = float(value)
+                continue
+            if dealer == "__total__":
+                continue  # totals re-derive from the per-dealer values
+            n = dealer_names.index(dealer)
+            if measure == "ee":
+                ee[s, n] = float(value)
+                ee_se[s, n] = float(std_error)
+            elif measure.startswith("var"):
+                var[s, n] = float(value)
+            elif measure.endswith("_exceedances"):
+                exceed[s, n] = int(value)
+            elif measure.startswith("es"):
+                es[s, n] = float(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
+    base_index = None
+    if "base_scenario" in meta:
+        lineno, base = meta["base_scenario"]
+        if base not in scenario_names:
+            raise ConfigError(
+                f"{path}:{lineno}: base_scenario {base!r} names no scenario in the dump"
+            )
+        base_index = scenario_names.index(base)
     return RiskReport(
         dealer_names=tuple(dealer_names),
         scenario_names=tuple(scenario_names),
-        n_paths=int(meta["paths"]),
-        seed=int(meta["seed"]),
-        level=float(meta["level"]),
+        n_paths=meta_value("paths", int),
+        seed=meta_value("seed", int),
+        level=meta_value("level", float),
         ee=ee,
         ee_se=ee_se,
         var=var,

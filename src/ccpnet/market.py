@@ -13,6 +13,7 @@ concurrent workers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,23 +58,21 @@ class Dealer:
 class MarketConfig:
     """A dealer market: who trades how much of what, and how classes co-move.
 
-    ``rho`` is either a scalar equicorrelation (every off-diagonal pair of
-    classes shares it) or a full correlation matrix given as nested tuples.
-    The command line only exposes the scalar form.
+    The config alone fixes the sampling law of every pair's position shocks:
+    ``rho`` is the equicorrelation shared by every pair of classes (a
+    Gaussian copula), and each class's ``marginal`` is its unit-variance law.
+    The t3 marginal is the raw Student t with 3 degrees of freedom scaled by
+    1/sqrt(3), so its variance is exactly one by construction.
     """
 
     dealers: tuple[Dealer, ...]
     classes: tuple[AssetClass, ...]
-    rho: float | tuple[tuple[float, ...], ...] = 0.0
+    rho: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "dealers", tuple(self.dealers))
         object.__setattr__(self, "classes", tuple(self.classes))
-        if not isinstance(self.rho, (int, float)):
-            rows = tuple(tuple(float(v) for v in row) for row in self.rho)
-            object.__setattr__(self, "rho", rows)
-        else:
-            object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", float(self.rho))
 
     @property
     def n_dealers(self) -> int:
@@ -96,20 +95,11 @@ class MarketConfig:
     def has_t_marginals(self) -> bool:
         return any(c.marginal is Marginal.STUDENT_T3 for c in self.classes)
 
-    def scalar_rho(self) -> float:
-        if not isinstance(self.rho, float):
-            raise ConfigError(
-                "operation requires a scalar equicorrelation rho, got a matrix"
-            )
-        return self.rho
-
     def correlation_matrix(self) -> np.ndarray:
         k = self.n_classes
-        if isinstance(self.rho, float):
-            mat = np.full((k, k), self.rho, dtype=float)
-            np.fill_diagonal(mat, 1.0)
-            return mat
-        return np.array(self.rho, dtype=float)
+        mat = np.full((k, k), self.rho, dtype=float)
+        np.fill_diagonal(mat, 1.0)
+        return mat
 
 
 @dataclass(frozen=True)
@@ -140,6 +130,11 @@ def validate(config: MarketConfig) -> ValidationReport:
         v.append("N >= 2 required")
     if k < 1:
         v.append("K >= 1 required")
+    # reports key their rows by dealer name, so a repeated name merges rows
+    counts = Counter(d.name for d in config.dealers)
+    repeated = [name for name, count in counts.items() if count > 1]
+    if repeated:
+        v.append(f"dealer names must be unique, repeated: {repeated}")
     for d in config.dealers:
         if len(d.notionals) != k:
             v.append(f"dealer {d.name!r}: notionals length {len(d.notionals)} != K={k}")
@@ -150,24 +145,10 @@ def validate(config: MarketConfig) -> ValidationReport:
     for c in config.classes:
         if not 0 < c.beta < math.inf:
             v.append(f"class {c.name!r}: beta must be finite and > 0")
-    if isinstance(config.rho, float):
-        # scalar equicorrelation must keep the K x K matrix positive definite;
-        # combined with rho >= 0 this pins rho to [0, 1)
-        if not 0.0 <= config.rho < 1.0:
-            v.append("rho must lie in [0, 1)")
-    else:
-        mat = config.correlation_matrix()
-        if mat.shape != (k, k):
-            v.append(f"correlation matrix shape {mat.shape} != ({k}, {k})")
-        else:
-            if not np.allclose(mat, mat.T):
-                v.append("correlation matrix not symmetric")
-            if not np.allclose(np.diag(mat), 1.0):
-                v.append("correlation matrix diagonal must be 1")
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                v.append("correlation matrix not positive definite")
+    # the equicorrelation must keep the K x K matrix positive definite;
+    # combined with rho >= 0 this pins rho to [0, 1)
+    if not 0.0 <= config.rho < 1.0:
+        v.append("rho must lie in [0, 1)")
     if not v or all(len(d.notionals) == k for d in config.dealers):
         z = config.notional_matrix() if n and k else np.zeros((n, k))
         # non-finite notionals are reported above: a NaN total (inf + -inf)

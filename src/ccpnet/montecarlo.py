@@ -149,44 +149,20 @@ def student_t3_unit_ppf(u):
 
 
 # ---------------------------------------------------------------------------
-# Sampling model and pair layout
+# Pair layout
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SamplingModel:
-    """How pair shocks are drawn: copula correlation and per-class marginal
-    law. The two directions of a pair are two sides of one trade.
-
-    The t3 marginal is the raw t3 scaled by 1/sqrt(3), so its variance is
-    exactly one by construction.
-    """
-
-    rho: float
-    marginals: tuple[Marginal, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "marginals", tuple(self.marginals))
-        if not 0.0 <= self.rho < 1.0:
-            raise ConfigError("copula correlation rho must lie in [0, 1)")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.marginals)
-
-    @classmethod
-    def from_config(cls, config: MarketConfig):
-        return cls(rho=config.scalar_rho(), marginals=config.marginals())
-
-
-@dataclass(frozen=True)
 class _PairLayout:
-    """Pair bookkeeping shared by every chunk of a run.
+    """Pair bookkeeping and sampling law shared by every chunk of a run.
 
     Each row holds one copula draw: one row per unordered pair i<j, in
-    ``np.triu_indices`` order (so ``pair_i`` is sorted), feeding dealer i
-    with scale ``s_plus`` and dealer j with the negated draw and scale
-    ``s_minus``.
+    ``np.triu_indices`` order (so ``pair_i`` is sorted). The two directions
+    of a pair are the two sides of one trade: the draw feeds dealer i with
+    scale ``s_plus`` and dealer j, negated, with scale ``s_minus``. ``rho``
+    and ``marginals`` are the market config's copula correlation and
+    per-class marginal laws.
     """
 
     pair_i: np.ndarray
@@ -194,7 +170,12 @@ class _PairLayout:
     s_plus: np.ndarray
     s_minus: np.ndarray
     n_dealers: int
-    n_classes: int
+    rho: float
+    marginals: tuple[Marginal, ...]
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.marginals)
 
     @property
     def n_pairs(self) -> int:
@@ -223,7 +204,8 @@ def _build_layout(config: MarketConfig) -> _PairLayout:
         s_plus=np.ascontiguousarray(s_plus),
         s_minus=np.ascontiguousarray(s_minus),
         n_dealers=n,
-        n_classes=config.n_classes,
+        rho=config.rho,
+        marginals=config.marginals(),
     )
 
 
@@ -288,22 +270,18 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 _UNIFORM_DOUBLES = 2**18
 
 
-def _shocks(
-    layout: _PairLayout, model: SamplingModel, seed: int, start: int, count: int
-) -> np.ndarray:
+def _shocks(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:
     """Standardized class shocks for paths [start, start+count):
     (count, pairs, K), the ``_copula_values`` of their uniforms."""
     y = np.empty((count, layout.n_pairs, layout.n_classes))
     step = max(1, _UNIFORM_DOUBLES // layout.padded_draws)
     for a in range(0, count, step):
         u = _uniforms(seed, layout, start + a, min(step, count - a))
-        _gaussian_copula(u, model.rho, out=y[a : a + u.shape[0]])
-    return _apply_marginals(y, model.marginals)
+        _gaussian_copula(u, layout.rho, out=y[a : a + u.shape[0]])
+    return _apply_marginals(y, layout.marginals)
 
 
-def sample_draws(
-    config: MarketConfig, model: SamplingModel, seed: int, start: int, count: int
-) -> np.ndarray:
+def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarray:
     """Position matrices for paths [start, start+count): (count, N, N, K).
 
     Entry [c, i, j, k] is what dealer i holds in class k facing dealer j
@@ -311,7 +289,7 @@ def sample_draws(
     same seed and path indices; used by the oracle-equivalence tests.
     """
     layout = _build_layout(config)
-    y = _shocks(layout, model, seed, start, count)
+    y = _shocks(layout, seed, start, count)
     n, k = layout.n_dealers, layout.n_classes
     x = np.zeros((count, n, n, k))
     x[:, layout.pair_i, layout.pair_j, :] = y * layout.s_plus
@@ -352,12 +330,7 @@ def _path_blocks(layout: _PairLayout, start: int, count: int) -> list[int]:
 
 
 def _chunk_exposures(
-    layout: _PairLayout,
-    model: SamplingModel,
-    scenario_arrays: tuple,
-    seed: int,
-    start: int,
-    count: int,
+    layout: _PairLayout, scenario_arrays: tuple, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for one chunk of paths.
 
@@ -365,7 +338,7 @@ def _chunk_exposures(
     only one block of uniforms and shocks exists at a time."""
     bounds = _path_blocks(layout, start, count)
     return kernels.scenario_exposures(
-        (_shocks(layout, model, seed, a, b - a) for a, b in zip(bounds, bounds[1:])),
+        (_shocks(layout, seed, a, b - a) for a, b in zip(bounds, bounds[1:])),
         count,
         layout.s_plus,
         layout.s_minus,
@@ -377,12 +350,7 @@ def _chunk_exposures(
 
 
 def exposures_for_paths(
-    config: MarketConfig,
-    model: SamplingModel,
-    scenarios,
-    seed: int,
-    start: int,
-    count: int,
+    config: MarketConfig, scenarios, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for the given paths.
 
@@ -391,7 +359,7 @@ def exposures_for_paths(
     """
     layout = _build_layout(config)
     arrays = _scenario_arrays(scenarios, layout.n_classes)
-    return _chunk_exposures(layout, model, arrays, seed, start, count)
+    return _chunk_exposures(layout, arrays, seed, start, count)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +495,6 @@ def _check_pathwise(e: np.ndarray, scenarios) -> None:
 
 def simulate(
     config: MarketConfig,
-    model: SamplingModel | None,
     scenarios,
     n_paths: int,
     seed: int,
@@ -544,9 +511,9 @@ def simulate(
 
     Parameters
     ----------
-    config, model
-        Market and sampling model; ``model=None`` derives the model from the
-        config (scalar rho, per-class marginals).
+    config
+        Market; it also fixes the sampling law (copula correlation rho and
+        per-class marginals).
     scenarios
         Clearing scenarios, all evaluated on the same draws. Ratios are
         reported against the first scenario that clears nothing.
@@ -562,10 +529,6 @@ def simulate(
         fixes the report's bits.
     """
     validate(config).raise_if_invalid()
-    if model is None:
-        model = SamplingModel.from_config(config)
-    if model.n_classes != config.n_classes:
-        raise ConfigError("sampling model class count does not match config")
     scenarios = tuple(scenarios)
     if not scenarios:
         raise ConfigError("at least one scenario required")
@@ -578,8 +541,8 @@ def simulate(
         raise ConfigError("chunk_size must be >= 1")
     if not 0.0 < level < 1.0:
         raise ConfigError("risk-measure level must lie in (0, 1)")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
+        raise ConfigError("seed must be an integer in [0, 2**128)")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
@@ -599,7 +562,7 @@ def simulate(
 
     def run_chunk(job):
         ci, start, count = job
-        e = _chunk_exposures(layout, model, arrays, seed, start, count)
+        e = _chunk_exposures(layout, arrays, seed, start, count)
         if check_invariants:
             _check_pathwise(e, scenarios)
         samples[:, start : start + count, :] = e.transpose(1, 0, 2)

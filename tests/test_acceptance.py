@@ -15,7 +15,6 @@ from ccpnet import analytic, cli, dataio
 from ccpnet.dataio import RunConfig, build_market
 from ccpnet.market import joint_ccp, no_ccp, single_ccp, two_ccps
 from ccpnet.montecarlo import (
-    SamplingModel,
     _copula_values,
     exposures_for_paths,
     sample_draws,
@@ -69,17 +68,16 @@ def paper_runs():
             paths=PATHS,
             seed=SEED,
         )
-        config, model, scenarios, assumptions = build_market(rc)
+        config, scenarios, assumptions = build_market(rc)
         report = simulate(
             config,
-            model,
             scenarios,
             rc.paths,
             rc.seed,
             threads=2,
             assumptions=assumptions,
         )
-        runs[label] = (config, model, scenarios, report)
+        runs[label] = (config, scenarios, report)
     runs["elapsed"] = time.perf_counter() - t0
     return runs
 
@@ -136,7 +134,7 @@ def test_criterion_2_threshold_surface():
 def test_criterion_3_analytic_mc_agreement(paper_runs):
     """Gaussian rho=0: every dealer x scenario MC expected exposure lies
     within 3 standard errors of its closed form at 10^5 paths."""
-    config, model, scenarios, report = paper_runs["g0"]
+    config, scenarios, report = paper_runs["g0"]
     worst = 0.0
     for s, scen in enumerate(scenarios):
         ref = 1000.0 * np.array(
@@ -158,7 +156,7 @@ def test_criterion_4_total_ee_ratios_rho0(paper_runs):
     details = []
     ok = True
     for label in ("g0", "t0"):
-        report = paper_runs[label][3]
+        report = paper_runs[label][2]
         got = report.total_ee_ratio[1:]
         target = np.array(TOTAL_EE_TARGETS[label])
         ok &= bool((np.abs(got - target) <= 0.02).all())
@@ -172,7 +170,7 @@ def test_criterion_4_total_ee_ratios_rho0(paper_runs):
 
 def test_criterion_5_total_ee_ratios_rho01(paper_runs):
     """rho=0.1 Gaussian total-EE ratios within 0.02 of the published values."""
-    report = paper_runs["g1"][3]
+    report = paper_runs["g1"][2]
     got = report.total_ee_ratio[1:]
     target = np.array(TOTAL_EE_TARGETS["g1"])
     _record(
@@ -189,7 +187,7 @@ def test_criterion_6_mean_max_ordering(paper_runs):
     ok = True
     details = []
     for label in ("g0", "g1", "t0", "t1"):
-        report = paper_runs[label][3]
+        report = paper_runs[label][2]
         mm = dict(zip(report.scenario_names, report.mean_max))
         ordering = (
             mm["joint_ccp"] < mm["two_ccps"] < mm["irs_ccp"] < mm["no_ccp"]
@@ -210,18 +208,18 @@ def test_criterion_7_property_suite(paper_runs):
     failures = []
 
     # pathwise invariants (joint <= two, e >= 0) on a checked run
-    config, _, scenarios, _ = paper_runs["g0"]
+    config, scenarios, _ = paper_runs["g0"]
     try:
         small = simulate(
-            config, None, scenarios, 2000, 77, check_invariants=True
+            config, scenarios, 2000, 77, check_invariants=True
         )
     except AssertionError as exc:
         failures.append(f"pathwise: {exc}")
-        small = simulate(config, None, scenarios, 2000, 77)
+        small = simulate(config, scenarios, 2000, 77)
 
     # tail measure ordering everywhere
     for label in ("g0", "g1", "t0", "t1"):
-        report = paper_runs[label][3]
+        report = paper_runs[label][2]
         if not (report.es >= report.var).all() or not (report.var >= 0).all():
             failures.append(f"{label}: ES/VaR ordering")
 
@@ -231,7 +229,7 @@ def test_criterion_7_property_suite(paper_runs):
         single_ccp(2, 0.0, name="idle_irs"),
         joint_ccp([(2, 0.0), (3, 0.0)], name="idle_joint"),
     ]
-    rep = simulate(config, None, idle, 2000, 78)
+    rep = simulate(config, idle, 2000, 78)
     for s in (1, 2):
         if not (
             np.array_equal(rep.ee[0], rep.ee[s])
@@ -242,8 +240,8 @@ def test_criterion_7_property_suite(paper_runs):
     # exposures are 1-homogeneous under a global notional rescaling
     z = config.notional_matrix()
     betas = [c.beta for c in config.classes]
-    a = simulate(make_config(z, betas), None, scenarios, 2000, 79)
-    b = simulate(make_config(2.0 * z, betas), None, scenarios, 2000, 79)
+    a = simulate(make_config(z, betas), scenarios, 2000, 79)
+    b = simulate(make_config(2.0 * z, betas), scenarios, 2000, 79)
     if not (
         np.array_equal(2.0 * a.ee, b.ee)
         and np.array_equal(2.0 * a.var, b.var)
@@ -252,8 +250,8 @@ def test_criterion_7_property_suite(paper_runs):
         failures.append("notional homogeneity")
 
     # same seed, different worker counts: identical report
-    t1 = simulate(config, None, scenarios, 3000, 80, threads=1)
-    t2 = simulate(config, None, scenarios, 3000, 80, threads=2)
+    t1 = simulate(config, scenarios, 3000, 80, threads=1)
+    t2 = simulate(config, scenarios, 3000, 80, threads=2)
     if not reports_equal(t1, t2):
         failures.append("thread determinism")
 
@@ -291,7 +289,6 @@ def test_criterion_8_oracle_equivalence():
         config = make_config(
             z, betas=rng.uniform(0.1, 2.0, k), rho=rho, marginals=marginals
         )
-        model = SamplingModel(rho=rho, marginals=marginals)
         scenarios = [no_ccp(), single_ccp(k - 1, 0.75, name="one")]
         if k >= 2:
             scenarios += [
@@ -299,9 +296,9 @@ def test_criterion_8_oracle_equivalence():
                 joint_ccp([(k - 2, 0.9), (k - 1, 0.85)]),
             ]
         engine = exposures_for_paths(
-            config, model, scenarios, seed=1000 + trial, start=0, count=n_paths
+            config, scenarios, seed=1000 + trial, start=0, count=n_paths
         )
-        draws = sample_draws(config, model, seed=1000 + trial, start=0, count=n_paths)
+        draws = sample_draws(config, seed=1000 + trial, start=0, count=n_paths)
         scale = max(float(np.abs(engine).max()), 1.0)
         for c in range(n_paths):
             ref = oracle_exposures(draws[c], scenarios)

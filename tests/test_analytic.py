@@ -162,7 +162,7 @@ def test_dealer_table_ratios(paper_market):
     """Benchmark dealer: clearing swaps at 90% cuts its expected exposure to
     ~0.72 of bilateral; adding the credit CCP and then merging the CCPs
     keeps improving it."""
-    config, _, _, _ = paper_market
+    config, _, _ = paper_market
     base = _ee(config, no_ccp())[0]
     irs = _ee(config, single_ccp(2, 0.90))[0] / base
     cds = _ee(config, single_ccp(3, 0.85))[0] / base
@@ -179,7 +179,7 @@ def test_total_ratios_drop_with_correlation():
     cleared scenario's total-EE ratio falls when rho rises to 0.1."""
     ratios = {}
     for rho in (0.0, 0.1):
-        cfg, _, scens, _ = dataio_build(rho)
+        cfg, scens, _ = dataio_build(rho)
         totals = {s.name: scenario_expected_exposures(cfg, s).total for s in scens}
         ratios[rho] = {k: v / totals["no_ccp"] for k, v in totals.items()}
     for name in ("irs_ccp", "cds_ccp", "two_ccps", "joint_ccp"):
@@ -192,7 +192,7 @@ def dataio_build(rho):
 
 
 def test_scenario_expected_exposures_totals(paper_market):
-    config, _, scenarios, _ = paper_market
+    config, scenarios, _ = paper_market
     res = scenario_expected_exposures(config, scenarios[0])
     assert res.total == pytest.approx(sum(res.per_dealer), rel=0.0)
     assert all(v >= 0 for v in res.per_dealer)

@@ -94,6 +94,11 @@ def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "threshold", "--ce", str(tmp_path))
     assert code == 2
     assert "is a directory" in err
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"class,exposure\nd\xe9riv\xe9s,1\n")
+    code, _, err = run_cli(capsys, "threshold", "--ce", str(undecodable))
+    assert code == 2
+    assert "credit-exposure file is not" in err and str(undecodable) in err
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +327,50 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2
     assert "config error: run config not found" in err
     assert not (tmp_path / "m").exists()
+    # the Philox key is 128 bits, from the command line or a config file
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "s", "--seed", str(2**130)))
+    assert code == 2
+    assert "seed must be an integer in [0, 2**128)" in err
+    big_seed = tmp_path / "seed.cfg"
+    big_seed.write_text(f"seed = {2**128}\n")
+    code, _, err = run_cli(
+        capsys, "scenarios", "--config", str(big_seed), "--paths", "1000",
+        "--out", str(tmp_path / "s"),
+    )
+    assert code == 2
+    assert "seed must be" in err
+    assert not (tmp_path / "s").exists()
+    # bytes that are no text, in a notional table and in a run config
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"dealer,forwards,options,swaps,credit\nSoci\xe9t\xe9,1,1,1,1\n")
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "u", "--notionals", str(latin1)))
+    assert code == 2
+    assert "notional table is not" in err and str(latin1) in err
+    latin1_cfg = tmp_path / "latin1.cfg"
+    latin1_cfg.write_bytes(b"seed = 5 # caf\xe9\n")
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "u", "--config", str(latin1_cfg)))
+    assert code == 2
+    assert "run config is not" in err and str(latin1_cfg) in err
+    assert not (tmp_path / "u").exists()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["A,1,1,1,1", "B,2,2,2,2", "A,3,3,3,3"],  # a name given twice
+        ["A,1,1,1,1", "A (EU),2,2,2,2"],  # a name that the mirror twin of A takes
+    ],
+    ids=["repeated_row", "mirror_twin"],
+)
+def test_scenarios_duplicate_dealer_names_exit_2(capsys, tmp_path, rows):
+    """Reports key their rows by dealer name, so two dealers of one name
+    would be merged when a dump is read back."""
+    table = tmp_path / "dup.csv"
+    table.write_text("\n".join(["dealer,forwards,options,swaps,credit", *rows]) + "\n")
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "dup", "--notionals", str(table)))
+    assert code == 2
+    assert "dealer names must be unique" in err
+    assert not (tmp_path / "dup").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -376,3 +425,44 @@ def test_report_missing_dump_exits(capsys, tmp_path):
     )
     assert code == 2  # a missing input file is a configuration error
     assert "config error: report dump not found" in err
+
+
+_DUMP = """\
+# ccpnet risk report
+# seed = 5
+# paths = 1000
+# level = 0.99
+# base_scenario = no_ccp
+dealer,scenario,measure,value,ratio_to_base,std_error
+A,no_ccp,ee,2.5,1.0,0.1
+__max__,no_ccp,mean_max,2.5,1.0,
+"""
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("# paths = 1000\n", "", "missing '# paths = ...' header"),
+        ("# paths = 1000", "# paths = many", "{dump}:3: bad paths value"),
+        ("A,no_ccp,ee,2.5,1.0,0.1", "A,no_ccp,ee", "{dump}:7: expected 6 fields, got 3"),
+        ("A,no_ccp,ee,2.5,", "A,no_ccp,ee,lots,", "{dump}:7: non-numeric value"),
+        ("mean_max,2.5", "mean_max,", "{dump}:8: non-numeric value"),
+        ("= no_ccp", "= nope", "{dump}:5: base_scenario 'nope' names no scenario"),
+        ("A,no_ccp,ee", "Soci\xe9t\xe9,no_ccp,ee", "report dump is not"),
+    ],
+    ids=[
+        "no_paths", "bad_paths", "short_row", "bad_value", "empty_value", "bad_base",
+        "undecodable",
+    ],
+)
+def test_report_malformed_dump_exits_2(capsys, tmp_path, old, new, message):
+    dump = tmp_path / "report.csv"
+    dump.write_text(_DUMP)
+    argv = ("report", "--dump", str(dump), "--out", str(tmp_path / "out"))
+    assert run_cli(capsys, *argv)[0] == 0  # the unbroken dump loads
+    assert _DUMP.count(old) == 1
+    # Latin-1 bytes: the undecodable case's name is no UTF-8 text
+    dump.write_bytes(_DUMP.replace(old, new).encode("latin-1"))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message.format(dump=dump) in err and str(dump) in err

@@ -184,7 +184,7 @@ def test_parse_run_config_bad_values():
 
 
 def test_build_market_mirroring_and_classes():
-    config, model, scenarios, assumptions = build_market(RunConfig())
+    config, scenarios, assumptions = build_market(RunConfig())
     assert config.n_dealers == 20
     assert config.dealers[10].name == "JP Morgan Chase (EU)"
     assert config.dealers[10].notionals == config.dealers[0].notionals
@@ -192,7 +192,7 @@ def test_build_market_mirroring_and_classes():
     assert len(scenarios) == 5
     assert any("mirrored" in a for a in assumptions)
 
-    plain, _, _, no_assume = build_market(RunConfig(mirror_dealers=False))
+    plain, _, no_assume = build_market(RunConfig(mirror_dealers=False))
     assert plain.n_dealers == 10
     assert no_assume == ()
 
@@ -200,7 +200,7 @@ def test_build_market_mirroring_and_classes():
 def test_build_market_marginal_and_w_overrides():
     rc = RunConfig(marginals={"credit": "t3"})
     rc.scenario_w[("joint_ccp", "swaps")] = 0.5
-    config, model, scenarios, _ = build_market(rc)
+    config, scenarios, _ = build_market(rc)
     assert config.classes[3].marginal is Marginal.STUDENT_T3
     joint = next(s for s in scenarios if s.name == "joint_ccp")
     fractions = {c.class_id: c.fraction for c in joint.cleared}
@@ -241,12 +241,11 @@ def test_build_market_requires_standard_classes(tmp_path):
 
 @pytest.fixture(scope="module")
 def small_report():
-    config, model, scenarios, assumptions = build_market(
+    config, scenarios, assumptions = build_market(
         RunConfig(paths=2000, seed=13, mirror_dealers=False)
     )
     return montecarlo.simulate(
         config,
-        model,
         scenarios,
         2000,
         13,
@@ -267,9 +266,9 @@ def test_report_files_and_round_trip(small_report, tmp_path):
 def test_ratio_table_reference_cell(tmp_path):
     """On the default mirrored market the written EE ratio table shows the
     largest dealer's swaps-CCP cell near the reference 0.72."""
-    config, model, scenarios, assumptions = build_market(RunConfig())
+    config, scenarios, assumptions = build_market(RunConfig())
     report = montecarlo.simulate(
-        config, model, scenarios, 20_000, 101, threads=2, assumptions=assumptions
+        config, scenarios, 20_000, 101, threads=2, assumptions=assumptions
     )
     files = write_report(report, str(tmp_path / "ref"))
     with open(files["ratios_expected_exposure"]) as fh:
@@ -349,7 +348,7 @@ def test_write_histograms_requires_data(small_report, tmp_path):
 
 
 def _rebuild_small():
-    config, model, scenarios, _ = build_market(
+    config, scenarios, _ = build_market(
         RunConfig(paths=2000, seed=13, mirror_dealers=False)
     )
-    return config, model, scenarios
+    return config, scenarios

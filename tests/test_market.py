@@ -53,16 +53,6 @@ def test_validate_rho_bounds():
     assert validate(make_config([[1.0], [1.0]], [1.0], rho=0.0)).ok
 
 
-def test_validate_correlation_matrix():
-    good = ((1.0, 0.2), (0.2, 1.0))
-    bad_diag = ((0.9, 0.2), (0.2, 1.0))
-    not_pd = ((1.0, 1.2), (1.2, 1.0))
-    base = dict(notionals=np.ones((2, 2)), betas=[1.0, 1.0])
-    assert validate(make_config(**base, rho=good)).ok
-    assert not validate(make_config(**base, rho=bad_diag)).ok
-    assert not validate(make_config(**base, rho=not_pd)).ok
-
-
 def test_validate_negative_notional_and_beta():
     assert not validate(make_config([[1.0], [-1.0]], [1.0])).ok
     assert not validate(make_config([[1.0], [1.0]], [0.0])).ok

@@ -23,7 +23,6 @@ from ccpnet.market import (
 )
 from ccpnet.montecarlo import (
     _MIN_UNIFORM,
-    SamplingModel,
     _build_layout,
     _copula_values,
     _scenario_arrays,
@@ -38,13 +37,6 @@ from ccpnet.montecarlo import (
     write_path_dump,
 )
 from helpers import make_config, oracle_exposures, quad_tail_stats, reports_equal
-
-
-def _model(config, rho=None):
-    return SamplingModel(
-        rho=config.scalar_rho() if rho is None else rho,
-        marginals=config.marginals(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +197,13 @@ def test_copula_peak_memory_with_t3_class():
 def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
     """One 4096-path chunk holds its (paths, scenarios, dealers) output plus
     the working set of one block of paths, not chunk-sized shocks."""
-    config, model, scenarios = paper_market_t3
+    config, scenarios = paper_market_t3
     layout = _build_layout(config)
     bounds = montecarlo._path_blocks(layout, 0, 4096)
     assert len(bounds) > 2  # the chunk is evaluated in more than one block
     block_nbytes = max(np.diff(bounds)) * layout.n_pairs * layout.n_classes * 8
     out_nbytes = 4096 * len(scenarios) * layout.n_dealers * 8
-    peak = _peak_traced_bytes(exposures_for_paths, config, model, scenarios, 1, 0, 4096)
+    peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, 4096)
     assert peak <= out_nbytes + 2 * block_nbytes
 
 
@@ -219,33 +211,25 @@ def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
 def test_shocks_bitwise_equal_one_pass_copula(rho):
     """Shocks are mapped from their uniforms in sub-blocks; the mapping is
     elementwise, so any sub-block seam gives the one-pass values exactly."""
-    config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho)
-    model = SamplingModel(rho=rho, marginals=(Marginal.STUDENT_T3, Marginal.GAUSSIAN))
+    marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
+    config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
     layout = _build_layout(config)
     step = montecarlo._UNIFORM_DOUBLES // layout.padded_draws
     count = 2 * step + 7  # two full sub-blocks and a short one
-    y = montecarlo._shocks(layout, model, 4, 3, count)
-    ref = _copula_values(_uniforms(4, layout, 3, count), rho, model.marginals)
+    y = montecarlo._shocks(layout, 4, 3, count)
+    ref = _copula_values(_uniforms(4, layout, 3, count), rho, marginals)
     assert np.array_equal(y, ref)
-
-
-def test_sampling_model_rejects_bad_rho():
-    with pytest.raises(ConfigError):
-        SamplingModel(rho=1.0, marginals=(Marginal.GAUSSIAN,))
-    with pytest.raises(ConfigError):
-        SamplingModel(rho=-0.2, marginals=(Marginal.GAUSSIAN,))
 
 
 def test_sample_pair_exposures_scales_and_antisymmetry():
     """Both directions of a pair are one standardized draw, each under its
     owner's pair scale, the reverse direction negated."""
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
-    model = _model(config)
     layout = _build_layout(config)
     # one row per unordered pair, owned by the lower index
     assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (0, 2), (1, 2)]
-    y = _copula_values(_uniforms(9, layout, 0, 1000), model.rho, model.marginals)
-    x = sample_draws(config, model, seed=9, start=0, count=1000)
+    y = _copula_values(_uniforms(9, layout, 0, 1000), config.rho, config.marginals())
+    x = sample_draws(config, seed=9, start=0, count=1000)
     for p, (i, j) in enumerate(zip(layout.pair_i, layout.pair_j)):
         s_ij = pair_scale_matrix(config, i)[j] * MILLIONS_PER_BILLION
         s_ji = pair_scale_matrix(config, j)[i] * MILLIONS_PER_BILLION
@@ -255,8 +239,7 @@ def test_sample_pair_exposures_scales_and_antisymmetry():
 
 def test_sample_draws_antisymmetric_structure():
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
-    model = _model(config)
-    x = sample_draws(config, model, seed=4, start=0, count=50)
+    x = sample_draws(config, seed=4, start=0, count=50)
     assert x.shape == (50, 3, 3, 2)
     assert np.array_equal(x[:, 0, 0, :], np.zeros((50, 2)))
     # both directions are driven by one standardized draw: the ratio of
@@ -314,11 +297,10 @@ def test_evaluate_scenario_hand_values():
 def test_evaluate_scenarios_reductions():
     rng = np.random.default_rng(14)
     config = make_config(rng.uniform(0.5, 5.0, (3, 2)), betas=[1.0, 2.0])
-    model = _model(config)
     scenarios = [no_ccp(), single_ccp(1, 0.8, name="one"), single_ccp(1, 0.0, name="idle")]
     assert [scen.clears_nothing for scen in scenarios] == [True, False, True]
-    e = exposures_for_paths(config, model, scenarios, seed=2, start=0, count=1)[0]
-    ref = oracle_exposures(sample_draws(config, model, seed=2, start=0, count=1)[0], scenarios)
+    e = exposures_for_paths(config, scenarios, seed=2, start=0, count=1)[0]
+    ref = oracle_exposures(sample_draws(config, seed=2, start=0, count=1)[0], scenarios)
     for s, scen in enumerate(scenarios):
         assert np.allclose(e[s], ref[scen.name], rtol=1e-12, atol=1e-9)
         assert (e[s] >= 0).all()
@@ -330,7 +312,7 @@ def test_evaluate_scenarios_reductions():
 def test_evaluate_scenarios_without_base_has_no_eps():
     config = make_config([[1.0], [2.0]], betas=[1.0])
     only = [single_ccp(0, 0.5, name="only")]
-    report = simulate(config, None, only, 1000, 3, collect_histograms=True)
+    report = simulate(config, only, 1000, 3, collect_histograms=True)
     assert report.base_index is None
     assert report.histograms is None
 
@@ -339,7 +321,7 @@ def test_evaluate_scenario_zero_fraction_matches_base():
     rng = np.random.default_rng(8)
     config = make_config(rng.uniform(0.5, 5.0, (3, 2)), betas=[1.0, 2.0])
     scenarios = [no_ccp(), single_ccp(1, 0.0, name="idle")]
-    e = exposures_for_paths(config, _model(config), scenarios, seed=1, start=0, count=20)
+    e = exposures_for_paths(config, scenarios, seed=1, start=0, count=20)
     assert np.array_equal(e[:, 1], e[:, 0])
 
 
@@ -354,7 +336,6 @@ def test_engine_matches_oracle_and_reference_evaluator(rho):
         rho=rho,
         marginals=[Marginal.GAUSSIAN, Marginal.STUDENT_T3, Marginal.GAUSSIAN],
     )
-    model = _model(config)
     scenarios = [
         no_ccp(),
         single_ccp(2, 0.7, name="one"),
@@ -362,8 +343,8 @@ def test_engine_matches_oracle_and_reference_evaluator(rho):
         joint_ccp([(1, 0.9), (2, 0.85)]),
     ]
     n_paths = 50
-    engine = exposures_for_paths(config, model, scenarios, seed=77, start=0, count=n_paths)
-    draws = sample_draws(config, model, seed=77, start=0, count=n_paths)
+    engine = exposures_for_paths(config, scenarios, seed=77, start=0, count=n_paths)
+    draws = sample_draws(config, seed=77, start=0, count=n_paths)
     scale = np.abs(engine).max()
     for c in range(n_paths):
         ref = oracle_exposures(draws[c], scenarios)
@@ -436,27 +417,28 @@ def _small_market():
 def test_simulate_rejects_path_floor_and_bad_inputs():
     config, scenarios = _small_market()
     with pytest.raises(ConfigError):
-        simulate(config, None, scenarios, 999, 1)
+        simulate(config, scenarios, 999, 1)
     with pytest.raises(ConfigError):
-        simulate(config, None, [], 2000, 1)
+        simulate(config, [], 2000, 1)
     with pytest.raises(ConfigError):
-        simulate(config, None, [no_ccp(), no_ccp()], 2000, 1)  # duplicate names
-    bad_model = SamplingModel(rho=0.0, marginals=(Marginal.GAUSSIAN,))
+        simulate(config, [no_ccp(), no_ccp()], 2000, 1)  # duplicate names
+    for rho in (1.0, -0.2):  # the copula correlation must lie in [0, 1)
+        bad_rho = make_config(config.notional_matrix(), config.betas(), rho=rho)
+        with pytest.raises(ConfigError):
+            simulate(bad_rho, scenarios, 2000, 1)
     with pytest.raises(ConfigError):
-        simulate(config, bad_model, scenarios, 2000, 1)
-    with pytest.raises(ConfigError):
-        simulate(config, None, scenarios, 2000, 1, level=1.0)
+        simulate(config, scenarios, 2000, 1, level=1.0)
     for threads in (0, -2):
         with pytest.raises(ConfigError, match="threads"):
-            simulate(config, None, scenarios, 2000, 1, threads=threads)
+            simulate(config, scenarios, 2000, 1, threads=threads)
 
 
 def test_simulate_deterministic_across_threads_and_reruns():
     config, scenarios = _small_market()
     kw = dict(chunk_size=512, check_invariants=True)
-    a = simulate(config, None, scenarios, 3000, 11, threads=1, **kw)
-    b = simulate(config, None, scenarios, 3000, 11, threads=2, **kw)
-    c = simulate(config, None, scenarios, 3000, 11, threads=1, **kw)
+    a = simulate(config, scenarios, 3000, 11, threads=1, **kw)
+    b = simulate(config, scenarios, 3000, 11, threads=2, **kw)
+    c = simulate(config, scenarios, 3000, 11, threads=1, **kw)
     for other in (b, c):
         assert np.array_equal(a.ee, other.ee)
         assert np.array_equal(a.var, other.var)
@@ -468,7 +450,11 @@ def test_simulate_deterministic_across_threads_and_reruns():
 def test_simulate_rejects_negative_seed():
     config, scenarios = _small_market()
     with pytest.raises(ConfigError):
-        simulate(config, None, scenarios, 2000, -1)
+        simulate(config, scenarios, 2000, -1)
+    # the Philox key is 128 bits: its largest value runs, the next is rejected
+    with pytest.raises(ConfigError, match="seed"):
+        simulate(config, scenarios, 2000, 2**128)
+    assert simulate(config, scenarios, 1000, 2**128 - 1).seed == 2**128 - 1
 
 
 def test_per_path_samples_independent_of_chunking():
@@ -476,8 +462,8 @@ def test_per_path_samples_independent_of_chunking():
     regroups only the accumulators: samples and the quantile measures match
     exactly, expectations to float regrouping tolerance."""
     config, scenarios = _small_market()
-    a = simulate(config, None, scenarios, 2000, 21, chunk_size=257, keep_samples=True)
-    b = simulate(config, None, scenarios, 2000, 21, chunk_size=4096, keep_samples=True)
+    a = simulate(config, scenarios, 2000, 21, chunk_size=257, keep_samples=True)
+    b = simulate(config, scenarios, 2000, 21, chunk_size=4096, keep_samples=True)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.var, b.var)
     assert np.array_equal(a.es, b.es)
@@ -490,15 +476,15 @@ def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
     whole number of kernel sub-blocks: reports are bitwise equal at 1 and 2
     threads, and the paths on both sides of a block seam and of sub-block
     seams match the straight-line oracle."""
-    config, model, scenarios = paper_market_t3
+    config, scenarios = paper_market_t3
     layout = _build_layout(config)
     # chunks [0, 2501) and [2501, 5000), each evaluated in two blocks
     start, count = 2501, 2499
     bounds = montecarlo._path_blocks(layout, start, count)
     assert len(bounds) == 3
     kw = dict(chunk_size=start, check_invariants=True)
-    a = simulate(config, model, scenarios, 5000, 8, threads=1, **kw)
-    b = simulate(config, model, scenarios, 5000, 8, threads=2, **kw)
+    a = simulate(config, scenarios, 5000, 8, threads=1, **kw)
+    b = simulate(config, scenarios, 5000, 8, threads=2, **kw)
     assert reports_equal(a, b)
 
     widths = []  # paths of each kernel sub-block, in order
@@ -509,13 +495,13 @@ def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
         return carve(flat, paths, *shapes)
 
     monkeypatch.setattr(kernels, "_carve", recording_carve)
-    engine = exposures_for_paths(config, model, scenarios, 8, start, count)
+    engine = exposures_for_paths(config, scenarios, 8, start, count)
     step = widths[0]
     first = bounds[1] - start
     assert first % step  # the first block ends in a short sub-block
     short = start + first // step * step
     for seam in (start + step, short, bounds[1]):
-        draws = sample_draws(config, model, 8, seam - 1, 2)  # the paths either side
+        draws = sample_draws(config, 8, seam - 1, 2)  # the paths either side
         for c in range(2):
             ref = oracle_exposures(draws[c], scenarios)
             for s, scen in enumerate(scenarios):
@@ -528,7 +514,7 @@ def test_simulate_dealer_with_no_positions():
     """An all-zero dealer is legal: zero exposures, zero tail, nan-free report
     except for the undefined 0/0 ratios."""
     config = make_config([[1.0, 1.0], [2.0, 1.0], [0.0, 0.0]], betas=[1.0, 0.5])
-    report = simulate(config, None, [no_ccp(), single_ccp(0, 0.9, name="one")], 1500, 1)
+    report = simulate(config, [no_ccp(), single_ccp(0, 0.9, name="one")], 1500, 1)
     assert (report.ee[:, 2] == 0).all()
     assert (report.var[:, 2] == 0).all()
     assert (report.es[:, 2] == 0).all()
@@ -543,7 +529,7 @@ def test_simulate_zero_fraction_scenarios_bitwise_equal_base():
         single_ccp(0, 0.0, name="idle_single"),
         joint_ccp([(0, 0.0), (1, 0.0)], name="idle_joint"),
     ]
-    report = simulate(config, None, scenarios, 2000, 3)
+    report = simulate(config, scenarios, 2000, 3)
     for s in (1, 2):
         assert np.array_equal(report.ee[0], report.ee[s])
         assert np.array_equal(report.var[0], report.var[s])
@@ -558,8 +544,8 @@ def test_simulate_scales_linearly_with_notionals():
     doubled = make_config(
         2.0 * config.notional_matrix(), betas=[0.5, 1.0], rho=0.1
     )
-    a = simulate(config, None, scenarios, 2000, 9)
-    b = simulate(doubled, None, scenarios, 2000, 9)
+    a = simulate(config, scenarios, 2000, 9)
+    b = simulate(doubled, scenarios, 2000, 9)
     assert np.array_equal(2.0 * a.ee, b.ee)
     assert np.array_equal(2.0 * a.var, b.var)
     assert np.array_equal(2.0 * a.mean_max, b.mean_max)
@@ -569,7 +555,7 @@ def test_simulate_tail_measures_single_pair():
     """Degenerate two-dealer market: the exposure is max(s*Y, 0) with s known,
     so the 99% quantile and its tail mean have quadrature oracles."""
     config = make_config([[1.0], [1.0]], betas=[1.0])
-    report = simulate(config, None, [no_ccp()], 1_000_000, 17, chunk_size=65536)
+    report = simulate(config, [no_ccp()], 1_000_000, 17, chunk_size=65536)
     sigma = 1000.0  # unit pair scale, reported in millions
     q_ref, es_ref = quad_tail_stats(1.0, 0.99)
     assert q_ref == pytest.approx(2.3263478740408408, rel=1e-9)
@@ -581,8 +567,8 @@ def test_simulate_tail_measures_single_pair():
 
 
 def test_simulate_ee_matches_analytic_within_three_se(paper_market):
-    config, model, scenarios, _ = paper_market
-    report = simulate(config, model, scenarios, 20_000, 29, threads=2)
+    config, scenarios, _ = paper_market
+    report = simulate(config, scenarios, 20_000, 29, threads=2)
     for s, scen in enumerate(scenarios):
         ref = 1000.0 * np.array(
             analytic.scenario_expected_exposures(config, scen).per_dealer
@@ -595,20 +581,20 @@ def test_clearing_benefit_grows_with_correlation(paper_market):
     """Regression on the default market (not a general theorem): positive
     cross-class correlation erodes bilateral netting, so the cleared
     scenarios' total-EE ratios fall when rho rises from 0 to 0.1."""
-    config0, model0, scenarios, _ = paper_market
+    config0, scenarios, _ = paper_market
     z = config0.notional_matrix()
     betas = [c.beta for c in config0.classes]
     ratios = {}
     for rho in (0.0, 0.1):
         config = make_config(z, betas, rho=rho)
-        report = simulate(config, None, scenarios, 30_000, 55, threads=2)
+        report = simulate(config, scenarios, 30_000, 55, threads=2)
         ratios[rho] = report.total_ee_ratio
     assert (ratios[0.1][1:] <= ratios[0.0][1:] + 0.002).all()
 
 
 def test_simulate_risk_measure_orderings():
     config, scenarios = _small_market()
-    report = simulate(config, None, scenarios, 5000, 2, check_invariants=True)
+    report = simulate(config, scenarios, 5000, 2, check_invariants=True)
     assert (report.es >= report.var).all()
     assert (report.var >= 0).all()
     assert (report.ee >= 0).all()
@@ -618,16 +604,16 @@ def test_simulate_risk_measure_orderings():
 
 def test_simulate_low_confidence_flag():
     config, scenarios = _small_market()
-    report = simulate(config, None, scenarios, 1000, 4)
+    report = simulate(config, scenarios, 1000, 4)
     # 1% of 1000 paths leaves ~10 exceedances per cell: every cell low-confidence
     assert report.low_confidence.all()
-    bigger = simulate(config, None, scenarios, 20_000, 4)
+    bigger = simulate(config, scenarios, 20_000, 4)
     assert not bigger.low_confidence.any()
 
 
 def test_simulate_histograms():
     config, scenarios = _small_market()
-    report = simulate(config, None, scenarios, 2000, 6, collect_histograms=True)
+    report = simulate(config, scenarios, 2000, 6, collect_histograms=True)
     assert set(report.histograms) == {"one", "two_ccps", "joint_ccp"}
     for edges, counts in report.histograms.values():
         assert len(edges) == len(counts) + 1
@@ -642,12 +628,12 @@ def test_freedman_diaconis_edges_degenerate():
 
 def test_write_path_dump(tmp_path):
     config, scenarios = _small_market()
-    report = simulate(config, None, scenarios, 1000, 8, keep_samples=True)
+    report = simulate(config, scenarios, 1000, 8, keep_samples=True)
     out = tmp_path / "paths.csv"
     write_path_dump(report, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario,dealer,value"
     assert len(lines) == 1 + len(scenarios) * config.n_dealers * 1000
-    no_samples = simulate(config, None, scenarios, 1000, 8)
+    no_samples = simulate(config, scenarios, 1000, 8)
     with pytest.raises(ValueError):
         write_path_dump(no_samples, out)
