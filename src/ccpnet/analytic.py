@@ -14,6 +14,7 @@ the source data.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,7 +252,9 @@ def threshold_surface(
 
 
 def write_surface(path, alpha_grid, rho_grid, surface: np.ndarray) -> None:
-    """Emit the surface as delimited text with columns alpha, rho, n_star."""
+    """Emit the surface as delimited text with columns alpha, rho, n_star,
+    creating the file's directory when it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     alphas = np.asarray(alpha_grid, dtype=float).tolist()
     rhos = [repr(rho) for rho in np.asarray(rho_grid, dtype=float).tolist()]
     with open(path, "w") as fh:

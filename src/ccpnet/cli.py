@@ -139,6 +139,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    dataio.check_output_path(args.out, is_dir=False)
     # threshold_surface sets rho per cell from the grid
     spec = _homogeneous_spec(args, 0.0)
     alpha_grid = _parse_grid(args.alpha_grid)
@@ -167,6 +168,8 @@ def cmd_scenarios(args) -> int:
     if args.out is not None:
         rc.out_dir = args.out
 
+    montecarlo.check_run_args(rc.paths, rc.seed, args.threads, args.level)
+    dataio.check_output_path(rc.out_dir, is_dir=True)
     config, scenarios, assumptions = dataio.build_market(rc)
     print(
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
@@ -209,6 +212,7 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_report(args) -> int:
+    dataio.check_output_path(args.out, is_dir=True)
     report = dataio.load_report(args.dump)
     files = dataio.write_report(report, args.out)
     for name, path in sorted(files.items()):

@@ -380,6 +380,20 @@ def _meta_lines(report: RiskReport) -> list[str]:
     return lines
 
 
+def check_output_path(path: str, is_dir: bool) -> None:
+    """Raise ConfigError unless ``path`` can be written as an output
+    directory (``is_dir``) or file: it must not exist as the other kind, and
+    the nearest of its ancestors that exists must be a directory."""
+    if os.path.exists(path) and os.path.isdir(path) != is_dir:
+        want, got = ("directory", "file") if is_dir else ("file", "directory")
+        raise ConfigError(f"output {want} is a {got}: {path!r}")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output path lies under a file: {path!r}")
+
+
 def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
     """Emit the human ratio tables, the mean-max table, the full-precision
     dump and (when present) histogram data. Returns name -> path."""

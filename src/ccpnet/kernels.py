@@ -1,10 +1,10 @@
 """Scenario-exposure kernel.
 
-Given a chunk of standardized pair shocks, delivered as consecutive blocks of
-paths, computes every dealer's realized net exposure under every clearing
-scenario. Only the (paths, scenarios, dealers) output spans the chunk.
+Given one block of standardized pair shocks, computes every dealer's realized
+net exposure under every clearing scenario. The caller sizes the blocks and
+streams a chunk of paths through them (``montecarlo._chunk_exposures``).
 
-Each block is walked in sub-blocks of paths. Per direction of the pairs, one
+The block is walked in sub-blocks of paths. Per direction of the pairs, one
 stacked matmul applies a fixed (rows, classes) coefficient matrix per pair to
 that pair's (classes, paths) shocks: the rows are the distinct bilateral
 remainders 1-w and one unit row per class that some CCP clears, scaled by the
@@ -29,8 +29,8 @@ DEFAULT_BACKEND = "numpy"
 
 # Doubles of scratch (2 MB) for one sub-block of paths: its shocks, the
 # per-pair rows and the per-dealer sums. It fits a core's L2 cache, is reused
-# by every sub-block of a block and is freed before the next block is drawn,
-# so it never coexists with the sampling temporaries.
+# by every sub-block of a block and is freed when the kernel returns, so it
+# never coexists with the sampling temporaries of the next block.
 _SCRATCH_DOUBLES = 2**18
 
 
@@ -59,8 +59,7 @@ def _carve(flat: np.ndarray, paths: int, *shapes):
 
 
 def scenario_exposures(
-    blocks,                 # iterable of (block paths, pairs, classes) shocks
-    n_paths: int,           # paths over all blocks
+    y: np.ndarray,          # (paths, pairs, classes) standardized shocks
     s_plus: np.ndarray,     # (pairs, classes) scale, owner -> counterparty
     s_minus: np.ndarray,    # (pairs, classes) scale for the reverse direction
     pair_i: np.ndarray,     # (pairs,) owning dealer of the + direction
@@ -69,12 +68,10 @@ def scenario_exposures(
     ccp_w: np.ndarray,      # (groups, classes) per-CCP clearing weights
     ccp_offsets: np.ndarray,  # (scenarios+1,) group slice per scenario
     n_dealers: int,
+    out: np.ndarray | None = None,  # (paths, scenarios, dealers) destination
 ) -> np.ndarray:
-    """Return realized exposures with shape (n_paths, scenarios, dealers).
-
-    ``blocks`` yields the shocks of consecutive paths, ``n_paths`` rows in
-    all; each block is evaluated before the next one is drawn, so a
-    generator of blocks is never held in memory as a whole.
+    """Return realized exposures with shape (paths, scenarios, dealers),
+    written to ``out`` when it is given.
 
     Bilateral remainders net across classes once per counterparty, so each
     distinct row of ``resid_w`` is evaluated once; scenarios clearing the
@@ -84,7 +81,9 @@ def scenario_exposures(
     weighted sum of it.
     """
     n_pairs, n_classes = s_plus.shape
-    n_scenarios = resid_w.shape[0]
+    n_paths, n_scenarios = y.shape[0], resid_w.shape[0]
+    if out is None:
+        out = np.empty((n_paths, n_scenarios, n_dealers))
     distinct, shared = np.unique(resid_w, axis=0, return_inverse=True)
     shared = shared.reshape(-1)
     n_bilateral = distinct.shape[0]
@@ -110,46 +109,30 @@ def scenario_exposures(
     )
     per_path = sum(math.prod(shape) for shape in shapes)
     step = max(1, _SCRATCH_DOUBLES // per_path)
-
-    def evaluate(y, dest):
-        scratch = np.empty(max(2, min(step, y.shape[0])) * per_path)
-        for a in range(0, y.shape[0], step):
-            sub = y[a : a + step]
-            width = sub.shape[0]
-            # BLAS rounds a one-column product differently, so a lone path
-            # is evaluated as two copies of itself
-            pairwise, shocks, x, sums, ccp, exposure = _carve(
-                scratch, max(2, width), *shapes
-            )
-            np.copyto(pairwise, sub.transpose(1, 2, 0))
-            for (order, coef, slabs, idle), total in zip(directions, sums):
-                ordered = pairwise
-                if order is not None:  # mode="clip" writes to out unbuffered
-                    ordered = np.take(pairwise, order, axis=0, out=shocks, mode="clip")
-                np.matmul(coef, ordered, out=x)
-                bilateral = x[:, :n_bilateral]
-                np.maximum(bilateral, 0.0, out=bilateral)
-                for o, lo, hi in slabs:
-                    np.add.reduce(x[lo:hi], axis=0, out=total[o])
-                total[idle] = 0.0
-            total = np.add(sums[0], sums[1], out=sums[0])
-            np.matmul(w, total[:, n_bilateral:], out=ccp)
-            np.maximum(ccp, 0.0, out=ccp)
-            np.take(total, shared, axis=1, out=exposure, mode="clip")
-            for s in range(n_scenarios):
-                for g in range(ccp_offsets[s], ccp_offsets[s + 1]):
-                    exposure[:, s] += ccp[:, g]
-            np.copyto(dest[a : a + width], exposure[..., :width].transpose(2, 1, 0))
-
-    out = np.empty((n_paths, n_scenarios, n_dealers))
-    start = 0
-    for y in blocks:
-        stop = start + y.shape[0]
-        if stop > n_paths:
-            raise ValueError(f"shock blocks hold more than {n_paths} paths")
-        evaluate(y, out[start:stop])  # its scratch is freed when it returns
-        start = stop
-        del y  # release the block before the next one is drawn
-    if start != n_paths:
-        raise ValueError(f"shock blocks hold {start} paths, expected {n_paths}")
+    scratch = np.empty(max(2, min(step, n_paths)) * per_path)
+    for a in range(0, n_paths, step):
+        sub = y[a : a + step]
+        width = sub.shape[0]
+        # BLAS rounds a one-column product differently, so a lone path is
+        # evaluated as two copies of itself
+        pairwise, shocks, x, sums, ccp, exposure = _carve(scratch, max(2, width), *shapes)
+        np.copyto(pairwise, sub.transpose(1, 2, 0))
+        for (order, coef, slabs, idle), total in zip(directions, sums):
+            ordered = pairwise
+            if order is not None:  # mode="clip" writes to out unbuffered
+                ordered = np.take(pairwise, order, axis=0, out=shocks, mode="clip")
+            np.matmul(coef, ordered, out=x)
+            bilateral = x[:, :n_bilateral]
+            np.maximum(bilateral, 0.0, out=bilateral)
+            for o, lo, hi in slabs:
+                np.add.reduce(x[lo:hi], axis=0, out=total[o])
+            total[idle] = 0.0
+        total = np.add(sums[0], sums[1], out=sums[0])
+        np.matmul(w, total[:, n_bilateral:], out=ccp)
+        np.maximum(ccp, 0.0, out=ccp)
+        np.take(total, shared, axis=1, out=exposure, mode="clip")
+        for s in range(n_scenarios):
+            for g in range(ccp_offsets[s], ccp_offsets[s + 1]):
+                exposure[:, s] += ccp[:, g]
+        np.copyto(out[a : a + width], exposure[..., :width].transpose(2, 1, 0))
     return out

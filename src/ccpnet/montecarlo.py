@@ -11,9 +11,11 @@ numbers), which is what makes scenario differences and the exposure-reduction
 histograms low-variance.
 
 Each chunk streams through uniforms, copula and kernel in equal blocks of a
-bounded number of paths (``_BLOCK_DOUBLES`` uniforms each), so a worker's
-working set is one block's shocks and temporaries plus its chunk's
-(paths, scenarios, dealers) exposures, whatever the chunk size.
+bounded number of paths (``_BLOCK_DOUBLES`` uniforms each): the chunk loop
+draws one block's shocks and hands them to the kernel, which writes that
+block's rows of the chunk's (paths, scenarios, dealers) exposures. A
+worker's working set is one block's shocks and temporaries plus its chunk's
+exposures, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -311,11 +313,12 @@ def _scenario_arrays(scenarios, n_classes: int):
     return resid, ccp_w, np.asarray(offsets, dtype=np.intp)
 
 
-# A chunk is sampled and evaluated in equal blocks of paths (their sizes
-# differ by at most one) holding at most this many uniform doubles, so a
-# worker's working set does not grow with the chunk size. The split moves no
-# bits: the kernel's BLAS products run per pair over classes, with paths as
-# columns, and round every path alike whatever the block or sub-block width.
+# ``_chunk_exposures`` samples and evaluates a chunk in equal blocks of paths
+# (their sizes differ by at most one) holding at most this many uniform
+# doubles, one kernel call per block, so a worker's working set does not grow
+# with the chunk size. The split moves no bits: the kernel's BLAS products run
+# per pair over classes, with paths as columns, and round every path alike
+# whatever the block or sub-block width.
 # 2**21 keeps a 2000-path chunk of the default market in one block, where the
 # benchmark self-test (perfbench/selftest.py) counts one t3 quantile call.
 _BLOCK_DOUBLES = 2**21
@@ -334,19 +337,23 @@ def _chunk_exposures(
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for one chunk of paths.
 
-    The kernel draws each block's shocks just before it evaluates them, so
-    only one block of uniforms and shocks exists at a time."""
+    Each block's shocks are drawn just before the kernel evaluates them and
+    freed when it returns, so only one block of uniforms and shocks exists
+    at a time."""
+    out = np.empty((count, scenario_arrays[0].shape[0], layout.n_dealers))
     bounds = _path_blocks(layout, start, count)
-    return kernels.scenario_exposures(
-        (_shocks(layout, seed, a, b - a) for a, b in zip(bounds, bounds[1:])),
-        count,
-        layout.s_plus,
-        layout.s_minus,
-        layout.pair_i,
-        layout.pair_j,
-        *scenario_arrays,
-        layout.n_dealers,
-    )
+    for a, b in zip(bounds, bounds[1:]):
+        kernels.scenario_exposures(
+            _shocks(layout, seed, a, b - a),
+            layout.s_plus,
+            layout.s_minus,
+            layout.pair_i,
+            layout.pair_j,
+            *scenario_arrays,
+            layout.n_dealers,
+            out=out[a - start : b - start],
+        )
+    return out
 
 
 def exposures_for_paths(
@@ -493,6 +500,19 @@ def _check_pathwise(e: np.ndarray, scenarios) -> None:
                 raise AssertionError("joint-CCP exposure exceeded two-CCP exposure")
 
 
+def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
+    """Raise ConfigError for a path count, seed, thread count or level that
+    ``simulate`` rejects, so a caller can check them before announcing a run."""
+    if n_paths < 1000:
+        raise ConfigError("n_paths below the 10^3 floor")
+    if not 0.0 < level < 1.0:
+        raise ConfigError("risk-measure level must lie in (0, 1)")
+    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
+        raise ConfigError("seed must be an integer in [0, 2**128)")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+
+
 def simulate(
     config: MarketConfig,
     scenarios,
@@ -535,16 +555,9 @@ def simulate(
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique")
-    if n_paths < 1000:
-        raise ConfigError("n_paths below the 10^3 floor")
+    check_run_args(n_paths, seed, threads, level)
     if chunk_size < 1:
         raise ConfigError("chunk_size must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("risk-measure level must lie in (0, 1)")
-    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
-        raise ConfigError("seed must be an integer in [0, 2**128)")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
 
     layout = _build_layout(config)
     arrays = _scenario_arrays(scenarios, layout.n_classes)
@@ -597,11 +610,10 @@ def simulate(
     histograms = None
     if collect_histograms and base_index is not None:
         histograms = {}
-        base = samples[base_index].astype(np.float64)
         for s, scen in enumerate(scenarios):
             if s == base_index:
                 continue
-            eps = (base - samples[s].astype(np.float64)).ravel()
+            eps = np.subtract(samples[base_index], samples[s], dtype=np.float64).ravel()
             edges = freedman_diaconis_edges(eps)
             counts, _ = np.histogram(eps, bins=edges)
             histograms[scen.name] = (edges, counts)

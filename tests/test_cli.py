@@ -159,6 +159,26 @@ def test_surface_bad_grid_exits_2(capsys, tmp_path):
         assert code == 2, (alpha_grid, rho_grid)
 
 
+def test_surface_and_report_out_paths(capsys, tmp_path):
+    """``surface`` creates a missing directory for its file; an ``--out`` of
+    the wrong kind is a config error before any work."""
+    grids = ("--alpha-grid", "3:3:1", "--rho-grid", "0.1:0.1:1")
+    nested = tmp_path / "new" / "deeper" / "surf.csv"
+    code, out, _ = run_cli(capsys, "surface", *grids, "--out", str(nested))
+    assert code == 0 and f"surface={nested}" in out
+    assert nested.read_text().splitlines()[1].split(",")[2] == "17"
+    code, out, err = run_cli(capsys, "surface", *grids, "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert f"config error: output file is a directory: {str(tmp_path)!r}" in err
+    code, _, err = run_cli(capsys, "surface", *grids, "--out", str(nested / "x.csv"))
+    assert code == 2 and "output path lies under a file" in err
+    code, out, err = run_cli(
+        capsys, "report", "--dump", str(tmp_path / "none.csv"), "--out", str(nested)
+    )
+    assert code == 2 and not out
+    assert f"config error: output directory is a file: {str(nested)!r}" in err
+
+
 def test_surface_benchmark_grid_digest(capsys, tmp_path):
     """The 300x300 benchmark grid is pinned byte for byte."""
     out = tmp_path / "surface.csv"
@@ -303,7 +323,27 @@ def test_tail_measures_named_from_level(capsys, tmp_path):
 
 
 def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
-    assert run_cli(capsys, *_scen_args(tmp_path, "x", "--paths", "10"))[0] == 2
+    # rejected run arguments announce no run
+    for flag, value, message in [
+        ("--paths", "10", "n_paths below the 10^3 floor"),
+        ("--level", "1.5", "level must lie in (0, 1)"),
+        ("--threads", "0", "threads must be >= 1"),
+        ("--seed", str(2**130), "seed must be an integer in [0, 2**128)"),
+    ]:
+        code, _, err = run_cli(capsys, *_scen_args(tmp_path, "x", flag, value))
+        assert code == 2 and message in err
+        assert "running" not in err, flag
+    assert not (tmp_path / "x").exists()
+    # an output directory that names a file stops before any path is simulated
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "taken"))
+    assert code == 2
+    assert f"output directory is a file: {str(taken)!r}" in err
+    assert "running" not in err
+    assert taken.read_text() == "kept\n"
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "taken/sub"))
+    assert code == 2 and "output path lies under a file" in err
     assert run_cli(capsys, *_scen_args(tmp_path, "y", "--beta", "swaps"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "z", "--marginal", "credit=cauchy"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "b", "--beta", "swaps=inf"))[0] == 2
@@ -327,10 +367,7 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2
     assert "config error: run config not found" in err
     assert not (tmp_path / "m").exists()
-    # the Philox key is 128 bits, from the command line or a config file
-    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "s", "--seed", str(2**130)))
-    assert code == 2
-    assert "seed must be an integer in [0, 2**128)" in err
+    # the Philox key is 128 bits, from a config file too
     big_seed = tmp_path / "seed.cfg"
     big_seed.write_text(f"seed = {2**128}\n")
     code, _, err = run_cli(

@@ -66,9 +66,7 @@ def test_no_ccp_only_and_empty_groups():
     y, sp, sm, pi, pj, *_, n = _random_problem(7)
     resid, ccp_w, offsets = _scenario_arrays([no_ccp()], 3)
     assert ccp_w.shape[0] == 0
-    out = kernels.scenario_exposures(
-        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
-    )
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
     assert out.shape == (y.shape[0], 1, n)
     assert (out >= 0).all()
 
@@ -77,17 +75,13 @@ def test_zero_fraction_scenario_bitwise_equals_base():
     y, sp, sm, pi, pj, *_, n = _random_problem(11)
     scens = [no_ccp(), single_ccp(1, 0.0, name="idle_ccp")]
     resid, ccp_w, offsets = _scenario_arrays(scens, 3)
-    out = kernels.scenario_exposures(
-        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
-    )
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
     assert np.array_equal(out[:, 0, :], out[:, 1, :])
 
 
 def test_zero_weight_group_adds_exactly_nothing():
     y, sp, sm, pi, pj, resid, ccp_w, offsets, n = _random_problem(13, scenarios=ZERO_GROUP)
-    out = kernels.scenario_exposures(
-        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
-    )
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
     assert np.array_equal(out[:, 1, :], out[:, 2, :])
 
 
@@ -120,9 +114,7 @@ def test_kernel_matches_straight_line_oracle(kwargs):
         3, n_paths=8, **{"n_dealers": 4, **kwargs}
     )
     k = y.shape[2]
-    out = kernels.scenario_exposures(
-        [y], len(y), sp, sm, pi, pj, resid, ccp_w, offsets, n
-    )
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
     assert out.shape == (y.shape[0], len(scenarios), n)
     for c in range(y.shape[0]):
         x = np.zeros((n, n, k))
@@ -134,15 +126,14 @@ def test_kernel_matches_straight_line_oracle(kwargs):
             assert np.allclose(out[c, s], ref[scen.name], rtol=1e-12, atol=1e-10)
 
 
-def test_blocks_match_one_block_and_cover_the_paths():
+def test_out_is_filled_and_returned():
     y, *args = _random_problem(17, n_paths=30)
-    whole = kernels.scenario_exposures([y], 30, *args)
-    split = kernels.scenario_exposures(iter([y[:10], y[10:20], y[20:]]), 30, *args)
-    assert np.allclose(split, whole, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError, match="expected 30"):
-        kernels.scenario_exposures([y[:20]], 30, *args)
-    with pytest.raises(ValueError, match="more than 20"):
-        kernels.scenario_exposures([y[:10], y[10:]], 20, *args)
+    whole = kernels.scenario_exposures(y, *args)
+    out = np.full((40, *whole.shape[1:]), np.nan)
+    result = kernels.scenario_exposures(y, *args, out=out[5:35])
+    assert result.base is out
+    assert np.array_equal(out[5:35], whole)
+    assert np.isnan(out[:5]).all() and np.isnan(out[35:]).all()
 
 
 def test_shuffled_pairs_permute_both_directions():
@@ -159,9 +150,9 @@ def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
     """Each path rounds alike whatever the block and sub-block widths, a
     lone path included."""
     y, *args = _random_problem(19, n_paths=301, n_dealers=7)
-    whole = kernels.scenario_exposures([y], 301, *args)
+    whole = kernels.scenario_exposures(y, *args)
     for cuts in ([1, 2, 300], [150], [7, 100, 299]):
-        split = kernels.scenario_exposures(np.split(y, cuts), 301, *args)
-        assert np.array_equal(split, whole)
+        split = [kernels.scenario_exposures(block, *args) for block in np.split(y, cuts)]
+        assert np.array_equal(np.concatenate(split), whole)
     monkeypatch.setattr(kernels, "_SCRATCH_DOUBLES", 1)  # one path per sub-block
-    assert np.array_equal(kernels.scenario_exposures([y], 301, *args), whole)
+    assert np.array_equal(kernels.scenario_exposures(y, *args), whole)

@@ -207,6 +207,28 @@ def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
     assert peak <= out_nbytes + 2 * block_nbytes
 
 
+def test_chunk_calls_the_kernel_once_per_block(paper_market, monkeypatch):
+    """The chunk loop draws each block's shocks and hands them to the kernel
+    as one array, which writes that block's rows of the chunk output."""
+    config, scenarios, _ = paper_market
+    layout = _build_layout(config)
+    bounds = montecarlo._path_blocks(layout, 0, 4096)
+    calls = []
+    kernel = kernels.scenario_exposures
+
+    def recording_kernel(y, *args, out):
+        calls.append((y, out))
+        return kernel(y, *args, out=out)
+
+    monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
+    e = exposures_for_paths(config, scenarios, 2, 0, 4096)
+    assert e.shape == (4096, len(scenarios), layout.n_dealers)
+    assert len(calls) == len(bounds) - 1 > 1
+    for (y, out), a, b in zip(calls, bounds, bounds[1:]):
+        assert type(y) is np.ndarray and y.shape == (b - a, layout.n_pairs, layout.n_classes)
+        assert out.base is e and np.array_equal(out, e[a:b])
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_shocks_bitwise_equal_one_pass_copula(rho):
     """Shocks are mapped from their uniforms in sub-blocks; the mapping is
@@ -259,8 +281,7 @@ def test_evaluate_scenario_zero_draw_is_zero():
     ii, jj = np.triu_indices(3, k=1)
     scales = np.ones((3, 2))
     e = kernels.scenario_exposures(
-        [np.zeros((1, 3, 2))], 1, scales, scales, ii, jj,
-        *_scenario_arrays(scenarios, 2), 3,
+        np.zeros((1, 3, 2)), scales, scales, ii, jj, *_scenario_arrays(scenarios, 2), 3
     )
     assert np.array_equal(e, np.zeros((1, len(scenarios), 3)))
 
@@ -278,8 +299,7 @@ def test_evaluate_scenario_hand_values():
     # explicit layout: one unit-scale row per ordered pair, no reverse scale
     ii, jj = np.nonzero(~np.eye(3, dtype=bool))
     e = kernels.scenario_exposures(
-        [x[ii, jj][None]],
-        1,
+        x[ii, jj][None],
         np.ones((6, 2)),
         np.zeros((6, 2)),
         ii,
