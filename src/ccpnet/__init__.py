@@ -30,7 +30,6 @@ from .market import (
     HomogeneousSpec,
     Marginal,
     MarketConfig,
-    ScenarioKind,
     ValidationReport,
     joint_ccp,
     no_ccp,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analytic, dataio, montecarlo
-from .market import ConfigError, HomogeneousSpec
+from .market import ConfigError, HomogeneousSpec, validate
 
 
 def _parse_kv(pairs, what, cast=float):
@@ -171,6 +171,7 @@ def cmd_scenarios(args) -> int:
     montecarlo.check_run_args(rc.paths, rc.seed, args.threads, args.level)
     dataio.check_output_path(rc.out_dir, is_dir=True)
     config, scenarios, assumptions = dataio.build_market(rc)
+    validate(config).raise_if_invalid()
     print(
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import (
+    RESERVED_DEALER_NAMES,
     AssetClass,
     ConfigError,
     Dealer,
@@ -382,8 +383,11 @@ def _meta_lines(report: RiskReport) -> list[str]:
 
 def check_output_path(path: str, is_dir: bool) -> None:
     """Raise ConfigError unless ``path`` can be written as an output
-    directory (``is_dir``) or file: it must not exist as the other kind, and
-    the nearest of its ancestors that exists must be a directory."""
+    directory (``is_dir``) or file: it must be non-empty, must not exist as
+    the other kind, and the nearest of its ancestors that exists must be a
+    directory."""
+    if not path:
+        raise ConfigError("output path is empty")
     if os.path.exists(path) and os.path.isdir(path) != is_dir:
         want, got = ("directory", "file") if is_dir else ("file", "directory")
         raise ConfigError(f"output {want} is a {got}: {path!r}")
@@ -563,7 +567,7 @@ def load_report(path: str) -> RiskReport:
     for _, (dealer, scen, *_) in rows[1:]:
         if scen not in scenario_names:
             scenario_names.append(scen)
-        if dealer not in ("__total__", "__max__") and dealer not in dealer_names:
+        if dealer not in RESERVED_DEALER_NAMES and dealer not in dealer_names:
             dealer_names.append(dealer)
     n_scen, n_dealers = len(scenario_names), len(dealer_names)
     ee = np.zeros((n_scen, n_dealers))

@@ -64,26 +64,30 @@ def scenario_exposures(
     s_minus: np.ndarray,    # (pairs, classes) scale for the reverse direction
     pair_i: np.ndarray,     # (pairs,) owning dealer of the + direction
     pair_j: np.ndarray,     # (pairs,) owning dealer of the - direction
-    resid_w: np.ndarray,    # (scenarios, classes) bilateral remainders 1-w
-    ccp_w: np.ndarray,      # (groups, classes) per-CCP clearing weights
-    ccp_offsets: np.ndarray,  # (scenarios+1,) group slice per scenario
+    scenarios,              # ClearingScenario sequence
     n_dealers: int,
     out: np.ndarray | None = None,  # (paths, scenarios, dealers) destination
 ) -> np.ndarray:
     """Return realized exposures with shape (paths, scenarios, dealers),
     written to ``out`` when it is given.
 
+    Each scenario contributes its bilateral remainders
+    ``residual_weights`` and its per-CCP weight vectors ``ccp_groups``.
     Bilateral remainders net across classes once per counterparty, so each
-    distinct row of ``resid_w`` is evaluated once; scenarios clearing the
-    same fractions (two CCPs and one joint CCP) share it. A CCP term
+    distinct remainder row is evaluated once; scenarios clearing the same
+    fractions (two CCPs and one joint CCP) share it. A CCP term
     max(sum_j w . x_ij, 0) is linear inside the max, so each dealer's net
     position in each cleared class is summed once and every CCP group is a
     weighted sum of it.
     """
     n_pairs, n_classes = s_plus.shape
-    n_paths, n_scenarios = y.shape[0], resid_w.shape[0]
+    n_paths, n_scenarios = y.shape[0], len(scenarios)
     if out is None:
         out = np.empty((n_paths, n_scenarios, n_dealers))
+    resid_w = np.array([scen.residual_weights(n_classes) for scen in scenarios])
+    groups = [(s, g) for s, scen in enumerate(scenarios) for g in scen.ccp_groups(n_classes)]
+    group_scenario = [s for s, _ in groups]
+    ccp_w = np.array([g for _, g in groups]).reshape(-1, n_classes)
     distinct, shared = np.unique(resid_w, axis=0, return_inverse=True)
     shared = shared.reshape(-1)
     n_bilateral = distinct.shape[0]
@@ -131,8 +135,7 @@ def scenario_exposures(
         np.matmul(w, total[:, n_bilateral:], out=ccp)
         np.maximum(ccp, 0.0, out=ccp)
         np.take(total, shared, axis=1, out=exposure, mode="clip")
-        for s in range(n_scenarios):
-            for g in range(ccp_offsets[s], ccp_offsets[s + 1]):
-                exposure[:, s] += ccp[:, g]
+        for g, s in enumerate(group_scenario):
+            exposure[:, s] += ccp[:, g]
         np.copyto(out[a : a + width], exposure[..., :width].transpose(2, 1, 0))
     return out

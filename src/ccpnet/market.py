@@ -22,6 +22,9 @@ import numpy as np
 #: Notionals come in as billions USD, exposure reports go out in millions USD.
 MILLIONS_PER_BILLION = 1000.0
 
+#: Dealer names of the report dump's per-scenario total and mean-max rows.
+RESERVED_DEALER_NAMES = ("__total__", "__max__")
+
 
 class ConfigError(ValueError):
     """A configuration violates the preconditions of an engine operation."""
@@ -117,6 +120,11 @@ class ValidationReport:
             raise ConfigError("invalid market config: " + "; ".join(self.violations))
 
 
+def _repeated(names) -> list[str]:
+    """The names that occur more than once, in order of first appearance."""
+    return [name for name, count in Counter(names).items() if count > 1]
+
+
 def validate(config: MarketConfig) -> ValidationReport:
     """Check every market invariant and report violations (empty = valid).
 
@@ -131,10 +139,17 @@ def validate(config: MarketConfig) -> ValidationReport:
     if k < 1:
         v.append("K >= 1 required")
     # reports key their rows by dealer name, so a repeated name merges rows
-    counts = Counter(d.name for d in config.dealers)
-    repeated = [name for name, count in counts.items() if count > 1]
+    names = [d.name for d in config.dealers]
+    repeated = _repeated(names)
     if repeated:
         v.append(f"dealer names must be unique, repeated: {repeated}")
+    reserved = [name for name in RESERVED_DEALER_NAMES if name in names]
+    if reserved:
+        v.append(f"dealer names reserved by the report dump: {reserved}")
+    # scenarios and settings pick classes by name
+    repeated = _repeated(c.name for c in config.classes)
+    if repeated:
+        v.append(f"class names must be unique, repeated: {repeated}")
     for d in config.dealers:
         if len(d.notionals) != k:
             v.append(f"dealer {d.name!r}: notionals length {len(d.notionals)} != K={k}")
@@ -192,13 +207,6 @@ def pair_scale_matrix(config: MarketConfig, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class ScenarioKind(Enum):
-    NO_CCP = "no_ccp"
-    SINGLE_CCP = "single_ccp"
-    TWO_CCPS = "two_ccps"
-    JOINT_CCP = "joint_ccp"
-
-
 @dataclass(frozen=True)
 class ClearedClass:
     """One cleared asset class: which class, what fraction, at which CCP."""
@@ -210,13 +218,14 @@ class ClearedClass:
 
 @dataclass(frozen=True)
 class ClearingScenario:
-    """Which classes are cleared, by how many CCPs, at what fractions.
+    """Which classes are cleared, at what fractions, and at which CCP each.
 
-    A scenario with every fraction zero is behaviorally identical to the
+    The cleared classes are the whole description: none is the no-CCP
+    scenario, and classes at one CCP net against each other there. A
+    scenario with every fraction zero is behaviorally identical to the
     no-CCP scenario in every downstream operation.
     """
 
-    kind: ScenarioKind
     cleared: tuple[ClearedClass, ...]
     name: str
 
@@ -228,17 +237,6 @@ class ClearingScenario:
         ids = [c.class_id for c in self.cleared]
         if len(set(ids)) != len(ids):
             raise ConfigError("cleared class ids must be distinct")
-        ccps = [c.ccp for c in self.cleared]
-        if self.kind is ScenarioKind.NO_CCP and self.cleared:
-            raise ConfigError("no-CCP scenario must clear nothing")
-        if self.kind is ScenarioKind.SINGLE_CCP and len(self.cleared) != 1:
-            raise ConfigError("single-CCP scenario clears exactly one class")
-        if self.kind is ScenarioKind.TWO_CCPS:
-            if len(self.cleared) < 2 or len(set(ccps)) != len(ccps):
-                raise ConfigError("two-CCP scenario needs distinct CCPs per class")
-        if self.kind is ScenarioKind.JOINT_CCP:
-            if not self.cleared or len(set(ccps)) != 1:
-                raise ConfigError("joint-CCP scenario clears every class at one CCP")
 
     def residual_weights(self, n_classes: int) -> np.ndarray:
         """Per-class bilateral remainder ``1 - w_k``."""
@@ -264,14 +262,12 @@ class ClearingScenario:
 
 
 def no_ccp(name: str = "no_ccp") -> ClearingScenario:
-    return ClearingScenario(ScenarioKind.NO_CCP, (), name)
+    return ClearingScenario((), name)
 
 
 def single_ccp(class_id: int, fraction: float, name: str | None = None) -> ClearingScenario:
     return ClearingScenario(
-        ScenarioKind.SINGLE_CCP,
-        (ClearedClass(class_id, fraction, ccp=0),),
-        name or f"ccp_class{class_id}",
+        (ClearedClass(class_id, fraction, ccp=0),), name or f"ccp_class{class_id}"
     )
 
 
@@ -279,12 +275,12 @@ def two_ccps(cleared: list[tuple[int, float]], name: str = "two_ccps") -> Cleari
     entries = tuple(
         ClearedClass(cid, w, ccp=n) for n, (cid, w) in enumerate(cleared)
     )
-    return ClearingScenario(ScenarioKind.TWO_CCPS, entries, name)
+    return ClearingScenario(entries, name)
 
 
 def joint_ccp(cleared: list[tuple[int, float]], name: str = "joint_ccp") -> ClearingScenario:
     entries = tuple(ClearedClass(cid, w, ccp=0) for cid, w in cleared)
-    return ClearingScenario(ScenarioKind.JOINT_CCP, entries, name)
+    return ClearingScenario(entries, name)
 
 
 def standard_scenarios(
@@ -334,6 +330,10 @@ class HomogeneousSpec:
         object.__setattr__(self, "credit_exposures", ce)
         object.__setattr__(self, "alphas", al)
         object.__setattr__(self, "class_names", tuple(self.class_names))
+        # threshold_surface builds a spec per cell: a set keeps the check cheap
+        if len(set(self.class_names)) < len(self.class_names):
+            repeated = _repeated(self.class_names)
+            raise ConfigError(f"class names must be unique, repeated: {repeated}")
         if len(ce) != len(al):
             raise ConfigError("credit_exposures and alphas must have equal length")
         if not ce:

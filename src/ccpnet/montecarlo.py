@@ -33,7 +33,6 @@ from .market import (
     ConfigError,
     Marginal,
     MarketConfig,
-    ScenarioKind,
     pair_scales,
     validate,
 )
@@ -299,20 +298,6 @@ def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.
     return x
 
 
-def _scenario_arrays(scenarios, n_classes: int):
-    resid = np.empty((len(scenarios), n_classes))
-    groups: list[np.ndarray] = []
-    offsets = [0]
-    for s, scen in enumerate(scenarios):
-        resid[s] = scen.residual_weights(n_classes)
-        groups.extend(scen.ccp_groups(n_classes))
-        offsets.append(len(groups))
-    ccp_w = (
-        np.vstack(groups) if groups else np.zeros((0, n_classes))
-    )
-    return resid, ccp_w, np.asarray(offsets, dtype=np.intp)
-
-
 # ``_chunk_exposures`` samples and evaluates a chunk in equal blocks of paths
 # (their sizes differ by at most one) holding at most this many uniform
 # doubles, one kernel call per block, so a worker's working set does not grow
@@ -333,14 +318,14 @@ def _path_blocks(layout: _PairLayout, start: int, count: int) -> list[int]:
 
 
 def _chunk_exposures(
-    layout: _PairLayout, scenario_arrays: tuple, seed: int, start: int, count: int
+    layout: _PairLayout, scenarios, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for one chunk of paths.
 
     Each block's shocks are drawn just before the kernel evaluates them and
     freed when it returns, so only one block of uniforms and shocks exists
     at a time."""
-    out = np.empty((count, scenario_arrays[0].shape[0], layout.n_dealers))
+    out = np.empty((count, len(scenarios), layout.n_dealers))
     bounds = _path_blocks(layout, start, count)
     for a, b in zip(bounds, bounds[1:]):
         kernels.scenario_exposures(
@@ -349,7 +334,7 @@ def _chunk_exposures(
             layout.s_minus,
             layout.pair_i,
             layout.pair_j,
-            *scenario_arrays,
+            scenarios,
             layout.n_dealers,
             out=out[a - start : b - start],
         )
@@ -364,9 +349,7 @@ def exposures_for_paths(
     This is exactly the simulation hot path; ``simulate`` runs it chunk by
     chunk and aggregates.
     """
-    layout = _build_layout(config)
-    arrays = _scenario_arrays(scenarios, layout.n_classes)
-    return _chunk_exposures(layout, arrays, seed, start, count)
+    return _chunk_exposures(_build_layout(config), scenarios, seed, start, count)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +469,18 @@ def _check_pathwise(e: np.ndarray, scenarios) -> None:
     if (e < 0.0).any():
         raise AssertionError("negative realized exposure")
     # a joint CCP nets across classes inside one max, so pathwise it can
-    # never exceed the matching two-CCP scenario
-    keyed: dict[tuple, dict] = {}
+    # never exceed one CCP per class clearing the same fractions
+    separate, joint = {}, []
     for s, scen in enumerate(scenarios):
-        key = tuple(sorted((c.class_id, c.fraction) for c in scen.cleared))
-        keyed.setdefault(key, {})[scen.kind] = s
-    for key, kinds in keyed.items():
-        if ScenarioKind.JOINT_CCP in kinds and ScenarioKind.TWO_CCPS in kinds:
-            ej = e[:, kinds[ScenarioKind.JOINT_CCP], :]
-            et = e[:, kinds[ScenarioKind.TWO_CCPS], :]
+        key = frozenset((c.class_id, c.fraction) for c in scen.cleared)
+        n_ccps = len({c.ccp for c in scen.cleared})
+        if n_ccps == len(scen.cleared):
+            separate[key] = s
+        elif n_ccps == 1:
+            joint.append((key, s))
+    for key, s in joint:
+        if key in separate:
+            ej, et = e[:, s, :], e[:, separate[key], :]
             tol = 1e-9 * (1.0 + np.abs(et))
             if (ej > et + tol).any():
                 raise AssertionError("joint-CCP exposure exceeded two-CCP exposure")
@@ -560,7 +546,6 @@ def simulate(
         raise ConfigError("chunk_size must be >= 1")
 
     layout = _build_layout(config)
-    arrays = _scenario_arrays(scenarios, layout.n_classes)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
 
     base_candidates = [s for s, scen in enumerate(scenarios) if scen.clears_nothing]
@@ -575,7 +560,7 @@ def simulate(
 
     def run_chunk(job):
         ci, start, count = job
-        e = _chunk_exposures(layout, arrays, seed, start, count)
+        e = _chunk_exposures(layout, scenarios, seed, start, count)
         if check_invariants:
             _check_pathwise(e, scenarios)
         samples[:, start : start + count, :] = e.transpose(1, 0, 2)

@@ -99,6 +99,13 @@ def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "threshold", "--ce", str(undecodable))
     assert code == 2
     assert "credit-exposure file is not" in err and str(undecodable) in err
+    # --alpha and --cleared pick a class by name, so a name given twice is ambiguous
+    twice = tmp_path / "twice.csv"
+    twice.write_text("class,exposure\ncredit,1\nrates,2\ncredit,3\n")
+    for extra in ([], ["--alpha", "credit=3"], ["--cleared", "credit"]):
+        code, _, err = run_cli(capsys, "threshold", "--ce", str(twice), *extra)
+        assert code == 2, extra
+        assert "class names must be unique, repeated: ['credit']" in err
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,11 @@ def test_surface_and_report_out_paths(capsys, tmp_path):
     )
     assert code == 2 and not out
     assert f"config error: output directory is a file: {str(nested)!r}" in err
+    dump = tmp_path / "none.csv"
+    for argv in (["surface", *grids], ["report", "--dump", str(dump)]):
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert code == 2 and not out, argv
+        assert "config error: output path is empty" in err
 
 
 def test_surface_benchmark_grid_digest(capsys, tmp_path):
@@ -344,6 +356,32 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert taken.read_text() == "kept\n"
     code, _, err = run_cli(capsys, *_scen_args(tmp_path, "taken/sub"))
     assert code == 2 and "output path lies under a file" in err
+    # a market that fails validation announces no run either
+    table = "dealer,forwards,options,swaps,credit\n{}\n"
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text(table.format("A,1,1,1,1\nA,2,2,2,2"))
+    reserved = tmp_path / "reserved.csv"
+    reserved.write_text(table.format("A,1,1,1,1\n__max__,2,2,2,2"))
+    two_swaps = tmp_path / "two_swaps.csv"
+    two_swaps.write_text("dealer,swaps,swaps,credit\nA,1,2,1\nB,2,1,2\n")
+    for extra, message in [
+        (("--notionals", str(repeated)), "dealer names must be unique"),
+        (("--beta", "swaps=-1"), "class 'swaps': beta must be finite and > 0"),
+        (("--rho", "1.5"), "rho must lie in [0, 1)"),
+        (("--notionals", str(two_swaps)), "class names must be unique, repeated: ['swaps']"),
+        (("--notionals", str(reserved)), "reserved by the report dump: ['__max__']"),
+    ]:
+        code, _, err = run_cli(capsys, *_scen_args(tmp_path, "v", *extra))
+        assert code == 2 and message in err, extra
+        assert "running" not in err, extra
+    assert not (tmp_path / "v").exists()
+    # an empty output path, from a flag or from a config file
+    empty_out = tmp_path / "empty_out.cfg"
+    empty_out.write_text("paths = 1000\nout_dir =\n")
+    for argv in (["--paths", "1000", "--out", ""], ["--config", str(empty_out)]):
+        code, _, err = run_cli(capsys, "scenarios", *argv)
+        assert code == 2 and "config error: output path is empty" in err, argv
+        assert "running" not in err, argv
     assert run_cli(capsys, *_scen_args(tmp_path, "y", "--beta", "swaps"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "z", "--marginal", "credit=cauchy"))[0] == 2
     assert run_cli(capsys, *_scen_args(tmp_path, "b", "--beta", "swaps=inf"))[0] == 2

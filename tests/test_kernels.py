@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from ccpnet import kernels
-from ccpnet.market import joint_ccp, no_ccp, single_ccp, standard_scenarios, two_ccps
-from ccpnet.montecarlo import _scenario_arrays
+from ccpnet.market import (
+    ClearedClass,
+    ClearingScenario,
+    joint_ccp,
+    no_ccp,
+    single_ccp,
+    standard_scenarios,
+    two_ccps,
+)
 from helpers import oracle_exposures
 
 # two_ccps and joint_ccp clear the same fractions, so they share one
@@ -30,6 +37,19 @@ ALL_CLEARED = (
     joint_ccp([(0, 0.5), (1, 0.7), (2, 1.0)], name="all_joint"),
     two_ccps([(0, 0.5), (2, 0.4)], name="two"),
     single_ccp(1, 0.7, name="one"),
+)
+
+# classes 0 and 1 net at one CCP, class 2 at another, beside the same
+# fractions at one CCP per class and at one joint CCP
+MIXED_FRACTIONS = [(0, 0.5), (1, 0.7), (2, 0.4)]
+MIXED = (
+    no_ccp(),
+    ClearingScenario(
+        (ClearedClass(0, 0.5), ClearedClass(1, 0.7), ClearedClass(2, 0.4, ccp=1)),
+        "mixed",
+    ),
+    two_ccps(MIXED_FRACTIONS, name="separate"),
+    joint_ccp(MIXED_FRACTIONS, name="joint"),
 )
 
 
@@ -58,15 +78,13 @@ def _random_problem(
         if antisymmetric
         else np.zeros((n_pairs, n_classes))
     )
-    resid, ccp_w, offsets = _scenario_arrays(scenarios, n_classes)
-    return y, s_plus, s_minus, ii.astype(np.intp), jj.astype(np.intp), resid, ccp_w, offsets, n_dealers
+    return y, s_plus, s_minus, ii.astype(np.intp), jj.astype(np.intp), scenarios, n_dealers
 
 
 def test_no_ccp_only_and_empty_groups():
     y, sp, sm, pi, pj, *_, n = _random_problem(7)
-    resid, ccp_w, offsets = _scenario_arrays([no_ccp()], 3)
-    assert ccp_w.shape[0] == 0
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    assert no_ccp().ccp_groups(3) == []
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, [no_ccp()], n)
     assert out.shape == (y.shape[0], 1, n)
     assert (out >= 0).all()
 
@@ -74,14 +92,13 @@ def test_no_ccp_only_and_empty_groups():
 def test_zero_fraction_scenario_bitwise_equals_base():
     y, sp, sm, pi, pj, *_, n = _random_problem(11)
     scens = [no_ccp(), single_ccp(1, 0.0, name="idle_ccp")]
-    resid, ccp_w, offsets = _scenario_arrays(scens, 3)
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, scens, n)
     assert np.array_equal(out[:, 0, :], out[:, 1, :])
 
 
 def test_zero_weight_group_adds_exactly_nothing():
-    y, sp, sm, pi, pj, resid, ccp_w, offsets, n = _random_problem(13, scenarios=ZERO_GROUP)
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    y, sp, sm, pi, pj, scens, n = _random_problem(13, scenarios=ZERO_GROUP)
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, scens, n)
     assert np.array_equal(out[:, 1, :], out[:, 2, :])
 
 
@@ -96,6 +113,7 @@ def test_zero_weight_group_adds_exactly_nothing():
         {"shuffled": True},
         {"scenarios": NOTHING_CLEARED},
         {"scenarios": ALL_CLEARED},
+        {"scenarios": MIXED},
     ],
     ids=[
         "standard",
@@ -106,15 +124,14 @@ def test_zero_weight_group_adds_exactly_nothing():
         "shuffled",
         "nothing_cleared",
         "all_cleared",
+        "mixed",
     ],
 )
 def test_kernel_matches_straight_line_oracle(kwargs):
     scenarios = kwargs.get("scenarios", STANDARD)
-    y, sp, sm, pi, pj, resid, ccp_w, offsets, n = _random_problem(
-        3, n_paths=8, **{"n_dealers": 4, **kwargs}
-    )
+    y, sp, sm, pi, pj, _, n = _random_problem(3, n_paths=8, **{"n_dealers": 4, **kwargs})
     k = y.shape[2]
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, resid, ccp_w, offsets, n)
+    out = kernels.scenario_exposures(y, sp, sm, pi, pj, scenarios, n)
     assert out.shape == (y.shape[0], len(scenarios), n)
     for c in range(y.shape[0]):
         x = np.zeros((n, n, k))
@@ -137,7 +154,7 @@ def test_out_is_filled_and_returned():
 
 
 def test_shuffled_pairs_permute_both_directions():
-    *_, pi, pj, _, _, _, n = _random_problem(3, n_dealers=4, shuffled=True)
+    *_, pi, pj, _, n = _random_problem(3, n_dealers=4, shuffled=True)
     assert kernels._owner_slabs(pi, n)[0] is not None
     assert kernels._owner_slabs(pj, n)[0] is not None
     # triu rows are already in + owner order; the - direction needs a permutation

@@ -14,7 +14,7 @@ from ccpnet.market import (
     Dealer,
     HomogeneousSpec,
     Marginal,
-    ScenarioKind,
+    MarketConfig,
     joint_ccp,
     no_ccp,
     pair_scale_matrix,
@@ -67,6 +67,25 @@ def test_validate_flags_non_finite_notional_and_beta(bad):
     assert sum("non-finite notional" in v for v in mixed.violations) == 2
     beta = validate(make_config([[1.0, 2.0], [3.0, 1.0]], [1.0, bad]))
     assert any("beta must be finite" in v for v in beta.violations)
+
+
+def test_validate_rejects_reserved_dealer_and_repeated_class_names():
+    config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
+    for reserved in ("__total__", "__max__"):
+        dealers = (*config.dealers[:2], Dealer(2, reserved, (1.0, 1.0)))
+        assert validate(MarketConfig(dealers, config.classes)).violations == (
+            f"dealer names reserved by the report dump: [{reserved!r}]",
+        )
+    twice = make_config(np.ones((3, 2)), betas=[1.0, 1.0], names=["swaps", "swaps"])
+    assert validate(twice).violations == (
+        "class names must be unique, repeated: ['swaps']",
+    )
+
+
+def test_homogeneous_spec_rejects_repeated_class_names():
+    with pytest.raises(ConfigError, match=r"repeated: \['credit'\]"):
+        HomogeneousSpec((1.0, 2.0), (1.0, 1.0), 0.0, 1, class_names=("credit", "credit"))
+    assert HomogeneousSpec((1.0, 2.0), (1.0, 1.0), 0.0, 1).class_names == ()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -151,23 +170,23 @@ def test_scenario_distinct_classes():
         joint_ccp([(0, 0.5), (0, 0.6)])
 
 
-def test_no_ccp_scenario_must_be_empty():
-    with pytest.raises(ConfigError):
-        ClearingScenario(ScenarioKind.NO_CCP, (ClearedClass(0, 0.5),), "bad")
+def test_constructors_place_each_class_at_its_ccp():
     assert no_ccp().cleared == ()
-
-
-def test_two_ccps_need_distinct_ccp_ids():
-    entries = (ClearedClass(0, 0.5, ccp=0), ClearedClass(1, 0.5, ccp=0))
-    with pytest.raises(ConfigError):
-        ClearingScenario(ScenarioKind.TWO_CCPS, entries, "bad")
-    assert two_ccps([(0, 0.5), (1, 0.5)]).kind is ScenarioKind.TWO_CCPS
-
-
-def test_joint_ccp_shares_one_ccp_id():
-    entries = (ClearedClass(0, 0.5, ccp=0), ClearedClass(1, 0.5, ccp=1))
-    with pytest.raises(ConfigError):
-        ClearingScenario(ScenarioKind.JOINT_CCP, entries, "bad")
+    assert single_ccp(1, 0.5).cleared == (ClearedClass(1, 0.5, ccp=0),)
+    assert two_ccps([(0, 0.5), (2, 0.4)]).cleared == (
+        ClearedClass(0, 0.5, ccp=0),
+        ClearedClass(2, 0.4, ccp=1),
+    )
+    assert joint_ccp([(0, 0.5), (2, 0.4)]).cleared == (
+        ClearedClass(0, 0.5, ccp=0),
+        ClearedClass(2, 0.4, ccp=0),
+    )
+    # any placement is a scenario: two classes share a CCP, a third has its own
+    mixed = ClearingScenario(
+        (ClearedClass(0, 0.5), ClearedClass(1, 0.5), ClearedClass(2, 0.4, ccp=1)),
+        "mixed",
+    )
+    assert [g.tolist() for g in mixed.ccp_groups(3)] == [[0.5, 0.5, 0.0], [0.0, 0.0, 0.4]]
 
 
 def test_scenario_weight_vectors():
@@ -191,8 +210,9 @@ def test_standard_scenarios_shape():
         "two_ccps",
         "joint_ccp",
     ]
-    assert scens[0].kind is ScenarioKind.NO_CCP
-    assert scens[3].kind is ScenarioKind.TWO_CCPS
+    assert scens[0].cleared == ()
+    assert [c.ccp for c in scens[3].cleared] == [0, 1]
+    assert [c.ccp for c in scens[4].cleared] == [0, 0]
 
 
 def test_dealer_notionals_coerced_to_floats():

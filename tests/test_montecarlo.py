@@ -12,6 +12,8 @@ from scipy.special import ndtri, stdtrit
 from ccpnet import analytic, kernels, montecarlo
 from ccpnet.market import (
     MILLIONS_PER_BILLION,
+    ClearedClass,
+    ClearingScenario,
     ConfigError,
     Marginal,
     joint_ccp,
@@ -24,8 +26,8 @@ from ccpnet.market import (
 from ccpnet.montecarlo import (
     _MIN_UNIFORM,
     _build_layout,
+    _check_pathwise,
     _copula_values,
-    _scenario_arrays,
     _uniforms,
     empirical_quantile,
     exposures_for_paths,
@@ -281,7 +283,7 @@ def test_evaluate_scenario_zero_draw_is_zero():
     ii, jj = np.triu_indices(3, k=1)
     scales = np.ones((3, 2))
     e = kernels.scenario_exposures(
-        np.zeros((1, 3, 2)), scales, scales, ii, jj, *_scenario_arrays(scenarios, 2), 3
+        np.zeros((1, 3, 2)), scales, scales, ii, jj, scenarios, 3
     )
     assert np.array_equal(e, np.zeros((1, len(scenarios), 3)))
 
@@ -304,7 +306,7 @@ def test_evaluate_scenario_hand_values():
         np.zeros((6, 2)),
         ii,
         jj,
-        *_scenario_arrays([scen], 2),
+        [scen],
         3,
     )[0, 0]
     ref = oracle_exposures(x, [scen])["full_clearing"]
@@ -465,6 +467,35 @@ def test_simulate_deterministic_across_threads_and_reruns():
         assert np.array_equal(a.es, other.es)
         assert np.array_equal(a.mean_max, other.mean_max)
         assert np.array_equal(a.es_exceedances, other.es_exceedances)
+
+
+def test_check_pathwise_pairs_joint_with_one_ccp_per_class():
+    """A joint CCP is checked against one CCP per class at the same
+    fractions; a scenario that nets only some classes together is not."""
+    fractions = [(0, 0.5), (1, 0.7), (2, 0.4)]
+    mixed = ClearingScenario(
+        (ClearedClass(0, 0.5), ClearedClass(1, 0.7), ClearedClass(2, 0.4, ccp=1)),
+        "mixed",
+    )
+    scenarios = (
+        two_ccps(fractions, name="separate"),
+        joint_ccp(fractions, name="joint"),
+        mixed,
+        joint_ccp([(0, 0.5), (1, 0.6), (2, 0.4)], name="other_joint"),
+    )
+    e = np.ones((4, len(scenarios), 3))
+    _check_pathwise(e, scenarios)
+    unpaired = e.copy()
+    unpaired[:, 2:] = 5.0  # above "separate", but neither is its pair
+    _check_pathwise(unpaired, scenarios)
+    joint_above = e.copy()
+    joint_above[1, 1, 0] = 1.5
+    with pytest.raises(AssertionError, match="joint-CCP exposure exceeded"):
+        _check_pathwise(joint_above, scenarios)
+    negative = e.copy()
+    negative[3, 2, 2] = -1.0
+    with pytest.raises(AssertionError, match="negative realized exposure"):
+        _check_pathwise(negative, scenarios)
 
 
 def test_simulate_rejects_negative_seed():
