@@ -41,7 +41,6 @@ from .market import (
 from .montecarlo import (
     RiskReport,
     empirical_quantile,
-    sample_draws,
     simulate,
     student_t3_unit_ppf,
 )

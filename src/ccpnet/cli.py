@@ -207,6 +207,7 @@ def cmd_scenarios(args) -> int:
                 f" mean_max_ratio={report.mean_max_ratio[s]:.6g}"
             )
         print(line)
+    print(f"low_confidence_es_cells={int(report.low_confidence.sum())}")
     for name, path in sorted(files.items()):
         print(f"file_{name}={path}")
     return 0

@@ -336,6 +336,8 @@ class HomogeneousSpec:
             raise ConfigError(f"class names must be unique, repeated: {repeated}")
         if len(ce) != len(al):
             raise ConfigError("credit_exposures and alphas must have equal length")
+        if self.class_names and len(self.class_names) != len(ce):
+            raise ConfigError("class_names must give one name per class")
         if not ce:
             raise ConfigError("at least one asset class required")
         if not _all_positive_finite(ce):

@@ -16,12 +16,17 @@ draws one block's shocks and hands them to the kernel, which writes that
 block's rows of the chunk's (paths, scenarios, dealers) exposures. A
 worker's working set is one block's shocks and temporaries plus its chunk's
 exposures, whatever the chunk size.
+
+A chunk's exposures are reduced as soon as they exist: EE moments, mean-max
+sums, histogram counts and, per (scenario, dealer), the largest values that
+VaR and ES read, all merged in chunk order. No per-path buffer is kept unless
+a path dump asks for one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,20 +229,6 @@ def _uniforms(seed: int, layout: _PairLayout, start: int, count: int) -> np.ndar
     return u.reshape(count, layout.n_pairs, layout.n_classes + 1)
 
 
-def _copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
-    """Map uniforms (..., K+1) to standardized class shocks (..., K).
-
-    Gaussian coordinates come from the equicorrelation factor split
-    sqrt(rho) * common + sqrt(1-rho) * idiosyncratic; t3 classes are pushed
-    through the Gaussian copula (normal CDF, then the t3 quantile). The t3
-    quantile takes the tail probability Phi(-|y|) and gets the sign of y back,
-    so both tails resolve as far as the lower one: Phi(y) itself rounds to
-    1.0 for y above about 8.3. The simulation applies the two steps apart
-    (see ``_shocks``).
-    """
-    return _apply_marginals(_gaussian_copula(u, rho), marginals)
-
-
 def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
     """Equicorrelated standard normals (..., K) from uniforms (..., K+1),
     written to ``out`` when it is given."""
@@ -254,7 +245,13 @@ def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
 
 
 def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
-    """Replace the Gaussian coordinates of t3 classes by t3 ones, in place."""
+    """Replace the Gaussian coordinates of t3 classes by t3 ones, in place.
+
+    The copula pushes a t3 class through the normal CDF, then the t3
+    quantile. The quantile takes the tail probability Phi(-|y|) and gets the
+    sign of y back, so both tails resolve as far as the lower one: Phi(y)
+    itself rounds to 1.0 for y above about 8.3.
+    """
     for k, marginal in enumerate(marginals):
         if marginal is Marginal.STUDENT_T3:
             col = y[..., k]
@@ -273,29 +270,14 @@ _UNIFORM_DOUBLES = 2**18
 
 def _shocks(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:
     """Standardized class shocks for paths [start, start+count):
-    (count, pairs, K), the ``_copula_values`` of their uniforms."""
+    (count, pairs, K): the Gaussian copula of their uniforms, with each t3
+    class's marginal applied."""
     y = np.empty((count, layout.n_pairs, layout.n_classes))
     step = max(1, _UNIFORM_DOUBLES // layout.padded_draws)
     for a in range(0, count, step):
         u = _uniforms(seed, layout, start + a, min(step, count - a))
         _gaussian_copula(u, layout.rho, out=y[a : a + u.shape[0]])
     return _apply_marginals(y, layout.marginals)
-
-
-def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarray:
-    """Position matrices for paths [start, start+count): (count, N, N, K).
-
-    Entry [c, i, j, k] is what dealer i holds in class k facing dealer j
-    (millions USD), identical to what the simulation kernel consumes for the
-    same seed and path indices; used by the oracle-equivalence tests.
-    """
-    layout = _build_layout(config)
-    y = _shocks(layout, seed, start, count)
-    n, k = layout.n_dealers, layout.n_classes
-    x = np.zeros((count, n, n, k))
-    x[:, layout.pair_i, layout.pair_j, :] = y * layout.s_plus
-    x[:, layout.pair_j, layout.pair_i, :] = -y * layout.s_minus
-    return x
 
 
 # ``_chunk_exposures`` samples and evaluates a chunk in equal blocks of paths
@@ -341,20 +323,22 @@ def _chunk_exposures(
     return out
 
 
-def exposures_for_paths(
-    config: MarketConfig, scenarios, seed: int, start: int, count: int
-) -> np.ndarray:
-    """Realized exposures (count, scenarios, dealers) for the given paths.
-
-    This is exactly the simulation hot path; ``simulate`` runs it chunk by
-    chunk and aggregates.
-    """
-    return _chunk_exposures(_build_layout(config), scenarios, seed, start, count)
-
-
 # ---------------------------------------------------------------------------
 # Risk measures
 # ---------------------------------------------------------------------------
+
+
+def _order_statistic(sorted_top: np.ndarray, n: int, level: float) -> float:
+    """Order statistic at index h = (n-1) * level of an ascending n-value
+    sample, interpolated linearly between its neighbours. ``sorted_top``
+    holds the sample's largest values in ascending order (all n of them, or
+    at least ``_tail_size(n, level)``)."""
+    h = (n - 1) * level
+    lo = int(math.floor(h))
+    if lo >= n - 1:
+        return float(sorted_top[-1])
+    x = sorted_top[lo - (n - sorted_top.size) :]
+    return float(x[0] + (h - lo) * (x[1] - x[0]))
 
 
 def empirical_quantile(sorted_sample, level: float) -> float:
@@ -365,40 +349,128 @@ def empirical_quantile(sorted_sample, level: float) -> float:
         raise ValueError("empty sample")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    if x.size == 1:
-        return float(x[0])
-    h = (x.size - 1) * level
-    lo = int(math.floor(h))
-    frac = h - lo
-    if lo >= x.size - 1:
-        return float(x[-1])
-    return float(x[lo] + frac * (x[lo + 1] - x[lo]))
+    return _order_statistic(x, x.size, level)
 
 
-def _tail_stats(sorted_sample: np.ndarray, level: float) -> tuple[float, float, int]:
-    """(VaR, ES, exceedance count): ES is the mean of values above VaR and
-    falls back to VaR itself when nothing exceeds it."""
-    var = empirical_quantile(sorted_sample, level)
-    idx = np.searchsorted(sorted_sample, var, side="right")
-    tail = sorted_sample[idx:]
+def _tail_size(n: int, level: float) -> int:
+    """How many of an n-value sample's largest values ``_tail_stats`` reads:
+    the order statistic at floor((n-1) * level) and all above it, at most
+    ceil((1-level) * n) + 1 values."""
+    return n - int(math.floor((n - 1) * level))
+
+
+def _tail_stats(
+    sorted_top: np.ndarray, level: float, n: int | None = None
+) -> tuple[float, float, int]:
+    """(VaR, ES, exceedance count) of an n-value sample from its largest
+    values in ascending order: all n of them (n defaults to their count) or
+    at least ``_tail_size(n, level)``. ES is the mean of the values above
+    VaR and falls back to VaR itself when nothing exceeds it."""
+    n = sorted_top.size if n is None else n
+    var = _order_statistic(sorted_top, n, level)
+    idx = np.searchsorted(sorted_top, var, side="right")
+    tail = sorted_top[idx:]
     if tail.size == 0:
         return var, var, 0
     return var, float(tail.mean()), int(tail.size)
 
 
-def freedman_diaconis_edges(values: np.ndarray, max_bins: int = 2000) -> np.ndarray:
-    """Histogram bin edges with the Freedman-Diaconis width, capped."""
+def _top(values: np.ndarray, m: int) -> np.ndarray:
+    """The m largest entries of each column of ``values`` along axis 0 (all
+    of them when there are no more), unordered. ``values`` is partitioned
+    in place and the top rows are copied out, so it can be freed."""
+    k = values.shape[0] - m
+    if k <= 0:
+        return values
+    values.partition(k, axis=0)
+    return values[k:].copy()
+
+
+_MAX_BINS = 2000
+
+
+def freedman_diaconis_edges(
+    values: np.ndarray, max_bins: int = _MAX_BINS, n_total: int | None = None
+) -> np.ndarray:
+    """Histogram bin edges on a Freedman-Diaconis grid through ``values``.
+
+    Bins of width 2 IQR / n^(1/3), with n = ``n_total`` (default: the
+    number of values), start at the minimum and run to the bin holding the
+    maximum; neighbouring bins merge pairwise while there are more than
+    ``max_bins``. A constant sample gets the one bin [v - 0.5, v + 0.5], and
+    a zero IQR one bin as wide as the range. ``simulate`` fixes its grid
+    from chunk 0 with n the run's total count, so its bins are as fine as
+    those of the whole run's values.
+    """
     v = np.asarray(values, dtype=float)
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
         return np.array([lo - 0.5, hi + 0.5])
     q25, q75 = np.percentile(v, [25.0, 75.0])
-    width = 2.0 * (q75 - q25) / v.size ** (1.0 / 3.0)
-    if width <= 0:
-        n_bins = 1
-    else:
-        n_bins = int(np.clip(math.ceil((hi - lo) / width), 1, max_bins))
-    return np.linspace(lo, hi, n_bins + 1)
+    n = v.size if n_total is None else n_total
+    width = 2.0 * (q75 - q25) / n ** (1.0 / 3.0)
+    if not width > 0.0:
+        width = hi - lo
+    n_bins = math.floor((hi - lo) / width) + 1
+    while n_bins > max_bins:
+        width *= 2.0
+        n_bins = math.floor((hi - lo) / width) + 1
+    return lo + width * np.arange(n_bins + 1)
+
+
+def _histogram_grid(values: np.ndarray, n_total: int) -> tuple[float, float]:
+    """(origin, width) of the grid continuing the first bin of
+    ``freedman_diaconis_edges(values, n_total=n_total)``."""
+    edges = freedman_diaconis_edges(values, n_total=n_total)
+    return float(edges[0]), float(edges[1] - edges[0])
+
+
+# A streamed histogram is (first, shift, counts): counts[i] is the number of
+# values in bin j = first + i of the grid origin + width * 2^shift * [j, j+1).
+# Bin indices are integers computed once at shift 0, so merging neighbouring
+# bins is j >> 1 and the counts do not depend on when bins were merged.
+
+
+def _coarsen(hist, shift: int):
+    """``hist`` with neighbouring bins merged pairwise up to ``shift``."""
+    first, old, counts = hist
+    if shift == old:
+        return hist
+    j = (first + np.arange(counts.size)) >> (shift - old)
+    return int(j[0]), shift, np.bincount(j - j[0], weights=counts).astype(np.int64)
+
+
+def _chunk_histogram(values: np.ndarray, grid: tuple[float, float], max_bins: int):
+    """Histogram of ``values`` on ``grid`` = (origin, width), with at most
+    ``max_bins`` bins."""
+    origin, width = grid
+    j = np.floor((values - origin) / width).astype(np.int64)
+    lo, hi = int(j.min()), int(j.max())
+    shift = 0
+    while (hi >> shift) - (lo >> shift) >= max_bins:
+        shift += 1
+    j >>= shift
+    return lo >> shift, shift, np.bincount(j - (lo >> shift))
+
+
+def _merge_histograms(a, b, max_bins: int):
+    """The histogram of both streams, with at most ``max_bins`` bins."""
+    shift = max(a[1], b[1])
+    a, b = _coarsen(a, shift), _coarsen(b, shift)
+    first = min(a[0], b[0])
+    counts = np.zeros(max(a[0] + a[2].size, b[0] + b[2].size) - first, dtype=np.int64)
+    for f, _, c in (a, b):
+        counts[f - first : f - first + c.size] += c
+    hist = (first, shift, counts)
+    while hist[2].size > max_bins:
+        hist = _coarsen(hist, hist[1] + 1)
+    return hist
+
+
+def _histogram_edges(grid: tuple[float, float], hist) -> np.ndarray:
+    origin, width = grid
+    first, shift, counts = hist
+    return origin + (width * 2.0**shift) * np.arange(first, first + counts.size + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +603,17 @@ def simulate(
     chunk_size
         Paths per chunk (>= 1). Each worker evaluates its chunk in blocks of
         bounded size, so its working set does not grow with ``chunk_size``;
-        the chunk size still regroups the EE sums, so it is part of what
-        fixes the report's bits.
+        the chunk size still regroups the EE sums and fixes the histogram
+        grid, so it is part of what fixes the report's bits.
+    collect_histograms
+        Histogram, for each scenario but the base, the per-path and
+        per-dealer exposure reductions against the base. The grid is fixed
+        from chunk 0 (see ``freedman_diaconis_edges``) and widened by whole
+        bins to every chunk's values.
+    keep_samples
+        Keep every realized exposure, as float32, for ``write_path_dump``.
+        Without it, memory does not grow with ``n_paths`` beyond the tail
+        buffers of about (1 - level) * n_paths values per cell.
     """
     validate(config).raise_if_invalid()
     scenarios = tuple(scenarios)
@@ -550,58 +631,98 @@ def simulate(
 
     base_candidates = [s for s, scen in enumerate(scenarios) if scen.clears_nothing]
     base_index = base_candidates[0] if base_candidates else None
+    compared = []  # scenarios histogrammed against the base
+    if collect_histograms and base_index is not None:
+        compared = [s for s in range(n_scen) if s != base_index]
+    # chunk 0 fixes each compared scenario's histogram grid; the other
+    # chunks wait for it before they count
+    grids = Future()
+    m = _tail_size(n_paths, level)
+    samples = None
+    if keep_samples:
+        samples = np.empty((n_scen, n_paths, n_dealers), dtype=np.float32)
 
-    samples = np.empty((n_scen, n_paths, n_dealers), dtype=np.float32)
+    def differences(e, s):
+        return np.subtract(e[:, base_index], e[:, s]).ravel()
+
+    def reduce_chunk(ci, start, count):
+        e = _chunk_exposures(layout, scenarios, seed, start, count)
+        if check_invariants:
+            _check_pathwise(e, scenarios)
+        if samples is not None:
+            samples[:, start : start + count, :] = e.transpose(1, 0, 2)
+        mean = e.sum(axis=0) / count
+        sq_dev = np.empty_like(mean)  # per cell, the sum of squared deviations
+        for s in range(n_scen):
+            d = e[:, s] - mean[s]
+            d *= d
+            sq_dev[s] = d.sum(axis=0)
+        mm = e.max(axis=2).sum(axis=0)
+        hists = []
+        if compared:
+            if ci == 0:
+                n_values = n_paths * n_dealers
+                grids.set_result(
+                    [_histogram_grid(differences(e, s), n_values) for s in compared]
+                )
+            hists = [
+                _chunk_histogram(differences(e, s), grid, _MAX_BINS)
+                for s, grid in zip(compared, grids.result())
+            ]
+        return count, mean, sq_dev, mm, hists, _top(e, m)
+
+    def run_chunk(job):
+        try:
+            return reduce_chunk(*job)
+        except BaseException as exc:
+            if job[0] == 0 and not grids.done():
+                grids.set_exception(exc)  # release the chunks waiting for the grid
+            raise
 
     chunks = [
         (ci, start, min(chunk_size, n_paths - start))
         for ci, start in enumerate(range(0, n_paths, chunk_size))
     ]
-
-    def run_chunk(job):
-        ci, start, count = job
-        e = _chunk_exposures(layout, scenarios, seed, start, count)
-        if check_invariants:
-            _check_pathwise(e, scenarios)
-        samples[:, start : start + count, :] = e.transpose(1, 0, 2)
-        return ci, e.sum(axis=0), (e * e).sum(axis=0), e.max(axis=2).sum(axis=0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, chunks))
-    else:
-        partials = [run_chunk(job) for job in chunks]
-
-    ee_sum = np.zeros((n_scen, n_dealers))
-    sq_sum = np.zeros((n_scen, n_dealers))
+    # Chunk results merge in chunk order as they arrive, so the report's bits
+    # do not depend on the thread count and no chunk's output outlives its
+    # merge. EE moments use the pairwise update of Chan, Golub and LeVeque
+    # (1983); the top-m buffers and histogram counts merge exactly.
+    n = 0
+    ee = np.zeros((n_scen, n_dealers))
+    m2 = np.zeros((n_scen, n_dealers))
     mm_sum = np.zeros(n_scen)
-    for _, esum, sqsum, mmsum in sorted(partials, key=lambda p: p[0]):
-        ee_sum += esum
-        sq_sum += sqsum
-        mm_sum += mmsum
+    tops = hists = None
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = pool.map(run_chunk, chunks) if threads > 1 else map(run_chunk, chunks)
+        for count, c_mean, c_m2, c_mm, c_hists, c_top in results:
+            total = n + count
+            delta = c_mean - ee
+            ee += delta * (count / total)
+            m2 += c_m2 + delta * delta * (n * count / total)
+            n = total
+            mm_sum += c_mm
+            tops = c_top if tops is None else _top(np.concatenate((tops, c_top)), m)
+            hists = c_hists if hists is None else [
+                _merge_histograms(h, c, _MAX_BINS) for h, c in zip(hists, c_hists)
+            ]
 
-    ee = ee_sum / n_paths
-    ee_se = np.sqrt(np.maximum(sq_sum / n_paths - ee * ee, 0.0) / n_paths)
+    ee_se = np.sqrt(m2 / n_paths / n_paths)
     mean_max = mm_sum / n_paths
 
     var = np.empty((n_scen, n_dealers))
     es = np.empty((n_scen, n_dealers))
     exceed = np.empty((n_scen, n_dealers), dtype=np.int64)
     for s in range(n_scen):
-        for n in range(n_dealers):
-            xs = np.sort(samples[s, :, n].astype(np.float64))
-            var[s, n], es[s, n], exceed[s, n] = _tail_stats(xs, level)
+        for d in range(n_dealers):
+            var[s, d], es[s, d], exceed[s, d] = _tail_stats(
+                np.sort(tops[:, s, d]), level, n_paths
+            )
 
     histograms = None
-    if collect_histograms and base_index is not None:
+    if compared:
         histograms = {}
-        for s, scen in enumerate(scenarios):
-            if s == base_index:
-                continue
-            eps = np.subtract(samples[base_index], samples[s], dtype=np.float64).ravel()
-            edges = freedman_diaconis_edges(eps)
-            counts, _ = np.histogram(eps, bins=edges)
-            histograms[scen.name] = (edges, counts)
+        for s, grid, hist in zip(compared, grids.result(), hists):
+            histograms[scenarios[s].name] = (_histogram_edges(grid, hist), hist[2])
 
     return RiskReport(
         dealer_names=tuple(d.name for d in config.dealers),
@@ -618,7 +739,7 @@ def simulate(
         base_index=base_index,
         assumptions=tuple(assumptions),
         histograms=histograms,
-        samples=samples if keep_samples else None,
+        samples=samples,
     )
 
 
@@ -631,5 +752,6 @@ def write_path_dump(report: RiskReport, path) -> None:
         fh.write("scenario,dealer,value\n")
         for s, sname in enumerate(report.scenario_names):
             for n, dname in enumerate(report.dealer_names):
-                for v in report.samples[s, :, n]:
-                    fh.write(f"{sname},{dname},{float(v)!r}\n")
+                prefix = f"{sname},{dname},"
+                values = report.samples[s, :, n].tolist()
+                fh.write("".join(f"{prefix}{v!r}\n" for v in values))

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and small config builders.
+"""Shared test utilities: independent oracles, small config builders, and
+the engine entry points that only tests call.
 
 The oracles here re-implement the exposure definitions in deliberately
 straight-line Python so they cannot share bugs with the engine's vectorized
@@ -12,6 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from ccpnet import montecarlo
 from ccpnet.market import (
     AssetClass,
     ConfigError,
@@ -87,6 +89,38 @@ def quad_tail_stats(sigma: float, level: float) -> tuple[float, float]:
     q = brentq(lambda x: cdf_above(x) - (1.0 - level), 0.0, 10.0 * sigma, xtol=1e-12)
     tail_mean = quad(lambda x: x * pdf(x), q, 40 * sigma, limit=200)[0] / cdf_above(q)
     return q, tail_mean
+
+
+def copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
+    """Standardized class shocks (..., K) from uniforms (..., K+1) in one
+    pass: the engine's Gaussian copula, then its t3 marginals."""
+    return montecarlo._apply_marginals(montecarlo._gaussian_copula(u, rho), marginals)
+
+
+def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarray:
+    """Position matrices for paths [start, start+count): (count, N, N, K).
+
+    Entry [c, i, j, k] is what dealer i holds in class k facing dealer j
+    (millions USD), built from the shocks the simulation kernel consumes for
+    the same seed and path indices.
+    """
+    layout = montecarlo._build_layout(config)
+    y = montecarlo._shocks(layout, seed, start, count)
+    n, k = layout.n_dealers, layout.n_classes
+    x = np.zeros((count, n, n, k))
+    x[:, layout.pair_i, layout.pair_j, :] = y * layout.s_plus
+    x[:, layout.pair_j, layout.pair_i, :] = -y * layout.s_minus
+    return x
+
+
+def exposures_for_paths(
+    config: MarketConfig, scenarios, seed: int, start: int, count: int
+) -> np.ndarray:
+    """Realized exposures (count, scenarios, dealers) for the given paths:
+    the chunk evaluation ``simulate`` runs before it reduces a chunk."""
+    return montecarlo._chunk_exposures(
+        montecarlo._build_layout(config), scenarios, seed, start, count
+    )
 
 
 def oracle_exposures(x, scenarios):

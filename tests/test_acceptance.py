@@ -14,15 +14,16 @@ import pytest
 from ccpnet import analytic, cli, dataio
 from ccpnet.dataio import RunConfig, build_market
 from ccpnet.market import joint_ccp, no_ccp, single_ccp, two_ccps
-from ccpnet.montecarlo import (
-    _copula_values,
-    exposures_for_paths,
-    sample_draws,
-    simulate,
-    student_t3_unit_ppf,
-)
+from ccpnet.montecarlo import simulate, student_t3_unit_ppf
 from ccpnet.market import Marginal
-from helpers import make_config, oracle_exposures, reports_equal
+from helpers import (
+    copula_values,
+    exposures_for_paths,
+    make_config,
+    oracle_exposures,
+    reports_equal,
+    sample_draws,
+)
 
 PATHS = 100_000
 SEED = 20120601
@@ -263,7 +264,7 @@ def test_criterion_7_property_suite(paper_runs):
 
     # copula parameter recovery at 1e6 draws
     u = np.random.Generator(np.random.Philox(key=82)).random((1_000_000, 1, 3))
-    y = _copula_values(u, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
+    y = copula_values(u, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
     rho_hat = float(np.corrcoef(y.T)[0, 1])
     if abs(rho_hat - 0.1) > 0.01:
         failures.append(f"copula rho {rho_hat:.4f}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ccpnet import cli
+from ccpnet import cli, dataio
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +245,8 @@ def test_scenarios_run_and_outputs(capsys, tmp_path):
         path = kv[name][0]
         assert open(path).read()
     assert "running 5 scenarios" in err  # progress goes to stderr only
+    # every ES cell holds about 200 tail samples at 20,000 paths
+    assert kv["low_confidence_es_cells"] == ["0"]
 
 
 def test_scenarios_byte_identical_across_runs_and_threads(capsys, tmp_path):
@@ -297,6 +299,9 @@ def test_scenarios_dump_paths(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *_scen_args(tmp_path, "dump", "--dump-paths"))
     assert code == 0
     kv = parse_kv(out)
+    # 1000 paths leave about 10 samples in each ES tail: every cell is flagged
+    report = dataio.load_report(kv["file_dump"][0])
+    assert kv["low_confidence_es_cells"] == [str(report.low_confidence.sum())] == ["100"]
     lines = open(kv["file_paths"][0]).read().splitlines()
     assert lines[0] == "scenario,dealer,value"
     assert len(lines) == 1 + 5 * 20 * 1000

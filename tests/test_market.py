@@ -88,6 +88,15 @@ def test_homogeneous_spec_rejects_repeated_class_names():
     assert HomogeneousSpec((1.0, 2.0), (1.0, 1.0), 0.0, 1).class_names == ()
 
 
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c", "d")])
+def test_homogeneous_spec_rejects_class_name_count_mismatch(names):
+    with pytest.raises(ConfigError, match="one name per class"):
+        HomogeneousSpec((1.0, 2.0, 3.0), (1.0, 1.0, 1.0), 0.0, 2, class_names=names)
+    names = ("a", "b", "c")
+    spec = HomogeneousSpec((1.0, 2.0, 3.0), (1.0, 1.0, 1.0), 0.0, 2, class_names=names)
+    assert spec.class_names == names
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_homogeneous_spec_rejects_non_finite(bad):
     with pytest.raises(ConfigError, match="credit exposures"):

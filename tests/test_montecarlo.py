@@ -1,15 +1,17 @@
 """Monte Carlo engine: sampling law, counter determinism, risk measures."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, stdtrit
 
-from ccpnet import analytic, kernels, montecarlo
+from ccpnet import analytic, dataio, kernels, montecarlo
 from ccpnet.market import (
     MILLIONS_PER_BILLION,
     ClearedClass,
@@ -27,18 +29,23 @@ from ccpnet.montecarlo import (
     _MIN_UNIFORM,
     _build_layout,
     _check_pathwise,
-    _copula_values,
     _uniforms,
     empirical_quantile,
-    exposures_for_paths,
     freedman_diaconis_edges,
-    sample_draws,
     simulate,
     student_t3_unit_cdf,
     student_t3_unit_ppf,
     write_path_dump,
 )
-from helpers import make_config, oracle_exposures, quad_tail_stats, reports_equal
+from helpers import (
+    copula_values,
+    exposures_for_paths,
+    make_config,
+    oracle_exposures,
+    quad_tail_stats,
+    reports_equal,
+    sample_draws,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,7 @@ def test_t3_marginal_unit_variance_by_sampling():
 def test_copula_independent_classes_uncorrelated():
     rng = np.random.Generator(np.random.Philox(key=5))
     u = rng.random((100_000, 1, 3))
-    y = _copula_values(u, 0.0, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
+    y = copula_values(u, 0.0, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
     corr = np.corrcoef(y.T)
     assert abs(corr[0, 1]) < 0.01
     assert y[:, 0].std() == pytest.approx(1.0, abs=0.02)
@@ -147,7 +154,7 @@ def test_copula_independent_classes_uncorrelated():
 def test_copula_recovers_linear_correlation():
     rng = np.random.Generator(np.random.Philox(key=6))
     u = rng.random((1_000_000, 1, 3))
-    y = _copula_values(u, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
+    y = copula_values(u, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
     corr = np.corrcoef(y.T)
     assert corr[0, 1] == pytest.approx(0.1, abs=0.01)
 
@@ -164,7 +171,7 @@ def test_copula_bitwise_equals_factor_split(rho):
     u[3, 0, :] = [_MIN_UNIFORM, 0.5, np.nextafter(1.0, 0.0), 0.5]
     u[3, 1, :] = [0.5, _MIN_UNIFORM, 0.5, np.nextafter(1.0, 0.0)]
     before = u.copy()
-    y = _copula_values(u, rho, (Marginal.GAUSSIAN,) * 3)
+    y = copula_values(u, rho, (Marginal.GAUSSIAN,) * 3)
     z = ndtri(u)
     ref = math.sqrt(rho) * z[..., :1] + math.sqrt(1.0 - rho) * z[..., 1:]
     assert np.isfinite(ref).all()
@@ -182,7 +189,7 @@ def test_copula_t3_tails_finite_and_mirrored(rho):
     u[0], u[1] = hi, lo  # common factor and every class at the extreme
     u[2, 0, 1], u[3, 0, 1] = hi, lo  # the t3 class alone
     marginals = (Marginal.STUDENT_T3, Marginal.GAUSSIAN, Marginal.GAUSSIAN)
-    y = _copula_values(u, rho, marginals)[:, 0, 0]
+    y = copula_values(u, rho, marginals)[:, 0, 0]
     assert np.isfinite(y).all()
     assert y[0] > 0 and y[2] > 0
     assert y[0] == pytest.approx(-y[1], rel=1e-12)
@@ -193,7 +200,7 @@ def test_copula_peak_memory_with_t3_class():
     u = np.random.Generator(np.random.Philox(key=9)).random((4096, 190, 5))
     marginals = (Marginal.STUDENT_T3,) + (Marginal.GAUSSIAN,) * 3
     out_nbytes = u[..., 1:].size * 8
-    assert _peak_traced_bytes(_copula_values, u, 0.1, marginals) <= 2.5 * out_nbytes
+    assert _peak_traced_bytes(copula_values, u, 0.1, marginals) <= 2.5 * out_nbytes
 
 
 def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
@@ -241,7 +248,7 @@ def test_shocks_bitwise_equal_one_pass_copula(rho):
     step = montecarlo._UNIFORM_DOUBLES // layout.padded_draws
     count = 2 * step + 7  # two full sub-blocks and a short one
     y = montecarlo._shocks(layout, 4, 3, count)
-    ref = _copula_values(_uniforms(4, layout, 3, count), rho, marginals)
+    ref = copula_values(_uniforms(4, layout, 3, count), rho, marginals)
     assert np.array_equal(y, ref)
 
 
@@ -252,7 +259,7 @@ def test_sample_pair_exposures_scales_and_antisymmetry():
     layout = _build_layout(config)
     # one row per unordered pair, owned by the lower index
     assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (0, 2), (1, 2)]
-    y = _copula_values(_uniforms(9, layout, 0, 1000), config.rho, config.marginals())
+    y = copula_values(_uniforms(9, layout, 0, 1000), config.rho, config.marginals())
     x = sample_draws(config, seed=9, start=0, count=1000)
     for p, (i, j) in enumerate(zip(layout.pair_i, layout.pair_j)):
         s_ij = pair_scale_matrix(config, i)[j] * MILLIONS_PER_BILLION
@@ -418,6 +425,43 @@ def test_empirical_quantile_bounds_and_monotonicity(values, l1, l2):
     assert xs[0] <= q_lo <= q_hi <= xs[-1]
 
 
+def _streamed_tail(x: np.ndarray, chunk: int, level: float):
+    """Tail stats of x from top-m buffers reduced and merged chunk by chunk,
+    as ``simulate`` does per (scenario, dealer) cell."""
+    n = x.size
+    m = montecarlo._tail_size(n, level)
+    top = None
+    for a in range(0, n, chunk):
+        c = montecarlo._top(x[a : a + chunk].reshape(-1, 1, 1).copy(), m)
+        top = c if top is None else montecarlo._top(np.concatenate((top, c)), m)
+    assert top.shape[0] == min(m, n)
+    return montecarlo._tail_stats(np.sort(top[:, 0, 0]), level, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([-1.0, 0.0, 2.5, 7.0]),  # ties
+            st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=400,
+    ),
+    chunk=st.integers(1, 97),
+    level=st.floats(0.5, 0.999),
+)
+@example(values=[3.0] * 250, chunk=64, level=0.99)  # constant sample
+@example(values=list(range(1000)), chunk=300, level=0.999)
+def test_streamed_tail_equals_full_sort(values, chunk, level):
+    """VaR, ES and the exceedance count from merged chunk top-m buffers equal
+    those of the fully sorted float64 sample, bit for bit."""
+    x = np.array(values)
+    n = x.size
+    assert montecarlo._tail_size(n, level) <= math.ceil((1.0 - level) * n) + 1
+    assert _streamed_tail(x, chunk, level) == montecarlo._tail_stats(np.sort(x), level)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -467,6 +511,72 @@ def test_simulate_deterministic_across_threads_and_reruns():
         assert np.array_equal(a.es, other.es)
         assert np.array_equal(a.mean_max, other.mean_max)
         assert np.array_equal(a.es_exceedances, other.es_exceedances)
+
+
+def test_report_and_histogram_files_byte_identical_across_threads(tmp_path):
+    """Five chunks, the last one short: the written report and histograms
+    are the same bytes at 1, 2 and 3 threads."""
+    config, scenarios = _small_market()
+    files = []
+    for threads in (1, 2, 3):
+        report = simulate(
+            config, scenarios, 3000, 12, threads=threads, chunk_size=700,
+            collect_histograms=True,
+        )
+        out = tmp_path / f"t{threads}"
+        dataio.write_report(report, str(out))
+        files.append([(out / f).read_bytes() for f in ("report.csv", "histograms.csv")])
+    assert files[0] == files[1] == files[2]
+
+
+def test_failed_first_chunk_releases_chunks_waiting_for_its_grid(monkeypatch):
+    """Chunk 0 fixes the histogram grid the other chunks wait for; when it
+    fails, they fail too instead of waiting forever."""
+    config, scenarios = _small_market()
+    chunk_exposures = montecarlo._chunk_exposures
+
+    def failing_first_chunk(layout, scens, seed, start, count):
+        if start == 0:
+            time.sleep(0.2)  # let the other workers reach the grid
+            raise RuntimeError("chunk 0 failed")
+        return chunk_exposures(layout, scens, seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "_chunk_exposures", failing_first_chunk)
+    errors = []
+
+    def run():
+        try:
+            simulate(
+                config, scenarios, 3000, 1, threads=3, chunk_size=500,
+                collect_histograms=True,
+            )
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [str(e) for e in errors] == ["chunk 0 failed"]
+
+
+def test_simulate_peak_memory_bounded_in_paths(paper_market):
+    """Without a path dump, the traced peak of ``simulate`` grows with the
+    path count only by its top-m tail buffers."""
+    config, scenarios, _ = paper_market
+    peaks = {}
+    for n_paths in (8192, 32768):
+        tracemalloc.start()
+        try:
+            simulate(config, scenarios, n_paths, 3, collect_histograms=True)
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    cells = len(scenarios) * config.n_dealers
+    top_growth = (
+        montecarlo._tail_size(32768, 0.99) - montecarlo._tail_size(8192, 0.99)
+    ) * cells * 8
+    assert peaks[32768] - peaks[8192] < 1e6 + top_growth
 
 
 def test_check_pathwise_pairs_joint_with_one_ccp_per_class():
@@ -675,15 +785,59 @@ def test_simulate_histograms():
 def test_freedman_diaconis_edges_degenerate():
     edges = freedman_diaconis_edges(np.zeros(100))
     assert len(edges) == 2
+    # more than half the values tied: zero IQR, one bin over the range
+    edges = freedman_diaconis_edges(np.array([0.0] * 60 + [1.0, 5.0]))
+    assert np.array_equal(edges, [0.0, 5.0, 10.0])
+
+
+def test_freedman_diaconis_edges_whole_bins_and_pairwise_cap():
+    v = np.random.default_rng(3).standard_normal(10_000)
+    q25, q75 = np.percentile(v, [25.0, 75.0])
+    width = 2.0 * (q75 - q25) / 10_000 ** (1.0 / 3.0)
+    edges = freedman_diaconis_edges(v)
+    assert edges[0] == v.min() and edges[-2] <= v.max() < edges[-1]
+    assert np.allclose(np.diff(edges), width)
+    # the run's total count fixes the width; the cap doubles it
+    assert np.allclose(np.diff(freedman_diaconis_edges(v, n_total=8 * v.size)), width / 2)
+    capped = freedman_diaconis_edges(v, max_bins=len(edges) // 3)
+    assert len(capped) - 1 <= len(edges) // 3
+    assert np.allclose(np.diff(capped), 4 * width)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 250, 4000])
+def test_streamed_histogram_independent_of_chunking(chunk):
+    """Chunk histograms merged in order count every value in the bin the
+    whole sample puts it in, merged pairwise to the same cap."""
+    v = np.random.default_rng(5).standard_t(3, 4000) * 10.0
+    grid = montecarlo._histogram_grid(v[:250], v.size)
+    whole = montecarlo._chunk_histogram(v, grid, 64)
+    hist = None
+    for a in range(0, v.size, chunk):
+        c = montecarlo._chunk_histogram(v[a : a + chunk], grid, 64)
+        hist = c if hist is None else montecarlo._merge_histograms(hist, c, 64)
+    assert hist[:2] == whole[:2] and np.array_equal(hist[2], whole[2])
+    assert hist[2].sum() == v.size and hist[2].size <= 64
+    assert hist[2][0] > 0 and hist[2][-1] > 0
+    edges = montecarlo._histogram_edges(grid, hist)
+    assert edges[0] <= v.min() and v.max() < edges[-1]
 
 
 def test_write_path_dump(tmp_path):
     config, scenarios = _small_market()
     report = simulate(config, scenarios, 1000, 8, keep_samples=True)
+    assert report.samples.dtype == np.float32
     out = tmp_path / "paths.csv"
     write_path_dump(report, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario,dealer,value"
+    # the same text as one write per value
+    ref = [
+        f"{sname},{dname},{float(v)!r}"
+        for s, sname in enumerate(report.scenario_names)
+        for n, dname in enumerate(report.dealer_names)
+        for v in report.samples[s, :, n]
+    ]
+    assert lines[1:] == ref
     assert len(lines) == 1 + len(scenarios) * config.n_dealers * 1000
     no_samples = simulate(config, scenarios, 1000, 8)
     with pytest.raises(ValueError):
