@@ -194,7 +194,7 @@ def cmd_scenarios(args) -> int:
         files["analytic_ee"] = dataio.write_analytic_ee(config, scenarios, rc.out_dir)
     if args.dump_paths:
         path = os.path.join(rc.out_dir, "paths.csv")
-        montecarlo.write_path_dump(report, path)
+        dataio.write_path_dump(report, path)
         files["paths"] = path
     for s, name in enumerate(report.scenario_names):
         line = (

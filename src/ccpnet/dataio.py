@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .market import (
     single_ccp,
     two_ccps,
 )
-from .montecarlo import RiskReport
+from .montecarlo import RiskReport, check_run_args
 
 # ---------------------------------------------------------------------------
 # Built-in datasets
@@ -367,18 +368,65 @@ def _level_tag(level: float) -> str:
     return f"{level * 100:.10g}"
 
 
-def _meta_lines(report: RiskReport) -> list[str]:
-    lines = [
-        "# ccpnet risk report",
-        f"# seed = {report.seed}",
-        f"# paths = {report.n_paths}",
-        f"# level = {report.level!r}",
-    ]
-    if report.base_index is not None:
-        lines.append(f"# base_scenario = {report.scenario_names[report.base_index]}")
-    for a in report.assumptions:
-        lines.append(f"# assumption = {a}")
-    return lines
+# The report schema, which the writers and load_report iterate. The dump
+# has a row per (scenario, dealer, measure) and per (scenario, scenario row).
+
+_COLUMNS = ("dealer", "scenario", "measure", "value", "ratio_to_base", "std_error")
+
+
+@dataclass(frozen=True)
+class _Measure:
+    """A per-(scenario, dealer) measure: its label, in which ``{tag}`` stands
+    for the level in percent, and the RiskReport arrays behind it."""
+
+    label: str
+    attr: str
+    cast: type = float
+    ratio: str | None = None  # the ratio_to_base column and a ratio table
+    table: str | None = None  # that table's name, when not the label
+    total: str | None = None  # the table's TOTAL row, for an additive measure
+    se: str | None = None     # the std_error column
+
+
+_MEASURES = (
+    _Measure(
+        "ee", "ee", float, "ee_ratio", "expected_exposure", "total_ee_ratio", "ee_se"
+    ),
+    _Measure("var{tag}", "var", ratio="var_ratio"),
+    _Measure("es{tag}", "es", ratio="es_ratio"),
+    _Measure("es{tag}_exceedances", "es_exceedances", cast=int),
+)
+
+_TOTAL, _MAX = RESERVED_DEALER_NAMES
+#: per-scenario rows: dealer, RiskReport array (also the label), its ratios,
+#: and whether load_report reads it (the totals re-derive from the cells)
+_SCENARIO_ROWS = (
+    (_TOTAL, "total_ee", "total_ee_ratio", False),
+    (_MAX, "mean_max", "mean_max_ratio", True),
+)
+
+#: header keys: key, RiskReport field, cast, and the lines it takes: "1"
+#: exactly one, "?" at most one, "*" any number
+_HEADER_KEYS = (
+    ("seed", "seed", int, "1"),
+    ("paths", "n_paths", int, "1"),
+    ("level", "level", float, "1"),
+    ("base_scenario", "base_index", str, "?"),  # written as the scenario's name
+    ("assumption", "assumptions", str, "*"),
+)
+
+_TAG_DIGITS = re.compile(r"\d+(\.\d+)?(e[+-]\d+)?")  # what _level_tag writes
+
+
+def _header(report: RiskReport) -> str:
+    lines = ["# ccpnet risk report\n"]
+    for key, attr, _, count in _HEADER_KEYS:
+        value = getattr(report, attr)
+        if attr == "base_index" and value is not None:
+            value = report.scenario_names[value]
+        values = value if count == "*" else () if value is None else (value,)
+        lines += [f"# {key} = {v}\n" for v in values]
+    return "".join(lines)
 
 
 def check_output_path(path: str, is_dir: bool) -> None:
@@ -403,47 +451,63 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
     dump and (when present) histogram data. Returns name -> path."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
-
+    head = _header(report)
     tag = _level_tag(report.level)
-    ratio_specs = [
-        ("expected_exposure", report.ee_ratio if report.base_index is not None else None),
-        (f"var{tag}", report.var_ratio if report.base_index is not None else None),
-        (f"es{tag}", report.es_ratio if report.base_index is not None else None),
-    ]
-    for measure, ratios in ratio_specs:
-        if ratios is None:
-            continue
-        path = os.path.join(out_dir, f"ratios_{measure}.csv")
+    has_base = report.base_index is not None
+
+    for m in [m for m in _MEASURES if m.ratio and has_base]:
+        name = "ratios_" + (m.table or m.label).format(tag=tag)
+        path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", newline="") as fh:
-            for line in _meta_lines(report):
-                fh.write(line + "\n")
+            fh.write(head)
             writer = csv.writer(fh)
             writer.writerow(["dealer", *report.scenario_names])
+            ratios = getattr(report, m.ratio)
             for n, dealer in enumerate(report.dealer_names):
                 writer.writerow([dealer, *(_fmt(r) for r in ratios[:, n])])
-            if measure == "expected_exposure":
-                # totals only exist for EE: the tail measures are not additive
-                writer.writerow(["TOTAL", *(_fmt(r) for r in report.total_ee_ratio)])
-        files[f"ratios_{measure}"] = path
+            if m.total:
+                writer.writerow(["TOTAL", *(_fmt(r) for r in getattr(report, m.total))])
+        files[name] = path
 
     path = os.path.join(out_dir, "mean_max.csv")
     with open(path, "w", newline="") as fh:
-        for line in _meta_lines(report):
-            fh.write(line + "\n")
+        fh.write(head)
         writer = csv.writer(fh)
-        header = ["scenario", "mean_max_millions"]
-        if report.base_index is not None:
-            header.append("ratio_to_base")
-        writer.writerow(header)
+        ratio = ["ratio_to_base"] if has_base else []
+        writer.writerow(["scenario", "mean_max_millions", *ratio])
         for s, scen in enumerate(report.scenario_names):
-            row = [scen, _fmt(report.mean_max[s])]
-            if report.base_index is not None:
-                row.append(_fmt(report.mean_max_ratio[s]))
-            writer.writerow(row)
+            ratio = [_fmt(report.mean_max_ratio[s])] if has_base else []
+            writer.writerow([scen, _fmt(report.mean_max[s]), *ratio])
     files["mean_max"] = path
 
+    # the dump, at full float precision so that it reloads losslessly
+    def arr(attr, wanted=True):
+        return getattr(report, attr) if attr and wanted else None
+
+    def text(values, at, cast=float):
+        return "" if values is None else repr(cast(values[at]))
+
+    cells = [
+        (m.label.format(tag=tag), m.cast, arr(m.attr), arr(m.ratio, has_base), arr(m.se))
+        for m in _MEASURES
+    ]
+    rows = [(d, a, arr(a), arr(r, has_base)) for d, a, r, _ in _SCENARIO_ROWS]
     path = os.path.join(out_dir, "report.csv")
-    _write_dump(report, path)
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        writer = csv.writer(fh)
+        writer.writerow(_COLUMNS)
+        for s, scen in enumerate(report.scenario_names):
+            for n, dealer in enumerate(report.dealer_names):
+                for label, cast, values, ratios, ses in cells:
+                    writer.writerow([
+                        dealer, scen, label, text(values, (s, n), cast),
+                        text(ratios, (s, n)), text(ses, (s, n)),
+                    ])
+            for dealer, label, values, ratios in rows:
+                writer.writerow(
+                    [dealer, scen, label, text(values, s), text(ratios, s), ""]
+                )
     files["dump"] = path
 
     if report.histograms:
@@ -453,171 +517,106 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
     return files
 
 
-def _write_dump(report: RiskReport, path: str) -> None:
-    """Machine-readable dump at full float precision; reloadable losslessly.
-    The tail measures are named from the level: ``var99``, ``es99`` and
-    ``es99_exceedances`` at 0.99."""
-    tag = _level_tag(report.level)
-    has_base = report.base_index is not None
-    measures = (
-        ("ee", report.ee, report.ee_ratio if has_base else None),
-        (f"var{tag}", report.var, report.var_ratio if has_base else None),
-        (f"es{tag}", report.es, report.es_ratio if has_base else None),
-    )
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(report):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["dealer", "scenario", "measure", "value", "ratio_to_base", "std_error"]
-        )
-        for s, scen in enumerate(report.scenario_names):
-            for n, dealer in enumerate(report.dealer_names):
-                for measure, values, ratio in measures:
-                    writer.writerow(
-                        [
-                            dealer,
-                            scen,
-                            measure,
-                            repr(float(values[s, n])),
-                            "" if ratio is None else repr(float(ratio[s, n])),
-                            repr(float(report.ee_se[s, n])) if measure == "ee" else "",
-                        ]
-                    )
-                writer.writerow(
-                    [
-                        dealer,
-                        scen,
-                        f"es{tag}_exceedances",
-                        str(int(report.es_exceedances[s, n])),
-                        "",
-                        "",
-                    ]
-                )
-            writer.writerow(
-                [
-                    "__total__",
-                    scen,
-                    "total_ee",
-                    repr(float(report.total_ee[s])),
-                    ""
-                    if report.base_index is None
-                    else repr(float(report.total_ee_ratio[s])),
-                    "",
-                ]
-            )
-            writer.writerow(
-                [
-                    "__max__",
-                    scen,
-                    "mean_max",
-                    repr(float(report.mean_max[s])),
-                    ""
-                    if report.base_index is None
-                    else repr(float(report.mean_max_ratio[s])),
-                    "",
-                ]
-            )
-
-
 def load_report(path: str) -> RiskReport:
     """Rebuild a RiskReport from a dump written by :func:`write_report`.
 
-    Header keys it does not use, such as the ``# backend`` line of older
-    dumps, are skipped. Tail measures are read whatever level they are
-    named after: older dumps call them ``var99`` and ``es99`` at any level.
-    A malformed dump is a configuration error naming the file and line."""
+    The lines before the column header are the header, and its unknown keys
+    (the ``# backend`` of older dumps) are skipped; every later line is a
+    data row. Tail labels are read whatever level digits they carry (older
+    dumps say ``var99`` at any level). A dump that lacks or repeats a row,
+    names an unknown measure or holds a header value that no run accepts is
+    a configuration error naming the file and line."""
     if not os.path.isfile(path):
         raise ConfigError(f"report dump not found: {path!r}")
-    meta = {}  # header key -> (line number, value)
-    assumptions = []
-    rows = []  # (line number, fields)
+    header = {}  # key -> [(line number, value)]
     with open_input(path, "report dump", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                stripped = line[1:].strip()
-                if "=" in stripped:
-                    key, value = (p.strip() for p in stripped.split("=", 1))
-                    if key == "assumption":
-                        assumptions.append(value)
-                    else:
-                        meta[key] = (lineno, value)
-            elif line.strip():
-                rows.append((lineno, next(csv.reader([line]))))
-    if not rows:
-        raise ConfigError(f"{path}: empty report dump")
-    header = rows[0][1]
-    if header[:3] != ["dealer", "scenario", "measure"]:
-        raise ConfigError(f"{path}: not a ccpnet report dump")
-    for lineno, row in rows[1:]:
-        if len(row) != 6:
-            raise ConfigError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+            if not line.startswith("#"):
+                break
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                header.setdefault(key.strip(), []).append((lineno, value.strip()))
+        else:
+            raise ConfigError(f"{path}: empty report dump")
+        if next(csv.reader([line]), None) != list(_COLUMNS):
+            raise ConfigError(f"{path}: not a ccpnet report dump")
+        reader = csv.reader(fh)
+        rows = [(lineno + reader.line_num, row) for row in reader if row]
 
-    def meta_value(key, cast):
-        if key not in meta:
-            raise ConfigError(f"{path}: missing '# {key} = ...' header")
-        lineno, value = meta[key]
-        try:
-            return cast(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad {key} value {value!r}") from None
-
-    scenario_names: list[str] = []
-    dealer_names: list[str] = []
-    for _, (dealer, scen, *_) in rows[1:]:
-        if scen not in scenario_names:
-            scenario_names.append(scen)
-        if dealer not in RESERVED_DEALER_NAMES and dealer not in dealer_names:
-            dealer_names.append(dealer)
-    n_scen, n_dealers = len(scenario_names), len(dealer_names)
-    ee = np.zeros((n_scen, n_dealers))
-    ee_se = np.zeros((n_scen, n_dealers))
-    var = np.zeros((n_scen, n_dealers))
-    es = np.zeros((n_scen, n_dealers))
-    exceed = np.zeros((n_scen, n_dealers), dtype=np.int64)
-    mean_max = np.zeros(n_scen)
-    for lineno, (dealer, scen, measure, value, _ratio, std_error) in rows[1:]:
-        s = scenario_names.index(scen)
-        try:
-            if dealer == "__max__":
-                mean_max[s] = float(value)
-                continue
-            if dealer == "__total__":
-                continue  # totals re-derive from the per-dealer values
-            n = dealer_names.index(dealer)
-            if measure == "ee":
-                ee[s, n] = float(value)
-                ee_se[s, n] = float(std_error)
-            elif measure.startswith("var"):
-                var[s, n] = float(value)
-            elif measure.endswith("_exceedances"):
-                exceed[s, n] = int(value)
-            elif measure.startswith("es"):
-                es[s, n] = float(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
-    base_index = None
-    if "base_scenario" in meta:
-        lineno, base = meta["base_scenario"]
-        if base not in scenario_names:
+    kinds = {(None, m.label) for m in _MEASURES}
+    kinds |= {(dealer, label) for dealer, label, _, _ in _SCENARIO_ROWS}
+    cells = {}  # (dealer, scenario, label with {tag}) -> (line number, row)
+    for lineno, row in rows:
+        if len(row) != len(_COLUMNS):
             raise ConfigError(
-                f"{path}:{lineno}: base_scenario {base!r} names no scenario in the dump"
+                f"{path}:{lineno}: expected {len(_COLUMNS)} fields, got {len(row)}"
             )
-        base_index = scenario_names.index(base)
+        dealer, scen, label = row[:3]
+        key = (dealer, scen, _TAG_DIGITS.sub("{tag}", label, count=1))
+        if (dealer if dealer in RESERVED_DEALER_NAMES else None, key[2]) not in kinds:
+            raise ConfigError(f"{path}:{lineno}: unknown measure {label!r}")
+        if key in cells:
+            raise ConfigError(
+                f"{path}:{lineno}: repeated {label} row for {dealer!r} "
+                f"in scenario {scen!r}"
+            )
+        cells[key] = (lineno, row)
+    scenario_names = tuple(dict.fromkeys(scen for _, scen, _ in cells))
+    dealer_names = tuple(
+        dict.fromkeys(d for d, _, _ in cells if d not in RESERVED_DEALER_NAMES)
+    )
+    if not dealer_names:
+        raise ConfigError(f"{path}: no dealer rows")
+
+    fields = {}
+    for key, attr, cast, count in _HEADER_KEYS:
+        lines = header.get(key, [])
+        if count == "1" and not lines:
+            raise ConfigError(f"{path}: missing '# {key} = ...' header")
+        vals = []
+        for lineno, v in lines:
+            try:
+                vals.append(cast(v))
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad {key} value {v!r}") from None
+        if attr == "base_index" and vals:
+            if vals[-1] not in scenario_names:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} {v!r} names no scenario in the dump"
+                )
+            vals = [scenario_names.index(vals[-1])]
+        fields[attr] = tuple(vals) if count == "*" else vals[-1] if vals else None
+    try:
+        check_run_args(fields["n_paths"], fields["seed"], 1, fields["level"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+    shape = (len(scenario_names), len(dealer_names))
+    arrays = {m.attr: np.zeros(shape, dtype=m.cast) for m in _MEASURES}
+    arrays |= {m.se: np.zeros(shape) for m in _MEASURES if m.se}
+    arrays |= {a: np.zeros(shape[0]) for _, a, _, read in _SCENARIO_ROWS if read}
+    try:
+        for s, scen in enumerate(scenario_names):
+            for n, dealer in enumerate(dealer_names):
+                for m in _MEASURES:
+                    lineno, row = cells[dealer, scen, m.label]
+                    arrays[m.attr][s, n] = m.cast(row[3])
+                    if m.se:
+                        arrays[m.se][s, n] = float(row[5])
+            for dealer, attr, _, read in _SCENARIO_ROWS:
+                lineno, row = cells[dealer, scen, attr]
+                if read:
+                    arrays[attr][s] = float(row[3])
+    except KeyError as exc:
+        dealer, scen, label = exc.args[0]
+        label = label.format(tag=_level_tag(fields["level"]))
+        raise ConfigError(
+            f"{path}: no {label} row for {dealer!r} in scenario {scen!r}"
+        ) from None
+    except ValueError:
+        raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
     return RiskReport(
-        dealer_names=tuple(dealer_names),
-        scenario_names=tuple(scenario_names),
-        n_paths=meta_value("paths", int),
-        seed=meta_value("seed", int),
-        level=meta_value("level", float),
-        ee=ee,
-        ee_se=ee_se,
-        var=var,
-        es=es,
-        es_exceedances=exceed,
-        mean_max=mean_max,
-        base_index=base_index,
-        assumptions=tuple(assumptions),
+        dealer_names=dealer_names, scenario_names=scenario_names, **fields, **arrays
     )
 
 
@@ -659,8 +658,7 @@ def write_histograms(report: RiskReport, path: str) -> None:
     if not report.histograms:
         raise ValueError("report carries no histogram data")
     with open(path, "w", newline="") as fh:
-        for line in _meta_lines(report):
-            fh.write(line + "\n")
+        fh.write(_header(report))
         writer = csv.writer(fh)
         writer.writerow(["scenario", "bin_left", "bin_right", "count"])
         for scen, (edges, counts) in report.histograms.items():
@@ -668,3 +666,17 @@ def write_histograms(report: RiskReport, path: str) -> None:
                 writer.writerow(
                     [scen, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])]
                 )
+
+
+def write_path_dump(report: RiskReport, path) -> None:
+    """Per-path diagnostic dump: one ``scenario,dealer,value`` row per
+    realized exposure. Needs a report built with ``keep_samples=True``."""
+    if report.samples is None:
+        raise ValueError("report was built without keep_samples=True")
+    with open(path, "w") as fh:
+        fh.write("scenario,dealer,value\n")
+        for s, sname in enumerate(report.scenario_names):
+            for n, dname in enumerate(report.dealer_names):
+                prefix = f"{sname},{dname},"
+                values = report.samples[s, :, n].tolist()
+                fh.write("".join(f"{prefix}{v!r}\n" for v in values))

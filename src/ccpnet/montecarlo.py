@@ -611,7 +611,7 @@ def simulate(
         from chunk 0 (see ``freedman_diaconis_edges``) and widened by whole
         bins to every chunk's values.
     keep_samples
-        Keep every realized exposure, as float32, for ``write_path_dump``.
+        Keep every realized exposure, as float32, for ``dataio.write_path_dump``.
         Without it, memory does not grow with ``n_paths`` beyond the tail
         buffers of about (1 - level) * n_paths values per cell.
     """
@@ -741,17 +741,3 @@ def simulate(
         histograms=histograms,
         samples=samples,
     )
-
-
-def write_path_dump(report: RiskReport, path) -> None:
-    """Per-path diagnostic dump: one ``scenario,dealer,value`` row per
-    realized exposure. Needs a report built with ``keep_samples=True``."""
-    if report.samples is None:
-        raise ValueError("report was built without keep_samples=True")
-    with open(path, "w") as fh:
-        fh.write("scenario,dealer,value\n")
-        for s, sname in enumerate(report.scenario_names):
-            for n, dname in enumerate(report.dealer_names):
-                prefix = f"{sname},{dname},"
-                values = report.samples[s, :, n].tolist()
-                fh.write("".join(f"{prefix}{v!r}\n" for v in values))

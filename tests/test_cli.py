@@ -499,6 +499,26 @@ def test_report_rerenders_tables(capsys, tmp_path):
     assert a == b
 
 
+def test_report_keeps_dealer_named_like_a_comment(capsys, tmp_path):
+    """Only the lines before the dump's column header are its header: a
+    dealer row that starts with '#' is data."""
+    table = tmp_path / "hash.csv"
+    table.write_text(
+        "dealer,forwards,options,swaps,credit\n"
+        "#1 Bank,900,800,5000,700\nAlpha,100,50,2000,300\nBeta,200,80,1500,100\n"
+    )
+    code, out, _ = run_cli(capsys, *_scen_args(tmp_path, "orig", "--notionals", str(table)))
+    assert code == 0
+    dump = parse_kv(out)["file_dump"][0]
+    assert "#1 Bank" in dataio.load_report(dump).dealer_names
+    code, out, _ = run_cli(capsys, "report", "--dump", dump, "--out", str(tmp_path / "again"))
+    assert code == 0
+    for name in os.listdir(tmp_path / "again"):
+        assert (tmp_path / "again" / name).read_bytes() == (
+            tmp_path / "orig" / name
+        ).read_bytes(), name
+
+
 def test_report_missing_dump_exits(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "report", "--dump", str(tmp_path / "none.csv"), "--out", str(tmp_path)
@@ -515,6 +535,10 @@ _DUMP = """\
 # base_scenario = no_ccp
 dealer,scenario,measure,value,ratio_to_base,std_error
 A,no_ccp,ee,2.5,1.0,0.1
+A,no_ccp,var99,4.0,1.0,
+A,no_ccp,es99,5.0,1.0,
+A,no_ccp,es99_exceedances,10,,
+__total__,no_ccp,total_ee,2.5,1.0,
 __max__,no_ccp,mean_max,2.5,1.0,
 """
 
@@ -526,13 +550,23 @@ __max__,no_ccp,mean_max,2.5,1.0,
         ("# paths = 1000", "# paths = many", "{dump}:3: bad paths value"),
         ("A,no_ccp,ee,2.5,1.0,0.1", "A,no_ccp,ee", "{dump}:7: expected 6 fields, got 3"),
         ("A,no_ccp,ee,2.5,", "A,no_ccp,ee,lots,", "{dump}:7: non-numeric value"),
-        ("mean_max,2.5", "mean_max,", "{dump}:8: non-numeric value"),
+        ("mean_max,2.5", "mean_max,", "{dump}:12: non-numeric value"),
         ("= no_ccp", "= nope", "{dump}:5: base_scenario 'nope' names no scenario"),
         ("A,no_ccp,ee", "Soci\xe9t\xe9,no_ccp,ee", "report dump is not"),
+        (
+            "A,no_ccp,var99,4.0,1.0,\n", "",
+            "{dump}: no var99 row for 'A' in scenario 'no_ccp'",
+        ),
+        (
+            "__total__", "A,no_ccp,ee,3.0,1.0,0.1\n__total__",
+            "{dump}:11: repeated ee row for 'A' in scenario 'no_ccp'",
+        ),
+        ("__total__", "A,no_ccp,vol,1.0,,\n__total__", "{dump}:11: unknown measure 'vol'"),
+        ("# level = 0.99", "# level = nan", "{dump}: risk-measure level must lie in (0, 1)"),
     ],
     ids=[
         "no_paths", "bad_paths", "short_row", "bad_value", "empty_value", "bad_base",
-        "undecodable",
+        "undecodable", "missing_cell", "duplicate_row", "unknown_measure", "bad_level",
     ],
 )
 def test_report_malformed_dump_exits_2(capsys, tmp_path, old, new, message):

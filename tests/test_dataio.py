@@ -1,9 +1,15 @@
 """Datasets, notional ingestion, run configs, and report round-trips."""
 
 import dataclasses
+import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccpnet import dataio, montecarlo
 from ccpnet.dataio import (
@@ -16,7 +22,7 @@ from ccpnet.dataio import (
     parse_run_config,
     write_report,
 )
-from ccpnet.market import ConfigError, Marginal
+from ccpnet.market import RESERVED_DEALER_NAMES, ConfigError, Marginal
 from helpers import reports_equal
 
 
@@ -330,6 +336,189 @@ def test_load_report_reads_var99_names_at_any_level(small_report, tmp_path):
     assert ",var95," not in old.read_text()
     for path in (files["dump"], str(old)):
         assert reports_equal(report, load_report(path))
+
+
+def _golden_report():
+    """Two dealers, three scenarios at level 0.975; Beta's base cells are 0,
+    so its ratios are nan. Built by hand, so no BLAS enters the bytes."""
+    return montecarlo.RiskReport(
+        dealer_names=("Alpha", "Beta, Inc."),
+        scenario_names=("no_ccp", "irs_ccp", "joint_ccp"),
+        n_paths=4000,
+        seed=7,
+        level=0.975,
+        ee=np.array([[2.0, 0.0], [1.5, 0.25], [1.0, 0.1 + 0.2]]),
+        ee_se=np.array([[0.01, 0.0], [0.02, 0.005], [0.0125, 0.01 / 3]]),
+        var=np.array([[5.0, 0.0], [4.0, 0.5], [3.0, 1 / 3]]),
+        es=np.array([[6.0, 0.0], [5.5, 0.75], [4.0, 0.5]]),
+        es_exceedances=np.array([[100, 0], [100, 101], [100, 101]]),
+        mean_max=np.array([2.5, 1.75, 1.125]),
+        base_index=0,
+        assumptions=("mirrored dealers: one-to-one", "t3 credit = fat tails"),
+        histograms={
+            "irs_ccp": (np.array([-1.0, 0.0, 0.5]), np.array([3, 5])),
+            "joint_ccp": (np.array([-2.0, 1.0]), np.array([8])),
+        },
+    )
+
+
+_GOLDEN_HEAD = """\
+# ccpnet risk report
+# seed = 7
+# paths = 4000
+# level = 0.975
+# base_scenario = no_ccp
+# assumption = mirrored dealers: one-to-one
+# assumption = t3 credit = fat tails
+"""
+
+_GOLDEN_BODIES = {
+    "ratios_expected_exposure.csv": """\
+dealer,no_ccp,irs_ccp,joint_ccp
+Alpha,1,0.75,0.5
+"Beta, Inc.",nan,nan,nan
+TOTAL,1,0.875,0.65
+""",
+    "ratios_var97.5.csv": """\
+dealer,no_ccp,irs_ccp,joint_ccp
+Alpha,1,0.8,0.6
+"Beta, Inc.",nan,nan,nan
+""",
+    "ratios_es97.5.csv": """\
+dealer,no_ccp,irs_ccp,joint_ccp
+Alpha,1,0.916667,0.666667
+"Beta, Inc.",nan,nan,nan
+""",
+    "mean_max.csv": """\
+scenario,mean_max_millions,ratio_to_base
+no_ccp,2.5,1
+irs_ccp,1.75,0.7
+joint_ccp,1.125,0.45
+""",
+    "report.csv": """\
+dealer,scenario,measure,value,ratio_to_base,std_error
+Alpha,no_ccp,ee,2.0,1.0,0.01
+Alpha,no_ccp,var97.5,5.0,1.0,
+Alpha,no_ccp,es97.5,6.0,1.0,
+Alpha,no_ccp,es97.5_exceedances,100,,
+"Beta, Inc.",no_ccp,ee,0.0,nan,0.0
+"Beta, Inc.",no_ccp,var97.5,0.0,nan,
+"Beta, Inc.",no_ccp,es97.5,0.0,nan,
+"Beta, Inc.",no_ccp,es97.5_exceedances,0,,
+__total__,no_ccp,total_ee,2.0,1.0,
+__max__,no_ccp,mean_max,2.5,1.0,
+Alpha,irs_ccp,ee,1.5,0.75,0.02
+Alpha,irs_ccp,var97.5,4.0,0.8,
+Alpha,irs_ccp,es97.5,5.5,0.9166666666666666,
+Alpha,irs_ccp,es97.5_exceedances,100,,
+"Beta, Inc.",irs_ccp,ee,0.25,nan,0.005
+"Beta, Inc.",irs_ccp,var97.5,0.5,nan,
+"Beta, Inc.",irs_ccp,es97.5,0.75,nan,
+"Beta, Inc.",irs_ccp,es97.5_exceedances,101,,
+__total__,irs_ccp,total_ee,1.75,0.875,
+__max__,irs_ccp,mean_max,1.75,0.7,
+Alpha,joint_ccp,ee,1.0,0.5,0.0125
+Alpha,joint_ccp,var97.5,3.0,0.6,
+Alpha,joint_ccp,es97.5,4.0,0.6666666666666666,
+Alpha,joint_ccp,es97.5_exceedances,100,,
+"Beta, Inc.",joint_ccp,ee,0.30000000000000004,nan,0.0033333333333333335
+"Beta, Inc.",joint_ccp,var97.5,0.3333333333333333,nan,
+"Beta, Inc.",joint_ccp,es97.5,0.5,nan,
+"Beta, Inc.",joint_ccp,es97.5_exceedances,101,,
+__total__,joint_ccp,total_ee,1.3,0.65,
+__max__,joint_ccp,mean_max,1.125,0.45,
+""",
+    "histograms.csv": """\
+scenario,bin_left,bin_right,count
+irs_ccp,-1.0,0.0,3
+irs_ccp,0.0,0.5,5
+joint_ccp,-2.0,1.0,8
+""",
+}
+
+
+def _golden_bytes(head, body):
+    # header lines end in \n, the csv module ends each row in \r\n
+    return (head + body.replace("\n", "\r\n")).encode()
+
+
+def test_write_report_golden_bytes(tmp_path):
+    """Every byte that write_report emits, with and without a base scenario."""
+    report = _golden_report()
+    files = write_report(report, str(tmp_path / "based"))
+    assert sorted(os.path.basename(p) for p in files.values()) == sorted(_GOLDEN_BODIES)
+    for name, body in _GOLDEN_BODIES.items():
+        assert (tmp_path / "based" / name).read_bytes() == _golden_bytes(
+            _GOLDEN_HEAD, body
+        ), name
+
+    plain = dataclasses.replace(report, base_index=None, histograms=None)
+    files = write_report(plain, str(tmp_path / "plain"))
+    assert sorted(os.path.basename(p) for p in files.values()) == [
+        "mean_max.csv", "report.csv"
+    ]
+    head = _GOLDEN_HEAD.replace("# base_scenario = no_ccp\n", "")
+    assert (tmp_path / "plain" / "mean_max.csv").read_bytes() == _golden_bytes(
+        head, "scenario,mean_max_millions\nno_ccp,2.5\nirs_ccp,1.75\njoint_ccp,1.125\n"
+    )
+    # the based dump with every ratio_to_base cell empty
+    dump = (tmp_path / "plain" / "report.csv").read_bytes()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "678404cb3bbaaf0ae1db11d6ed300a595c949bb44b3c16ab1644aec7d8c0e3fb"
+    )
+
+
+_NAME_CHARS = st.characters(codec="utf-8", exclude_categories=("Cc", "Cs"))
+
+
+@st.composite
+def _drawn_reports(draw):
+    dealers = draw(
+        st.lists(
+            st.sampled_from(["#1 Bank", 'Say "Bank"', "Beta, Inc.", "# seed = 5"])
+            | st.text(_NAME_CHARS, min_size=1, max_size=12),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ).filter(lambda names: not set(names) & set(RESERVED_DEALER_NAMES))
+    )
+    scenarios = ("no_ccp", "irs_ccp", "joint_ccp")[: draw(st.integers(1, 3))]
+    shape = (len(scenarios), len(dealers))
+    # exact zeros in the base row make nan ratios; no ratio overflows
+    values = st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1e6)
+    return montecarlo.RiskReport(
+        dealer_names=tuple(dealers),
+        scenario_names=scenarios,
+        n_paths=draw(st.integers(1000, 10**9)),
+        seed=draw(st.integers(0, 2**128 - 1)),
+        level=draw(st.sampled_from([0.99, 0.975, 0.999]) | st.floats(1e-9, 1 - 1e-9)),
+        ee=draw(arrays(np.float64, shape, elements=values)),
+        ee_se=draw(arrays(np.float64, shape, elements=values)),
+        var=draw(arrays(np.float64, shape, elements=values)),
+        es=draw(arrays(np.float64, shape, elements=values)),
+        es_exceedances=draw(arrays(np.int64, shape, elements=st.integers(0, 10**6))),
+        mean_max=draw(arrays(np.float64, shape[0], elements=values)),
+        base_index=draw(st.none() | st.integers(0, len(scenarios) - 1)),
+        assumptions=tuple(
+            draw(st.lists(st.text(_NAME_CHARS, max_size=20).map(str.strip), max_size=2))
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(report=_drawn_reports())
+def test_report_round_trip_property(report):
+    """load_report gives back every field write_report wrote, and writing
+    the loaded report again gives the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first = write_report(report, os.path.join(tmp, "first"))
+        loaded = load_report(first["dump"])
+        assert reports_equal(report, loaded)
+        again = write_report(loaded, os.path.join(tmp, "again"))
+        assert again.keys() == first.keys()
+        for name, path in first.items():
+            with open(path, "rb") as fa, open(again[name], "rb") as fb:
+                assert fa.read() == fb.read(), name
 
 
 def test_load_report_rejects_garbage(tmp_path):

@@ -35,7 +35,6 @@ from ccpnet.montecarlo import (
     simulate,
     student_t3_unit_cdf,
     student_t3_unit_ppf,
-    write_path_dump,
 )
 from helpers import (
     copula_values,
@@ -827,7 +826,7 @@ def test_write_path_dump(tmp_path):
     report = simulate(config, scenarios, 1000, 8, keep_samples=True)
     assert report.samples.dtype == np.float32
     out = tmp_path / "paths.csv"
-    write_path_dump(report, out)
+    dataio.write_path_dump(report, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario,dealer,value"
     # the same text as one write per value
@@ -841,4 +840,4 @@ def test_write_path_dump(tmp_path):
     assert len(lines) == 1 + len(scenarios) * config.n_dealers * 1000
     no_samples = simulate(config, scenarios, 1000, 8)
     with pytest.raises(ValueError):
-        write_path_dump(no_samples, out)
+        dataio.write_path_dump(no_samples, out)
