@@ -9,6 +9,7 @@ goes to standard error. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -96,14 +97,7 @@ def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
             class_names=names,
         )
     else:
-        base = dataio.builtin_credit_exposures(source)
-        spec = HomogeneousSpec(
-            credit_exposures=base.credit_exposures,
-            alphas=base.alphas,
-            rho=rho,
-            cleared_class=base.cleared_class,
-            class_names=base.class_names,
-        )
+        spec = dataclasses.replace(dataio.builtin_credit_exposures(source), rho=rho)
     alphas = list(spec.alphas)
     for name, value in _parse_kv(args.alpha, "--alpha").items():
         if name not in spec.class_names:
@@ -116,13 +110,7 @@ def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
         if args.cleared not in spec.class_names:
             raise ConfigError(f"unknown cleared class {args.cleared!r}")
         cleared = spec.class_names.index(args.cleared)
-    return HomogeneousSpec(
-        credit_exposures=spec.credit_exposures,
-        alphas=tuple(alphas),
-        rho=rho,
-        cleared_class=cleared,
-        class_names=spec.class_names,
-    )
+    return dataclasses.replace(spec, alphas=tuple(alphas), cleared_class=cleared)
 
 
 def cmd_threshold(args) -> int:

@@ -238,8 +238,6 @@ def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: {exc}") from None
-    if rc.notionals not in _NOTIONAL_BUILTINS and not os.path.isfile(rc.notionals):
-        raise ConfigError(f"notional table not found: {rc.notionals!r}")
     return rc
 
 
@@ -265,8 +263,6 @@ def _apply_config_key(rc: RunConfig, key: str, value: str, base_dir: str) -> Non
     elif key.startswith("beta."):
         rc.betas[key[len("beta."):]] = float(value)
     elif key.startswith("marginal."):
-        if value not in ("gaussian", "t3"):
-            raise ConfigError(f"marginal must be gaussian or t3, got {value!r}")
         rc.marginals[key[len("marginal."):]] = value
     elif key.startswith("scenario."):
         parts = key.split(".")

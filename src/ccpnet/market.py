@@ -352,12 +352,3 @@ class HomogeneousSpec:
     @property
     def n_classes(self) -> int:
         return len(self.credit_exposures)
-
-    def sigmas(self) -> np.ndarray:
-        return np.array(self.alphas) * np.array(self.credit_exposures)
-
-    def correlation_matrix(self) -> np.ndarray:
-        k = self.n_classes
-        mat = np.full((k, k), self.rho)
-        np.fill_diagonal(mat, 1.0)
-        return mat

@@ -52,15 +52,6 @@ _MIN_UNIFORM = 2.0 ** -53
 # ---------------------------------------------------------------------------
 
 
-def student_t3_unit_cdf(x):
-    """CDF of a Student-t with 3 dof rescaled to unit variance.
-
-    For v = t3/sqrt(3) the CDF collapses to 1/2 + (arctan v + v/(1+v^2))/pi.
-    """
-    v = np.asarray(x, dtype=float)
-    return 0.5 + (np.arctan(v) + v / (1.0 + v * v)) / np.pi
-
-
 # Values are inverted in blocks of this size so that the three Halley scratch
 # buffers stay in cache; results do not depend on it.
 _T3_BLOCK = 32768
@@ -161,23 +152,24 @@ def student_t3_unit_ppf(u):
 
 @dataclass(frozen=True)
 class _PairLayout:
-    """Pair bookkeeping and sampling law shared by every chunk of a run.
+    """Pair bookkeeping, sampling law and kernel plan shared by every chunk
+    of a run.
 
     Each row holds one copula draw: one row per unordered pair i<j, in
     ``np.triu_indices`` order (so ``pair_i`` is sorted). The two directions
     of a pair are the two sides of one trade: the draw feeds dealer i with
-    scale ``s_plus`` and dealer j, negated, with scale ``s_minus``. ``rho``
-    and ``marginals`` are the market config's copula correlation and
-    per-class marginal laws.
+    scale ``pair_scales(config, i, j)`` and dealer j, negated, with scale
+    ``pair_scales(config, j, i)``; ``plan`` folds both scales into the
+    kernel's coefficients. ``rho`` and ``marginals`` are the market config's
+    copula correlation and per-class marginal laws.
     """
 
     pair_i: np.ndarray
     pair_j: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
     n_dealers: int
     rho: float
     marginals: tuple[Marginal, ...]
+    plan: kernels.Plan
 
     @property
     def n_classes(self) -> int:
@@ -199,19 +191,18 @@ class _PairLayout:
         return -(-self.draws_per_path // 4) * 4
 
 
-def _build_layout(config: MarketConfig) -> _PairLayout:
+def _build_layout(config: MarketConfig, scenarios) -> _PairLayout:
     n = config.n_dealers
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = (k.astype(np.intp) for k in np.triu_indices(n, k=1))
     s_plus = pair_scales(config, ii, jj) * MILLIONS_PER_BILLION
     s_minus = pair_scales(config, jj, ii) * MILLIONS_PER_BILLION
     return _PairLayout(
-        pair_i=ii.astype(np.intp),
-        pair_j=jj.astype(np.intp),
-        s_plus=np.ascontiguousarray(s_plus),
-        s_minus=np.ascontiguousarray(s_minus),
+        pair_i=ii,
+        pair_j=jj,
         n_dealers=n,
         rho=config.rho,
         marginals=config.marginals(),
+        plan=kernels.plan(s_plus, s_minus, ii, jj, scenarios, n),
     )
 
 
@@ -299,27 +290,17 @@ def _path_blocks(layout: _PairLayout, start: int, count: int) -> list[int]:
     return [start + count * b // n_blocks for b in range(n_blocks + 1)]
 
 
-def _chunk_exposures(
-    layout: _PairLayout, scenarios, seed: int, start: int, count: int
-) -> np.ndarray:
+def _chunk_exposures(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for one chunk of paths.
 
     Each block's shocks are drawn just before the kernel evaluates them and
     freed when it returns, so only one block of uniforms and shocks exists
     at a time."""
-    out = np.empty((count, len(scenarios), layout.n_dealers))
+    out = np.empty((count, layout.plan.n_scenarios, layout.n_dealers))
     bounds = _path_blocks(layout, start, count)
     for a, b in zip(bounds, bounds[1:]):
-        kernels.scenario_exposures(
-            _shocks(layout, seed, a, b - a),
-            layout.s_plus,
-            layout.s_minus,
-            layout.pair_i,
-            layout.pair_j,
-            scenarios,
-            layout.n_dealers,
-            out=out[a - start : b - start],
-        )
+        block = out[a - start : b - start]
+        kernels.scenario_exposures(_shocks(layout, seed, a, b - a), layout.plan, out=block)
     return out
 
 
@@ -537,27 +518,6 @@ class RiskReport:
         return self.es_exceedances < 100
 
 
-def _check_pathwise(e: np.ndarray, scenarios) -> None:
-    if (e < 0.0).any():
-        raise AssertionError("negative realized exposure")
-    # a joint CCP nets across classes inside one max, so pathwise it can
-    # never exceed one CCP per class clearing the same fractions
-    separate, joint = {}, []
-    for s, scen in enumerate(scenarios):
-        key = frozenset((c.class_id, c.fraction) for c in scen.cleared)
-        n_ccps = len({c.ccp for c in scen.cleared})
-        if n_ccps == len(scen.cleared):
-            separate[key] = s
-        elif n_ccps == 1:
-            joint.append((key, s))
-    for key, s in joint:
-        if key in separate:
-            ej, et = e[:, s, :], e[:, separate[key], :]
-            tol = 1e-9 * (1.0 + np.abs(et))
-            if (ej > et + tol).any():
-                raise AssertionError("joint-CCP exposure exceeded two-CCP exposure")
-
-
 def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
     """Raise ConfigError for a path count, seed, thread count or level that
     ``simulate`` rejects, so a caller can check them before announcing a run."""
@@ -581,7 +541,6 @@ def simulate(
     chunk_size: int = 4096,
     level: float = 0.99,
     collect_histograms: bool = False,
-    check_invariants: bool = False,
     keep_samples: bool = False,
     assumptions: tuple[str, ...] = (),
 ) -> RiskReport:
@@ -626,7 +585,7 @@ def simulate(
     if chunk_size < 1:
         raise ConfigError("chunk_size must be >= 1")
 
-    layout = _build_layout(config)
+    layout = _build_layout(config, scenarios)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
 
     base_candidates = [s for s, scen in enumerate(scenarios) if scen.clears_nothing]
@@ -646,9 +605,7 @@ def simulate(
         return np.subtract(e[:, base_index], e[:, s]).ravel()
 
     def reduce_chunk(ci, start, count):
-        e = _chunk_exposures(layout, scenarios, seed, start, count)
-        if check_invariants:
-            _check_pathwise(e, scenarios)
+        e = _chunk_exposures(layout, seed, start, count)
         if samples is not None:
             samples[:, start : start + count, :] = e.transpose(1, 0, 2)
         mean = e.sum(axis=0) / count

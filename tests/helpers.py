@@ -15,12 +15,15 @@ from scipy.integrate import quad
 
 from ccpnet import montecarlo
 from ccpnet.market import (
+    MILLIONS_PER_BILLION,
     AssetClass,
     ConfigError,
     Dealer,
     HomogeneousSpec,
     Marginal,
     MarketConfig,
+    no_ccp,
+    pair_scales,
 )
 
 
@@ -91,6 +94,16 @@ def quad_tail_stats(sigma: float, level: float) -> tuple[float, float]:
     return q, tail_mean
 
 
+def student_t3_unit_cdf(x):
+    """CDF of a Student-t with 3 dof rescaled to unit variance: the reference
+    that the engine's quantile is inverted against.
+
+    For v = t3/sqrt(3) the CDF collapses to 1/2 + (arctan v + v/(1+v^2))/pi.
+    """
+    v = np.asarray(x, dtype=float)
+    return 0.5 + (np.arctan(v) + v / (1.0 + v * v)) / np.pi
+
+
 def copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     """Standardized class shocks (..., K) from uniforms (..., K+1) in one
     pass: the engine's Gaussian copula, then its t3 marginals."""
@@ -104,12 +117,13 @@ def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.
     (millions USD), built from the shocks the simulation kernel consumes for
     the same seed and path indices.
     """
-    layout = montecarlo._build_layout(config)
+    layout = montecarlo._build_layout(config, [no_ccp()])
     y = montecarlo._shocks(layout, seed, start, count)
+    ii, jj = layout.pair_i, layout.pair_j
     n, k = layout.n_dealers, layout.n_classes
     x = np.zeros((count, n, n, k))
-    x[:, layout.pair_i, layout.pair_j, :] = y * layout.s_plus
-    x[:, layout.pair_j, layout.pair_i, :] = -y * layout.s_minus
+    x[:, ii, jj, :] = y * (pair_scales(config, ii, jj) * MILLIONS_PER_BILLION)
+    x[:, jj, ii, :] = -y * (pair_scales(config, jj, ii) * MILLIONS_PER_BILLION)
     return x
 
 
@@ -118,9 +132,32 @@ def exposures_for_paths(
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for the given paths:
     the chunk evaluation ``simulate`` runs before it reduces a chunk."""
-    return montecarlo._chunk_exposures(
-        montecarlo._build_layout(config), scenarios, seed, start, count
-    )
+    layout = montecarlo._build_layout(config, scenarios)
+    return montecarlo._chunk_exposures(layout, seed, start, count)
+
+
+def check_pathwise(e: np.ndarray, scenarios) -> None:
+    """Raise AssertionError unless the exposures ``e`` (paths, scenarios,
+    dealers) hold pathwise: none is negative, and a joint CCP never exceeds
+    one CCP per class clearing the same fractions."""
+    if (e < 0.0).any():
+        raise AssertionError("negative realized exposure")
+    # a joint CCP nets across classes inside one max, so pathwise it can
+    # never exceed one CCP per class clearing the same fractions
+    separate, joint = {}, []
+    for s, scen in enumerate(scenarios):
+        key = frozenset((c.class_id, c.fraction) for c in scen.cleared)
+        n_ccps = len({c.ccp for c in scen.cleared})
+        if n_ccps == len(scen.cleared):
+            separate[key] = s
+        elif n_ccps == 1:
+            joint.append((key, s))
+    for key, s in joint:
+        if key in separate:
+            ej, et = e[:, s, :], e[:, separate[key], :]
+            tol = 1e-9 * (1.0 + np.abs(et))
+            if (ej > et + tol).any():
+                raise AssertionError("joint-CCP exposure exceeded two-CCP exposure")
 
 
 def oracle_exposures(x, scenarios):
@@ -188,8 +225,9 @@ def oracle_min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> int:
     integer scan: every N in [2, 10 n*] below the closed form's n* <= 100,000,
     a +-1000 window around it above. Raises the engine's ConfigError messages
     when the curves never cross or cross more than once."""
-    sig = spec.sigmas()
-    corr = spec.correlation_matrix()
+    sig = np.array(spec.alphas) * np.array(spec.credit_exposures)
+    corr = np.full((spec.n_classes, spec.n_classes), spec.rho)
+    np.fill_diagonal(corr, 1.0)
     a = math.sqrt(float(sig @ corr @ sig))
     resid = np.ones(spec.n_classes)
     resid[spec.cleared_class] -= w
@@ -197,7 +235,7 @@ def oracle_min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> int:
     b = math.sqrt(float(sr @ corr @ sr))
     if a <= b:
         raise ConfigError("CCP never reduces expected exposure for this spec")
-    sigma_c = float(spec.sigmas()[spec.cleared_class])
+    sigma_c = float(sig[spec.cleared_class])
     x = w * sigma_c / (a - b)
     n_star = max(2, math.floor(1.0 + x * x) + 1)
     if n_star <= 100_000:

@@ -17,6 +17,7 @@ from ccpnet.market import joint_ccp, no_ccp, single_ccp, two_ccps
 from ccpnet.montecarlo import simulate, student_t3_unit_ppf
 from ccpnet.market import Marginal
 from helpers import (
+    check_pathwise,
     copula_values,
     exposures_for_paths,
     make_config,
@@ -208,15 +209,12 @@ def test_criterion_7_property_suite(paper_runs):
     """Always-on structural properties, independent of published numbers."""
     failures = []
 
-    # pathwise invariants (joint <= two, e >= 0) on a checked run
+    # pathwise invariants (joint <= two, e >= 0) on the paths of a small run
     config, scenarios, _ = paper_runs["g0"]
     try:
-        small = simulate(
-            config, scenarios, 2000, 77, check_invariants=True
-        )
+        check_pathwise(exposures_for_paths(config, scenarios, 77, 0, 2000), scenarios)
     except AssertionError as exc:
         failures.append(f"pathwise: {exc}")
-        small = simulate(config, scenarios, 2000, 77)
 
     # tail measure ordering everywhere
     for label in ("g0", "g1", "t0", "t1"):

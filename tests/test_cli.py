@@ -273,6 +273,26 @@ def test_scenarios_config_file_with_flag_overrides(capsys, tmp_path):
     assert "# seed = 6" in text  # flag overrides config file
 
 
+def test_scenarios_notionals_flag_replaces_missing_config_table(capsys, tmp_path):
+    """A config whose notional table is missing exits 2 before the run is
+    announced, unless --notionals names another table."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("notionals = missing.csv\npaths = 1000\n")
+    code, _, err = run_cli(
+        capsys, "scenarios", "--config", str(cfg), "--out", str(tmp_path / "bad")
+    )
+    assert code == 2
+    assert f"notional table not found: {str(tmp_path / 'missing.csv')!r}" in err
+    assert "running" not in err
+    assert not (tmp_path / "bad").exists()
+    code, _, err = run_cli(
+        capsys, "scenarios", "--config", str(cfg), "--notionals", "occ-2009q1",
+        "--out", str(tmp_path / "good"),
+    )
+    assert code == 0 and "running 5 scenarios, paths=1000" in err
+    assert (tmp_path / "good" / "report.csv").exists()
+
+
 def test_scenarios_analytic_ee_invariant_to_paths(capsys, tmp_path):
     """Path count moves the MC estimates and their standard errors, never the
     closed-form expected-exposure columns."""

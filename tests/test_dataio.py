@@ -178,15 +178,22 @@ def test_parse_run_config_unknown_key():
 
 def test_parse_run_config_bad_values():
     with pytest.raises(ConfigError):
-        parse_run_config("marginal.credit = cauchy")
-    with pytest.raises(ConfigError):
         parse_run_config("scenario.super_ccp.w.swaps = 0.5")
     with pytest.raises(ConfigError):
         parse_run_config("mirror_dealers = maybe")
     with pytest.raises(ConfigError):
         parse_run_config("rho")
-    with pytest.raises(ConfigError):
-        parse_run_config("notionals = /missing/file.csv")
+
+
+def test_build_market_rejects_missing_table_and_unknown_marginal():
+    """A config names its notional table and marginal laws as text; the
+    market build checks them, so a flag can still replace either first."""
+    rc = parse_run_config("notionals = /missing/file.csv\nmarginal.credit = cauchy")
+    with pytest.raises(ConfigError, match="notional table not found: '/missing/file.csv'"):
+        build_market(rc)
+    rc.notionals = "occ-2009q1"
+    with pytest.raises(ConfigError, match="marginal must be gaussian or t3, got 'cauchy'"):
+        build_market(rc)
 
 
 def test_build_market_mirroring_and_classes():

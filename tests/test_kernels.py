@@ -84,7 +84,7 @@ def _random_problem(
 def test_no_ccp_only_and_empty_groups():
     y, sp, sm, pi, pj, *_, n = _random_problem(7)
     assert no_ccp().ccp_groups(3) == []
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, [no_ccp()], n)
+    out = kernels.scenario_exposures(y, kernels.plan(sp, sm, pi, pj, [no_ccp()], n))
     assert out.shape == (y.shape[0], 1, n)
     assert (out >= 0).all()
 
@@ -92,13 +92,13 @@ def test_no_ccp_only_and_empty_groups():
 def test_zero_fraction_scenario_bitwise_equals_base():
     y, sp, sm, pi, pj, *_, n = _random_problem(11)
     scens = [no_ccp(), single_ccp(1, 0.0, name="idle_ccp")]
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, scens, n)
+    out = kernels.scenario_exposures(y, kernels.plan(sp, sm, pi, pj, scens, n))
     assert np.array_equal(out[:, 0, :], out[:, 1, :])
 
 
 def test_zero_weight_group_adds_exactly_nothing():
-    y, sp, sm, pi, pj, scens, n = _random_problem(13, scenarios=ZERO_GROUP)
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, scens, n)
+    y, *args = _random_problem(13, scenarios=ZERO_GROUP)
+    out = kernels.scenario_exposures(y, kernels.plan(*args))
     assert np.array_equal(out[:, 1, :], out[:, 2, :])
 
 
@@ -131,7 +131,7 @@ def test_kernel_matches_straight_line_oracle(kwargs):
     scenarios = kwargs.get("scenarios", STANDARD)
     y, sp, sm, pi, pj, _, n = _random_problem(3, n_paths=8, **{"n_dealers": 4, **kwargs})
     k = y.shape[2]
-    out = kernels.scenario_exposures(y, sp, sm, pi, pj, scenarios, n)
+    out = kernels.scenario_exposures(y, kernels.plan(sp, sm, pi, pj, scenarios, n))
     assert out.shape == (y.shape[0], len(scenarios), n)
     for c in range(y.shape[0]):
         x = np.zeros((n, n, k))
@@ -145,18 +145,21 @@ def test_kernel_matches_straight_line_oracle(kwargs):
 
 def test_out_is_filled_and_returned():
     y, *args = _random_problem(17, n_paths=30)
-    whole = kernels.scenario_exposures(y, *args)
+    plan = kernels.plan(*args)
+    whole = kernels.scenario_exposures(y, plan)
     out = np.full((40, *whole.shape[1:]), np.nan)
-    result = kernels.scenario_exposures(y, *args, out=out[5:35])
+    result = kernels.scenario_exposures(y, plan, out=out[5:35])
     assert result.base is out
     assert np.array_equal(out[5:35], whole)
     assert np.isnan(out[:5]).all() and np.isnan(out[35:]).all()
 
 
 def test_shuffled_pairs_permute_both_directions():
-    *_, pi, pj, _, n = _random_problem(3, n_dealers=4, shuffled=True)
+    _, *args = _random_problem(3, n_dealers=4, shuffled=True)
+    *_, pi, pj, _, n = args
     assert kernels._owner_slabs(pi, n)[0] is not None
     assert kernels._owner_slabs(pj, n)[0] is not None
+    assert all(order is not None for order, *_ in kernels.plan(*args).directions)
     # triu rows are already in + owner order; the - direction needs a permutation
     ii, jj = np.triu_indices(4, k=1)
     assert kernels._owner_slabs(ii, 4)[0] is None
@@ -167,9 +170,30 @@ def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
     """Each path rounds alike whatever the block and sub-block widths, a
     lone path included."""
     y, *args = _random_problem(19, n_paths=301, n_dealers=7)
-    whole = kernels.scenario_exposures(y, *args)
+    plan = kernels.plan(*args)
+    whole = kernels.scenario_exposures(y, plan)
     for cuts in ([1, 2, 300], [150], [7, 100, 299]):
-        split = [kernels.scenario_exposures(block, *args) for block in np.split(y, cuts)]
+        split = [kernels.scenario_exposures(block, plan) for block in np.split(y, cuts)]
         assert np.array_equal(np.concatenate(split), whole)
     monkeypatch.setattr(kernels, "_SCRATCH_DOUBLES", 1)  # one path per sub-block
-    assert np.array_equal(kernels.scenario_exposures(y, *args), whole)
+    assert np.array_equal(kernels.scenario_exposures(y, plan), whole)
+
+
+def test_plan_is_read_only_and_reused():
+    """Workers share one plan: none of its arrays can be written, and
+    evaluating through it leaves it as it was."""
+    y, *args = _random_problem(23, shuffled=True, scenarios=MIXED)
+    plan = kernels.plan(*args)
+    arrays = [plan.shared, plan.ccp_w]
+    for order, coef, _, idle in plan.directions:
+        arrays += [order, coef, idle]
+    copies = [a.copy() for a in arrays]
+    first = kernels.scenario_exposures(y, plan)
+    assert np.array_equal(kernels.scenario_exposures(y, plan), first)
+    for a, before in zip(arrays, copies):
+        assert not a.flags.writeable
+        assert np.array_equal(a, before)
+    # two CCPs and one joint CCP clearing the same fractions share a row
+    standard = kernels.plan(*_random_problem(23)[1:])
+    assert standard.n_bilateral == len(STANDARD) - 1
+    assert standard.shared[3] == standard.shared[4]

@@ -1,6 +1,7 @@
 """Monte Carlo engine: sampling law, counter determinism, risk measures."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -28,15 +29,14 @@ from ccpnet.market import (
 from ccpnet.montecarlo import (
     _MIN_UNIFORM,
     _build_layout,
-    _check_pathwise,
     _uniforms,
     empirical_quantile,
     freedman_diaconis_edges,
     simulate,
-    student_t3_unit_cdf,
     student_t3_unit_ppf,
 )
 from helpers import (
+    check_pathwise,
     copula_values,
     exposures_for_paths,
     make_config,
@@ -44,6 +44,7 @@ from helpers import (
     quad_tail_stats,
     reports_equal,
     sample_draws,
+    student_t3_unit_cdf,
 )
 
 
@@ -54,7 +55,7 @@ from helpers import (
 
 def test_uniforms_are_pure_functions_of_path_index():
     config = make_config(np.ones((4, 3)), betas=[1.0] * 3)
-    layout = _build_layout(config)
+    layout = _build_layout(config, [no_ccp()])
     whole = _uniforms(99, layout, 0, 16)
     assert np.array_equal(_uniforms(99, layout, 5, 4), whole[5:9])
     assert np.array_equal(_uniforms(99, layout, 15, 1), whole[15:16])
@@ -64,7 +65,7 @@ def test_uniforms_are_pure_functions_of_path_index():
 
 def test_uniforms_shape_and_range():
     config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
-    layout = _build_layout(config)
+    layout = _build_layout(config, [no_ccp()])
     u = _uniforms(1, layout, 0, 100)
     assert u.shape == (100, 3, 3)  # 3 unordered pairs, K+1 coordinates
     assert (u > 0).all() and (u < 1).all()
@@ -206,7 +207,7 @@ def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
     """One 4096-path chunk holds its (paths, scenarios, dealers) output plus
     the working set of one block of paths, not chunk-sized shocks."""
     config, scenarios = paper_market_t3
-    layout = _build_layout(config)
+    layout = _build_layout(config, scenarios)
     bounds = montecarlo._path_blocks(layout, 0, 4096)
     assert len(bounds) > 2  # the chunk is evaluated in more than one block
     block_nbytes = max(np.diff(bounds)) * layout.n_pairs * layout.n_classes * 8
@@ -219,7 +220,7 @@ def test_chunk_calls_the_kernel_once_per_block(paper_market, monkeypatch):
     """The chunk loop draws each block's shocks and hands them to the kernel
     as one array, which writes that block's rows of the chunk output."""
     config, scenarios, _ = paper_market
-    layout = _build_layout(config)
+    layout = _build_layout(config, scenarios)
     bounds = montecarlo._path_blocks(layout, 0, 4096)
     calls = []
     kernel = kernels.scenario_exposures
@@ -237,13 +238,42 @@ def test_chunk_calls_the_kernel_once_per_block(paper_market, monkeypatch):
         assert out.base is e and np.array_equal(out, e[a:b])
 
 
+def test_simulate_builds_one_kernel_plan(monkeypatch):
+    """The kernel's plan is built once per run, and every chunk's kernel
+    calls, on every worker, read that one plan."""
+    config, scenarios = _small_market()
+    plans, used = [], []
+    build, kernel = kernels.plan, kernels.scenario_exposures
+
+    def counting_plan(*args):
+        plans.append(build(*args))
+        return plans[-1]
+
+    def recording_kernel(y, plan, out):
+        used.append(plan)
+        return kernel(y, plan, out=out)
+
+    monkeypatch.setattr(kernels, "plan", counting_plan)
+    monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers interleave inside the kernel
+    try:
+        report = simulate(config, scenarios, 3000, 5, threads=3, chunk_size=500)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(plans) == 1
+    assert len(used) >= 6 and all(plan is plans[0] for plan in used)  # six chunks
+    monkeypatch.undo()
+    assert reports_equal(report, simulate(config, scenarios, 3000, 5, chunk_size=500))
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_shocks_bitwise_equal_one_pass_copula(rho):
     """Shocks are mapped from their uniforms in sub-blocks; the mapping is
     elementwise, so any sub-block seam gives the one-pass values exactly."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
-    layout = _build_layout(config)
+    layout = _build_layout(config, [no_ccp()])
     step = montecarlo._UNIFORM_DOUBLES // layout.padded_draws
     count = 2 * step + 7  # two full sub-blocks and a short one
     y = montecarlo._shocks(layout, 4, 3, count)
@@ -255,7 +285,7 @@ def test_sample_pair_exposures_scales_and_antisymmetry():
     """Both directions of a pair are one standardized draw, each under its
     owner's pair scale, the reverse direction negated."""
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
-    layout = _build_layout(config)
+    layout = _build_layout(config, [no_ccp()])
     # one row per unordered pair, owned by the lower index
     assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (0, 2), (1, 2)]
     y = copula_values(_uniforms(9, layout, 0, 1000), config.rho, config.marginals())
@@ -288,9 +318,8 @@ def test_evaluate_scenario_zero_draw_is_zero():
     scenarios = standard_scenarios(irs_class=0, cds_class=1)
     ii, jj = np.triu_indices(3, k=1)
     scales = np.ones((3, 2))
-    e = kernels.scenario_exposures(
-        np.zeros((1, 3, 2)), scales, scales, ii, jj, scenarios, 3
-    )
+    plan = kernels.plan(scales, scales, ii, jj, scenarios, 3)
+    e = kernels.scenario_exposures(np.zeros((1, 3, 2)), plan)
     assert np.array_equal(e, np.zeros((1, len(scenarios), 3)))
 
 
@@ -306,15 +335,8 @@ def test_evaluate_scenario_hand_values():
     scen = single_ccp(1, 1.0, name="full_clearing")
     # explicit layout: one unit-scale row per ordered pair, no reverse scale
     ii, jj = np.nonzero(~np.eye(3, dtype=bool))
-    e = kernels.scenario_exposures(
-        x[ii, jj][None],
-        np.ones((6, 2)),
-        np.zeros((6, 2)),
-        ii,
-        jj,
-        [scen],
-        3,
-    )[0, 0]
+    plan = kernels.plan(np.ones((6, 2)), np.zeros((6, 2)), ii, jj, [scen], 3)
+    e = kernels.scenario_exposures(x[ii, jj][None], plan)[0, 0]
     ref = oracle_exposures(x, [scen])["full_clearing"]
     for i in range(3):
         assert e[i] == pytest.approx(ref[i], rel=1e-15)
@@ -500,10 +522,10 @@ def test_simulate_rejects_path_floor_and_bad_inputs():
 
 def test_simulate_deterministic_across_threads_and_reruns():
     config, scenarios = _small_market()
-    kw = dict(chunk_size=512, check_invariants=True)
-    a = simulate(config, scenarios, 3000, 11, threads=1, **kw)
-    b = simulate(config, scenarios, 3000, 11, threads=2, **kw)
-    c = simulate(config, scenarios, 3000, 11, threads=1, **kw)
+    check_pathwise(exposures_for_paths(config, scenarios, 11, 0, 3000), scenarios)
+    a = simulate(config, scenarios, 3000, 11, threads=1, chunk_size=512)
+    b = simulate(config, scenarios, 3000, 11, threads=2, chunk_size=512)
+    c = simulate(config, scenarios, 3000, 11, threads=1, chunk_size=512)
     for other in (b, c):
         assert np.array_equal(a.ee, other.ee)
         assert np.array_equal(a.var, other.var)
@@ -534,11 +556,11 @@ def test_failed_first_chunk_releases_chunks_waiting_for_its_grid(monkeypatch):
     config, scenarios = _small_market()
     chunk_exposures = montecarlo._chunk_exposures
 
-    def failing_first_chunk(layout, scens, seed, start, count):
+    def failing_first_chunk(layout, seed, start, count):
         if start == 0:
             time.sleep(0.2)  # let the other workers reach the grid
             raise RuntimeError("chunk 0 failed")
-        return chunk_exposures(layout, scens, seed, start, count)
+        return chunk_exposures(layout, seed, start, count)
 
     monkeypatch.setattr(montecarlo, "_chunk_exposures", failing_first_chunk)
     errors = []
@@ -593,18 +615,18 @@ def test_check_pathwise_pairs_joint_with_one_ccp_per_class():
         joint_ccp([(0, 0.5), (1, 0.6), (2, 0.4)], name="other_joint"),
     )
     e = np.ones((4, len(scenarios), 3))
-    _check_pathwise(e, scenarios)
+    check_pathwise(e, scenarios)
     unpaired = e.copy()
     unpaired[:, 2:] = 5.0  # above "separate", but neither is its pair
-    _check_pathwise(unpaired, scenarios)
+    check_pathwise(unpaired, scenarios)
     joint_above = e.copy()
     joint_above[1, 1, 0] = 1.5
     with pytest.raises(AssertionError, match="joint-CCP exposure exceeded"):
-        _check_pathwise(joint_above, scenarios)
+        check_pathwise(joint_above, scenarios)
     negative = e.copy()
     negative[3, 2, 2] = -1.0
     with pytest.raises(AssertionError, match="negative realized exposure"):
-        _check_pathwise(negative, scenarios)
+        check_pathwise(negative, scenarios)
 
 
 def test_simulate_rejects_negative_seed():
@@ -637,15 +659,15 @@ def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
     threads, and the paths on both sides of a block seam and of sub-block
     seams match the straight-line oracle."""
     config, scenarios = paper_market_t3
-    layout = _build_layout(config)
+    layout = _build_layout(config, scenarios)
     # chunks [0, 2501) and [2501, 5000), each evaluated in two blocks
     start, count = 2501, 2499
     bounds = montecarlo._path_blocks(layout, start, count)
     assert len(bounds) == 3
-    kw = dict(chunk_size=start, check_invariants=True)
-    a = simulate(config, scenarios, 5000, 8, threads=1, **kw)
-    b = simulate(config, scenarios, 5000, 8, threads=2, **kw)
+    a = simulate(config, scenarios, 5000, 8, threads=1, chunk_size=start)
+    b = simulate(config, scenarios, 5000, 8, threads=2, chunk_size=start)
     assert reports_equal(a, b)
+    check_pathwise(exposures_for_paths(config, scenarios, 8, 0, start), scenarios)
 
     widths = []  # paths of each kernel sub-block, in order
     carve = kernels._carve
@@ -656,6 +678,7 @@ def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
 
     monkeypatch.setattr(kernels, "_carve", recording_carve)
     engine = exposures_for_paths(config, scenarios, 8, start, count)
+    check_pathwise(engine, scenarios)
     step = widths[0]
     first = bounds[1] - start
     assert first % step  # the first block ends in a short sub-block
@@ -754,7 +777,8 @@ def test_clearing_benefit_grows_with_correlation(paper_market):
 
 def test_simulate_risk_measure_orderings():
     config, scenarios = _small_market()
-    report = simulate(config, scenarios, 5000, 2, check_invariants=True)
+    check_pathwise(exposures_for_paths(config, scenarios, 2, 0, 5000), scenarios)
+    report = simulate(config, scenarios, 5000, 2)
     assert (report.es >= report.var).all()
     assert (report.var >= 0).all()
     assert (report.ee >= 0).all()
