@@ -24,6 +24,7 @@ from .market import (
     ConfigError,
     HomogeneousSpec,
     MarketConfig,
+    _surface_cell,
     pair_scale_matrix,
     validate,
 )
@@ -115,17 +116,24 @@ def _pair_stds(spec: HomogeneousSpec, w: float) -> tuple[float, float]:
     std devs v is sum v^2 + rho ((sum v)^2 - sum v^2). The cross term is kept
     as that difference so it is exactly zero for one class: otherwise A may
     round away from sigma and break the exact N=2 tie of a single class.
+    Both sums run in one plain left-to-right loop, so they round the same on
+    every Python version (``sum`` compensates its float additions since 3.12).
     """
-    sig = [a * c for a, c in zip(spec.alphas, spec.credit_exposures)]
-    resid = sig.copy()
-    resid[spec.cleared_class] *= 1.0 - w
-
-    def std(v: list[float]) -> float:
-        total = sum(v)
-        squares = sum(x * x for x in v)
-        return math.sqrt(squares + spec.rho * (total * total - squares))
-
-    return std(sig), std(resid)
+    c = spec.cleared_class
+    total = squares = total_b = squares_b = 0.0
+    for k, (alpha, ce) in enumerate(zip(spec.alphas, spec.credit_exposures)):
+        v = alpha * ce
+        total += v
+        squares += v * v
+        if k == c:
+            v *= 1.0 - w
+        total_b += v
+        squares_b += v * v
+    rho = spec.rho
+    return (
+        math.sqrt(squares + rho * (total * total - squares)),
+        math.sqrt(squares_b + rho * (total_b * total_b - squares_b)),
+    )
 
 
 def _cleared_sigma(spec: HomogeneousSpec) -> float:
@@ -225,13 +233,19 @@ def threshold_surface(
 ) -> np.ndarray:
     """Member threshold over a grid of cleared-class riskiness multipliers
     and cross-class correlations; entry [a, r] pairs alpha_grid[a] with
-    rho_grid[r]."""
+    rho_grid[r].
+
+    The grids are validated once, before any cell is solved, and each cell
+    is ``spec`` with only its cleared alpha and rho replaced, so the
+    per-cell solve does not re-run ``HomogeneousSpec``'s checks."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
+    if alpha_grid.ndim != 1 or rho_grid.ndim != 1:
+        raise ConfigError("grids must be one-dimensional")
     if alpha_grid.size == 0 or rho_grid.size == 0:
         raise ConfigError("grids must be non-empty")
-    if not (alpha_grid > 0).all():
-        raise ConfigError("alpha grid values must be > 0")
+    if not (np.isfinite(alpha_grid) & (alpha_grid > 0)).all():
+        raise ConfigError("alpha grid values must be finite and > 0")
     if not ((rho_grid >= 0) & (rho_grid < 1)).all():
         raise ConfigError("rho grid values must lie in [0, 1)")
     out = np.empty((alpha_grid.size, rho_grid.size), dtype=np.int64)
@@ -240,13 +254,7 @@ def threshold_surface(
     for ai, alpha in enumerate(alpha_grid.tolist()):
         alphas = spec.alphas[:c] + (alpha,) + spec.alphas[c + 1 :]
         for ri, rho in enumerate(rhos):
-            cell = HomogeneousSpec(
-                credit_exposures=spec.credit_exposures,
-                alphas=alphas,
-                rho=rho,
-                cleared_class=c,
-                class_names=spec.class_names,
-            )
+            cell = _surface_cell(spec, alphas, rho)
             out[ai, ri] = min_clearing_members(cell, w=w).n_star
     return out
 

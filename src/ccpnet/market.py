@@ -330,7 +330,6 @@ class HomogeneousSpec:
         object.__setattr__(self, "credit_exposures", ce)
         object.__setattr__(self, "alphas", al)
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        # threshold_surface builds a spec per cell: a set keeps the check cheap
         if len(set(self.class_names)) < len(self.class_names):
             repeated = _repeated(self.class_names)
             raise ConfigError(f"class names must be unique, repeated: {repeated}")
@@ -352,3 +351,15 @@ class HomogeneousSpec:
     @property
     def n_classes(self) -> int:
         return len(self.credit_exposures)
+
+
+def _surface_cell(
+    spec: HomogeneousSpec, alphas: tuple[float, ...], rho: float
+) -> HomogeneousSpec:
+    """``spec`` with ``alphas`` and ``rho`` replaced, without running
+    ``__post_init__`` again. The caller guarantees what it would check:
+    ``alphas`` is a tuple of ``spec.n_classes`` finite floats > 0 and ``rho``
+    a float in [0, 1). The result then equals the checked construction."""
+    cell = object.__new__(HomogeneousSpec)
+    cell.__dict__.update(spec.__dict__, alphas=alphas, rho=rho)
+    return cell

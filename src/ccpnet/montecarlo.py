@@ -367,6 +367,44 @@ def _top(values: np.ndarray, m: int) -> np.ndarray:
     return values[k:].copy()
 
 
+class _TopRows:
+    """The m largest values seen so far in each cell of a ``cells``-shaped
+    array, fed blocks of at most ``max_rows`` rows of shape ``(rows, *cells)``.
+
+    Rows lie contiguous on the buffer's last axis. Blocks are appended as
+    they come and the buffer is partitioned down to m rows only once m rows
+    beyond the kept m are pending, so a merge comes at most once per m rows
+    added and partitions at most 3m - 1 rows per cell. The kept values are
+    a fixed multiset whatever the blocks, so the tail statistics read from
+    them do not depend on when the merges happen."""
+
+    def __init__(self, cells: tuple[int, ...], m: int, max_rows: int):
+        self._m = m
+        self._buf = np.empty(cells + (2 * m - 1 + max_rows,))
+        self._fill = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        end = self._fill + rows.shape[0]
+        self._buf[..., self._fill : end] = np.moveaxis(rows, 0, -1)
+        self._fill = end
+        if end >= 2 * self._m:
+            self._keep_top()
+
+    def _keep_top(self) -> None:
+        m, fill = self._m, self._fill
+        if fill > m:
+            live = self._buf[..., :fill]
+            live.partition(fill - m, axis=-1)
+            self._buf[..., :m] = live[..., fill - m :]
+            self._fill = m
+
+    def sorted(self) -> np.ndarray:
+        """Each cell's m largest values (all, when fewer came), ascending
+        along the last axis."""
+        self._keep_top()
+        return np.sort(self._buf[..., : self._fill], axis=-1)
+
+
 _MAX_BINS = 2000
 
 
@@ -572,7 +610,7 @@ def simulate(
     keep_samples
         Keep every realized exposure, as float32, for ``dataio.write_path_dump``.
         Without it, memory does not grow with ``n_paths`` beyond the tail
-        buffers of about (1 - level) * n_paths values per cell.
+        buffer of at most about 3 (1 - level) * n_paths values per cell.
     """
     validate(config).raise_if_invalid()
     scenarios = tuple(scenarios)
@@ -648,7 +686,8 @@ def simulate(
     ee = np.zeros((n_scen, n_dealers))
     m2 = np.zeros((n_scen, n_dealers))
     mm_sum = np.zeros(n_scen)
-    tops = hists = None
+    tops = _TopRows((n_scen, n_dealers), m, min(m, chunk_size))
+    hists = None
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(run_chunk, chunks) if threads > 1 else map(run_chunk, chunks)
         for count, c_mean, c_m2, c_mm, c_hists, c_top in results:
@@ -658,7 +697,7 @@ def simulate(
             m2 += c_m2 + delta * delta * (n * count / total)
             n = total
             mm_sum += c_mm
-            tops = c_top if tops is None else _top(np.concatenate((tops, c_top)), m)
+            tops.add(c_top)
             hists = c_hists if hists is None else [
                 _merge_histograms(h, c, _MAX_BINS) for h, c in zip(hists, c_hists)
             ]
@@ -669,10 +708,11 @@ def simulate(
     var = np.empty((n_scen, n_dealers))
     es = np.empty((n_scen, n_dealers))
     exceed = np.empty((n_scen, n_dealers), dtype=np.int64)
+    sorted_tops = tops.sorted()
     for s in range(n_scen):
         for d in range(n_dealers):
             var[s, d], es[s, d], exceed[s, d] = _tail_stats(
-                np.sort(tops[:, s, d]), level, n_paths
+                sorted_tops[s, d], level, n_paths
             )
 
     histograms = None

@@ -1,11 +1,14 @@
 """Closed-form exposures vs independent quadrature oracles, plus the
 homogeneous threshold model against its published reference values."""
 
+import functools
 import math
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccpnet import analytic, dataio
@@ -348,6 +351,128 @@ def test_surface_single_cell_matches_threshold():
     surf = threshold_surface(spec, [3.0], [0.1])
     assert surf.shape == (1, 1)
     assert surf[0, 0] == min_clearing_members(_bis_spec(3.0, 0.1)).n_star
+
+
+@st.composite
+def _homogeneous_specs(draw):
+    k = draw(st.integers(1, 6))
+    positive = st.floats(0.05, 20.0)
+    return HomogeneousSpec(
+        credit_exposures=tuple(draw(st.lists(positive, min_size=k, max_size=k))),
+        alphas=tuple(draw(st.lists(positive, min_size=k, max_size=k))),
+        rho=draw(st.floats(0.0, 0.9)),
+        cleared_class=draw(st.integers(0, k - 1)),
+        class_names=tuple(f"class{i}" for i in range(k)),
+    )
+
+
+def _left_to_right_pair_stds(spec, w):
+    """A and B with every sum taken left to right in class order, as
+    Python's ``sum`` added floats up to 3.11."""
+    sig = [a * c for a, c in zip(spec.alphas, spec.credit_exposures)]
+    resid = sig.copy()
+    resid[spec.cleared_class] *= 1.0 - w
+
+    def std(v):
+        total = functools.reduce(operator.add, v, 0.0)
+        squares = functools.reduce(operator.add, [x * x for x in v], 0.0)
+        return math.sqrt(squares + spec.rho * (total * total - squares))
+
+    return std(sig), std(resid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_homogeneous_specs(), w=st.floats(0.0, 1.0))
+def test_pair_stds_round_as_left_to_right_sums(spec, w):
+    """The surface's bytes rest on how A and B round, and the grid tests do
+    not see a reordered sum, so the order is pinned here."""
+    assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=_homogeneous_specs(),
+    alpha_grid=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4),
+    rho_grid=st.lists(st.floats(0.0, 0.95), max_size=3).map(lambda r: [0.0] + r),
+    # tiny fractions mostly give cells where the CCP never wins: keep them rare
+    w=st.one_of(
+        st.just(1.0), st.floats(1e-3, 1.0), st.floats(0.0, 1e-3, exclude_min=True)
+    ),
+)
+@example(
+    spec=HomogeneousSpec((1.0,), (1.0,), 0.0, 0), alpha_grid=[2.0], rho_grid=[0.0], w=1.0
+)
+def test_surface_matches_per_cell_solve(spec, alpha_grid, rho_grid, w):
+    """Each surface cell is the threshold of the fully checked spec with that
+    cell's alpha and rho, and the cell the surface solves equals that spec."""
+    c = spec.cleared_class
+    checked = [
+        HomogeneousSpec(
+            credit_exposures=spec.credit_exposures,
+            alphas=spec.alphas[:c] + (alpha,) + spec.alphas[c + 1 :],
+            rho=rho,
+            cleared_class=c,
+            class_names=spec.class_names,
+        )
+        for alpha in alpha_grid
+        for rho in rho_grid
+    ]
+    expected = [_outcome(cell, w) for cell in checked]
+    errors = [e for e in expected if isinstance(e, str)]
+    with mock.patch.object(
+        analytic, "min_clearing_members", wraps=min_clearing_members
+    ) as solve:
+        if errors:
+            with pytest.raises(ConfigError) as exc:
+                threshold_surface(spec, alpha_grid, rho_grid, w=w)
+            assert str(exc.value) == errors[0]
+        else:
+            surf = threshold_surface(spec, alpha_grid, rho_grid, w=w)
+            assert surf.ravel().tolist() == expected
+    cells = [call.args[0] for call in solve.call_args_list]
+    assert cells == checked[: len(cells)]
+    assert len(cells) == (expected.index(errors[0]) + 1 if errors else len(checked))
+
+
+@pytest.mark.parametrize(
+    "alpha_grid,rho_grid",
+    [
+        ([1.0, math.inf], [0.0]),
+        ([1.0, math.nan], [0.0]),
+        ([1.0, 0.0], [0.0]),
+        ([1.0, -2.0], [0.0]),
+        ([1.0], [0.0, -0.1]),
+        ([1.0], [0.0, 1.0]),
+        ([1.0], [0.0, math.nan]),
+        ([[1.0, 2.0]], [0.0]),
+        ([1.0], 0.0),
+    ],
+    ids=["alpha-inf", "alpha-nan", "alpha-zero", "alpha-negative",
+         "rho-negative", "rho-one", "rho-nan", "alpha-2d", "rho-scalar"],
+)
+def test_surface_rejects_bad_grids_before_solving(monkeypatch, alpha_grid, rho_grid):
+    """A bad value fails the whole grid before any cell is solved, also when
+    good values come first."""
+    calls = []
+    monkeypatch.setattr(analytic, "min_clearing_members", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError):
+        threshold_surface(_bis_spec(), alpha_grid, rho_grid)
+    assert calls == []
+
+
+def test_surface_checks_the_spec_at_most_once(monkeypatch):
+    spec = _bis_spec()
+    checks = []
+    post_init = HomogeneousSpec.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HomogeneousSpec, "__post_init__", counted)
+    surf = threshold_surface(spec, np.linspace(1.0, 3.0, 20), np.linspace(0.0, 0.5, 20))
+    assert surf.shape == (20, 20)
+    assert len(checks) <= 1
 
 
 def test_surface_rejects_bad_grids():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def test_report_bytes_are_reproducible(small_report, tmp_path):
 
 def test_report_metadata_headers(small_report, tmp_path):
     files = write_report(small_report, str(tmp_path / "out"))
-    text = open(files["dump"]).read()
+    text = Path(files["dump"]).read_text()
     assert "# seed = 13" in text
     assert "# paths = 2000" in text
     assert "# base_scenario = no_ccp" in text
@@ -324,7 +325,7 @@ def test_load_report_reads_dump_with_backend_header(small_report, tmp_path):
     """Older dumps carry a ``# backend`` header line; they still load to
     the same report."""
     files = write_report(small_report, str(tmp_path / "out"))
-    text = open(files["dump"]).read()
+    text = Path(files["dump"]).read_text()
     old = tmp_path / "old.csv"
     old.write_text(text.replace("# level", "# backend = cython\n# level", 1))
     assert "# backend = cython" in old.read_text()
@@ -336,7 +337,7 @@ def test_load_report_reads_var99_names_at_any_level(small_report, tmp_path):
     them var99 and es99 whatever the level; they still load."""
     report = dataclasses.replace(small_report, level=0.95)
     files = write_report(report, str(tmp_path / "out"))
-    text = open(files["dump"]).read()
+    text = Path(files["dump"]).read_text()
     assert ",var95," in text and ",es95_exceedances," in text
     old = tmp_path / "old.csv"
     old.write_text(text.replace(",var95,", ",var99,").replace(",es95", ",es99"))

@@ -451,12 +451,12 @@ def _streamed_tail(x: np.ndarray, chunk: int, level: float):
     as ``simulate`` does per (scenario, dealer) cell."""
     n = x.size
     m = montecarlo._tail_size(n, level)
-    top = None
+    tops = montecarlo._TopRows((1, 1), m, min(m, chunk))
     for a in range(0, n, chunk):
-        c = montecarlo._top(x[a : a + chunk].reshape(-1, 1, 1).copy(), m)
-        top = c if top is None else montecarlo._top(np.concatenate((top, c)), m)
-    assert top.shape[0] == min(m, n)
-    return montecarlo._tail_stats(np.sort(top[:, 0, 0]), level, n)
+        tops.add(montecarlo._top(x[a : a + chunk].reshape(-1, 1, 1).copy(), m))
+    top = tops.sorted()
+    assert top.shape == (1, 1, min(m, n))
+    return montecarlo._tail_stats(top[0, 0], level, n)
 
 
 @settings(max_examples=300, deadline=None)
