@@ -128,8 +128,15 @@ def cmd_threshold(args) -> int:
 
 def cmd_surface(args) -> int:
     dataio.check_output_path(args.out, is_dir=False)
-    # threshold_surface sets rho per cell from the grid
+    # threshold_surface sets rho, and the cleared class's alpha, per cell
+    # from the grids
     spec = _homogeneous_spec(args, 0.0)
+    cleared = spec.class_names[spec.cleared_class]
+    if cleared in _parse_kv(args.alpha, "--alpha"):
+        raise ConfigError(
+            f"--alpha {cleared}= would be ignored: "
+            f"--alpha-grid sets the alpha of the cleared class {cleared!r}"
+        )
     alpha_grid = _parse_grid(args.alpha_grid)
     rho_grid = _parse_grid(args.rho_grid)
     surface = analytic.threshold_surface(spec, alpha_grid, rho_grid, w=args.w)

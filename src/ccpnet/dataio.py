@@ -346,6 +346,19 @@ def build_market(rc: RunConfig):
         two_ccps([(irs, w("two_ccps", "swaps")), (cds, w("two_ccps", "credit"))]),
         joint_ccp([(irs, w("joint_ccp", "swaps")), (cds, w("joint_ccp", "credit"))]),
     )
+    # a fraction for a class that its scenarios do not clear changes nothing
+    cleared = {s.name: {table.classes[c.class_id] for c in s.cleared} for s in scenarios}
+    for cls in rc.w:
+        if not any(cls in classes for classes in cleared.values()):
+            raise ConfigError(
+                f"w setting for class {cls!r} changes nothing: no scenario clears it"
+            )
+    for scen_id, cls in rc.scenario_w:
+        if cls not in cleared.get(scen_id, ()):
+            raise ConfigError(
+                f"scenario.{scen_id}.w.{cls} changes nothing: "
+                f"scenario {scen_id!r} does not clear {cls!r}"
+            )
     return config, scenarios, tuple(assumptions)
 
 

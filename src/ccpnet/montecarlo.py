@@ -17,16 +17,19 @@ block's rows of the chunk's (paths, scenarios, dealers) exposures. A
 worker's working set is one block's shocks and temporaries plus its chunk's
 exposures, whatever the chunk size.
 
-A chunk's exposures are reduced as soon as they exist: EE moments, mean-max
-sums, histogram counts and, per (scenario, dealer), the largest values that
-VaR and ES read, all merged in chunk order. No per-path buffer is kept unless
-a path dump asks for one.
+Each worker reduces only its own chunk, as soon as its exposures exist: EE
+moments, mean-max sums, the exposure reductions to histogram and, per
+(scenario, dealer), the largest values that VaR and ES read. The calling
+thread merges these summaries in chunk order; chunk 0, merged first, fixes
+the histogram grids. No worker waits on another, and only the calling thread
+writes run-wide state. No per-path buffer is kept unless a path dump asks
+for one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -596,7 +599,9 @@ def simulate(
         Path count (>= 1000) and Philox key. Fixed (seed, n_paths,
         chunk_size) gives a bit-identical report at any ``threads``.
     threads
-        Chunks evaluated concurrently (>= 1).
+        Chunks evaluated concurrently (>= 1). Each worker reduces only its
+        own chunk; the calling thread merges the chunks' summaries in chunk
+        order.
     chunk_size
         Paths per chunk (>= 1). Each worker evaluates its chunk in blocks of
         bounded size, so its working set does not grow with ``chunk_size``;
@@ -604,9 +609,9 @@ def simulate(
         grid, so it is part of what fixes the report's bits.
     collect_histograms
         Histogram, for each scenario but the base, the per-path and
-        per-dealer exposure reductions against the base. The grid is fixed
-        from chunk 0 (see ``freedman_diaconis_edges``) and widened by whole
-        bins to every chunk's values.
+        per-dealer exposure reductions against the base. Chunk 0, merged
+        first, fixes the grid (see ``freedman_diaconis_edges``); the merge
+        counts every chunk on it, widened by whole bins to its values.
     keep_samples
         Keep every realized exposure, as float32, for ``dataio.write_path_dump``.
         Without it, memory does not grow with ``n_paths`` beyond the tail
@@ -631,21 +636,14 @@ def simulate(
     compared = []  # scenarios histogrammed against the base
     if collect_histograms and base_index is not None:
         compared = [s for s in range(n_scen) if s != base_index]
-    # chunk 0 fixes each compared scenario's histogram grid; the other
-    # chunks wait for it before they count
-    grids = Future()
     m = _tail_size(n_paths, level)
-    samples = None
-    if keep_samples:
-        samples = np.empty((n_scen, n_paths, n_dealers), dtype=np.float32)
 
-    def differences(e, s):
-        return np.subtract(e[:, base_index], e[:, s]).ravel()
-
-    def reduce_chunk(ci, start, count):
+    def reduce_chunk(start):
+        # everything here depends on this chunk alone; run-wide state is
+        # the merge loop's
+        count = min(chunk_size, n_paths - start)
         e = _chunk_exposures(layout, seed, start, count)
-        if samples is not None:
-            samples[:, start : start + count, :] = e.transpose(1, 0, 2)
+        rows = e.astype(np.float32) if keep_samples else None
         mean = e.sum(axis=0) / count
         sq_dev = np.empty_like(mean)  # per cell, the sum of squared deviations
         for s in range(n_scen):
@@ -653,44 +651,28 @@ def simulate(
             d *= d
             sq_dev[s] = d.sum(axis=0)
         mm = e.max(axis=2).sum(axis=0)
-        hists = []
-        if compared:
-            if ci == 0:
-                n_values = n_paths * n_dealers
-                grids.set_result(
-                    [_histogram_grid(differences(e, s), n_values) for s in compared]
-                )
-            hists = [
-                _chunk_histogram(differences(e, s), grid, _MAX_BINS)
-                for s, grid in zip(compared, grids.result())
-            ]
-        return count, mean, sq_dev, mm, hists, _top(e, m)
+        diffs = [np.subtract(e[:, base_index], e[:, s]).ravel() for s in compared]
+        return count, mean, sq_dev, mm, diffs, rows, _top(e, m)
 
-    def run_chunk(job):
-        try:
-            return reduce_chunk(*job)
-        except BaseException as exc:
-            if job[0] == 0 and not grids.done():
-                grids.set_exception(exc)  # release the chunks waiting for the grid
-            raise
-
-    chunks = [
-        (ci, start, min(chunk_size, n_paths - start))
-        for ci, start in enumerate(range(0, n_paths, chunk_size))
-    ]
-    # Chunk results merge in chunk order as they arrive, so the report's bits
-    # do not depend on the thread count and no chunk's output outlives its
-    # merge. EE moments use the pairwise update of Chan, Golub and LeVeque
-    # (1983); the top-m buffers and histogram counts merge exactly.
+    # Chunk summaries merge in chunk order in this thread, so the report's
+    # bits do not depend on the thread count. EE moments use the pairwise
+    # update of Chan, Golub and LeVeque (1983); the top-m buffers and
+    # histogram counts merge exactly. Chunk 0, merged first, fixes each
+    # compared scenario's histogram grid.
     n = 0
     ee = np.zeros((n_scen, n_dealers))
     m2 = np.zeros((n_scen, n_dealers))
     mm_sum = np.zeros(n_scen)
     tops = _TopRows((n_scen, n_dealers), m, min(m, chunk_size))
-    hists = None
+    grids = hists = samples = None
+    if keep_samples:
+        samples = np.empty((n_scen, n_paths, n_dealers), dtype=np.float32)
+    starts = range(0, n_paths, chunk_size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(run_chunk, chunks) if threads > 1 else map(run_chunk, chunks)
-        for count, c_mean, c_m2, c_mm, c_hists, c_top in results:
+        results = pool.map(reduce_chunk, starts) if threads > 1 else map(reduce_chunk, starts)
+        for count, c_mean, c_m2, c_mm, c_diffs, c_rows, c_top in results:
+            if samples is not None:
+                samples[:, n : n + count] = c_rows.transpose(1, 0, 2)
             total = n + count
             delta = c_mean - ee
             ee += delta * (count / total)
@@ -698,9 +680,15 @@ def simulate(
             n = total
             mm_sum += c_mm
             tops.add(c_top)
+            if grids is None:
+                grids = [_histogram_grid(d, n_paths * n_dealers) for d in c_diffs]
+            c_hists = [_chunk_histogram(d, g, _MAX_BINS) for d, g in zip(c_diffs, grids)]
             hists = c_hists if hists is None else [
                 _merge_histograms(h, c, _MAX_BINS) for h, c in zip(hists, c_hists)
             ]
+            # free this chunk's arrays before the next one is drawn: without
+            # threads, map evaluates it while these names still hold them
+            del c_diffs, c_rows, c_top
 
     ee_se = np.sqrt(m2 / n_paths / n_paths)
     mean_max = mm_sum / n_paths
@@ -718,7 +706,7 @@ def simulate(
     histograms = None
     if compared:
         histograms = {}
-        for s, grid, hist in zip(compared, grids.result(), hists):
+        for s, grid, hist in zip(compared, grids, hists):
             histograms[scenarios[s].name] = (_histogram_edges(grid, hist), hist[2])
 
     return RiskReport(

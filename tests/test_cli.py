@@ -164,6 +164,17 @@ def test_surface_bad_grid_exits_2(capsys, tmp_path):
             "--out", str(tmp_path / "s.csv"),
         )
         assert code == 2, (alpha_grid, rho_grid)
+    # the alpha grid sets the cleared class's alpha; --alpha may not
+    grids = ("--alpha-grid", "1:3:3", "--rho-grid", "0:0.2:3")
+    code, out, err = run_cli(
+        capsys, "surface", "--alpha", "credit=7", *grids, "--out", str(tmp_path / "s.csv")
+    )
+    assert code == 2 and not out
+    assert "--alpha-grid sets the alpha of the cleared class 'credit'" in err
+    assert not (tmp_path / "s.csv").exists()
+    for extra in (("--alpha", "rates=2"), ("--alpha", "credit=7", "--cleared", "rates")):
+        code, _, _ = run_cli(capsys, "surface", *extra, *grids, "--out", str(tmp_path / "t.csv"))
+        assert code == 0, extra
 
 
 def test_surface_and_report_out_paths(capsys, tmp_path):
@@ -243,19 +254,29 @@ def test_scenarios_run_and_outputs(capsys, tmp_path):
     for name in ("file_dump", "file_mean_max", "file_ratios_expected_exposure"):
         assert name in kv
         path = kv[name][0]
-        assert open(path).read()
+        assert Path(path).read_text()
     assert "running 5 scenarios" in err  # progress goes to stderr only
     # every ES cell holds about 200 tail samples at 20,000 paths
     assert kv["low_confidence_es_cells"] == ["0"]
 
 
 def test_scenarios_byte_identical_across_runs_and_threads(capsys, tmp_path):
-    run_cli(capsys, *_scen_args(tmp_path, "a"))
-    run_cli(capsys, *_scen_args(tmp_path, "b"))
-    run_cli(capsys, *_scen_args(tmp_path, "c", "--threads", "2"))
-    ref = (tmp_path / "a" / "report.csv").read_bytes()
-    assert (tmp_path / "b" / "report.csv").read_bytes() == ref
-    assert (tmp_path / "c" / "report.csv").read_bytes() == ref
+    """5000 paths make two chunks, the second one short: a rerun and runs
+    at 2 and 3 threads write the same bytes in every output file."""
+    digests = {}
+    for sub, threads in [("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")]:
+        argv = _scen_args(tmp_path, sub, "--paths", "5000", "--dump-paths", "--threads", threads)
+        assert run_cli(capsys, *argv)[0] == 0
+        digests[sub] = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / sub).iterdir()
+        }
+    assert set(digests["a"]) == {
+        "report.csv", "histograms.csv", "paths.csv", "mean_max.csv", "analytic_ee.csv",
+        "ratios_expected_exposure.csv", "ratios_var99.csv", "ratios_es99.csv",
+    }
+    for sub in "bcd":
+        assert digests[sub] == digests["a"], sub
 
 
 def test_scenarios_config_file_with_flag_overrides(capsys, tmp_path):
@@ -322,7 +343,7 @@ def test_scenarios_dump_paths(capsys, tmp_path):
     # 1000 paths leave about 10 samples in each ES tail: every cell is flagged
     report = dataio.load_report(kv["file_dump"][0])
     assert kv["low_confidence_es_cells"] == [str(report.low_confidence.sum())] == ["100"]
-    lines = open(kv["file_paths"][0]).read().splitlines()
+    lines = Path(kv["file_paths"][0]).read_text().splitlines()
     assert lines[0] == "scenario,dealer,value"
     assert len(lines) == 1 + 5 * 20 * 1000
 
@@ -400,6 +421,19 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
         assert code == 2 and message in err, extra
         assert "running" not in err, extra
     assert not (tmp_path / "v").exists()
+    # a clearing fraction for a class that its scenarios do not clear
+    for sid, cls in [("no_ccp", "swaps"), ("irs_ccp", "credit"), ("cds_ccp", "forwards")]:
+        cfg = tmp_path / f"{sid}.cfg"
+        cfg.write_text(f"scenario.{sid}.w.{cls} = 0.5\n")
+        code, _, err = run_cli(capsys, *_scen_args(tmp_path, "u", "--config", str(cfg)))
+        assert code == 2, sid
+        assert f"scenario.{sid}.w.{cls} changes nothing" in err
+        assert "running" not in err
+    code, _, err = run_cli(capsys, *_scen_args(tmp_path, "u", "--w", "forwards=0.5"))
+    assert code == 2
+    assert "w setting for class 'forwards' changes nothing" in err
+    assert "running" not in err
+    assert not (tmp_path / "u").exists()
     # an empty output path, from a flag or from a config file
     empty_out = tmp_path / "empty_out.cfg"
     empty_out.write_text("paths = 1000\nout_dir =\n")

@@ -239,6 +239,26 @@ def test_build_market_rejects_unknown_class_settings():
         build_market(rc)
     with pytest.raises(ConfigError, match="gaussian or t3"):
         build_market(RunConfig(marginals={"credit": "cauchy"}))
+    # a fraction for a known class that its scenarios do not clear
+    rc = RunConfig()
+    rc.w["forwards"] = 0.5
+    with pytest.raises(ConfigError, match="'forwards' changes nothing: no scenario clears"):
+        build_market(rc)
+    for scen_id, cls in [("no_ccp", "swaps"), ("irs_ccp", "credit"), ("cds_ccp", "forwards")]:
+        rc = RunConfig()
+        rc.scenario_w[(scen_id, cls)] = 0.5
+        with pytest.raises(
+            ConfigError,
+            match=rf"scenario\.{scen_id}\.w\.{cls} changes nothing: "
+            rf"scenario '{scen_id}' does not clear '{cls}'",
+        ):
+            build_market(rc)
+    # a zero fraction for a cleared class still takes effect
+    rc = RunConfig()
+    rc.w["swaps"] = 0.0
+    rc.scenario_w[("two_ccps", "credit")] = 0.0
+    scenarios = build_market(rc)[1]
+    assert scenarios[1].clears_nothing and scenarios[3].cleared[1].fraction == 0.0
 
 
 def test_build_market_requires_standard_classes(tmp_path):

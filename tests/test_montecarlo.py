@@ -550,25 +550,28 @@ def test_report_and_histogram_files_byte_identical_across_threads(tmp_path):
     assert files[0] == files[1] == files[2]
 
 
-def test_failed_first_chunk_releases_chunks_waiting_for_its_grid(monkeypatch):
-    """Chunk 0 fixes the histogram grid the other chunks wait for; when it
-    fails, they fail too instead of waiting forever."""
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("failing_start", [0, 1500], ids=["first", "middle"])
+def test_failed_chunk_error_reaches_caller(monkeypatch, failing_start, threads):
+    """A chunk that fails, the first (whose summary fixes the histogram
+    grids) or a middle one, raises its own error from ``simulate``, which
+    returns promptly instead of waiting on the other chunks."""
     config, scenarios = _small_market()
     chunk_exposures = montecarlo._chunk_exposures
 
-    def failing_first_chunk(layout, seed, start, count):
-        if start == 0:
-            time.sleep(0.2)  # let the other workers reach the grid
-            raise RuntimeError("chunk 0 failed")
+    def failing_chunk(layout, seed, start, count):
+        if start == failing_start:
+            time.sleep(0.2)  # let the other workers run ahead
+            raise RuntimeError(f"chunk at {start} failed")
         return chunk_exposures(layout, seed, start, count)
 
-    monkeypatch.setattr(montecarlo, "_chunk_exposures", failing_first_chunk)
+    monkeypatch.setattr(montecarlo, "_chunk_exposures", failing_chunk)
     errors = []
 
     def run():
         try:
             simulate(
-                config, scenarios, 3000, 1, threads=3, chunk_size=500,
+                config, scenarios, 3000, 1, threads=threads, chunk_size=500,
                 collect_histograms=True,
             )
         except RuntimeError as exc:
@@ -578,7 +581,7 @@ def test_failed_first_chunk_releases_chunks_waiting_for_its_grid(monkeypatch):
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert [str(e) for e in errors] == ["chunk 0 failed"]
+    assert [str(e) for e in errors] == [f"chunk at {failing_start} failed"]
 
 
 def test_simulate_peak_memory_bounded_in_paths(paper_market):
