@@ -192,8 +192,8 @@ def _parse_notionals(fh, source: str) -> NotionalTable:
 _SCENARIO_IDS = ("no_ccp", "irs_ccp", "cds_ccp", "two_ccps", "joint_ccp")
 
 
-def _default_w() -> dict:
-    return {"swaps": 0.90, "credit": 0.85}
+# shared clearing fraction of each class that no setting overrides
+_DEFAULT_W = {"swaps": 0.90, "credit": 0.85}
 
 
 @dataclass
@@ -206,7 +206,7 @@ class RunConfig:
     betas: dict = field(default_factory=dict)       # class -> beta override
     rho: float = 0.0
     marginals: dict = field(default_factory=dict)   # class -> 'gaussian' | 't3'
-    w: dict = field(default_factory=_default_w)     # class -> shared fraction
+    w: dict = field(default_factory=dict)           # class -> shared fraction override
     scenario_w: dict = field(default_factory=dict)  # (scenario id, class) -> w
     paths: int = 1_000_000
     seed: int = 1
@@ -219,7 +219,8 @@ class RunConfig:
         return DEFAULT_BETA_CDS if cls == "credit" else DEFAULT_BETA_OTHER
 
     def w_for(self, scenario_id: str, cls: str) -> float:
-        return self.scenario_w.get((scenario_id, cls), self.w.get(cls, 0.0))
+        shared = self.w.get(cls, _DEFAULT_W.get(cls, 0.0))
+        return self.scenario_w.get((scenario_id, cls), shared)
 
 
 def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -346,12 +347,19 @@ def build_market(rc: RunConfig):
         two_ccps([(irs, w("two_ccps", "swaps")), (cds, w("two_ccps", "credit"))]),
         joint_ccp([(irs, w("joint_ccp", "swaps")), (cds, w("joint_ccp", "credit"))]),
     )
-    # a fraction for a class that its scenarios do not clear changes nothing
+    # a fraction for a class that its scenarios do not clear changes nothing,
+    # and so does a shared fraction that every scenario clearing it overrides
     cleared = {s.name: {table.classes[c.class_id] for c in s.cleared} for s in scenarios}
     for cls in rc.w:
-        if not any(cls in classes for classes in cleared.values()):
+        clearing = [sid for sid, classes in cleared.items() if cls in classes]
+        if not clearing:
             raise ConfigError(
                 f"w setting for class {cls!r} changes nothing: no scenario clears it"
+            )
+        if all((sid, cls) in rc.scenario_w for sid in clearing):
+            raise ConfigError(
+                f"w setting for class {cls!r} changes nothing: every scenario "
+                f"clearing it overrides it ({', '.join(clearing)})"
             )
     for scen_id, cls in rc.scenario_w:
         if cls not in cleared.get(scen_id, ()):

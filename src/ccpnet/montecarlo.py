@@ -81,8 +81,10 @@ def _t3_tail_magnitude(q):
         return 1.0 / (c * z)
 
 
-def student_t3_unit_ppf(u):
-    """Quantile of the unit-variance t3 marginal.
+def student_t3_unit_ppf(u, out=None):
+    """Quantile of the unit-variance t3 marginal, written to ``out`` when it
+    is given: a C-contiguous float64 array of u's shape, which may be u
+    itself.
 
     There is no algebraic closed form at 3 dof (the CDF mixes arctan with a
     rational term), so it is inverted numerically on the lower half: with
@@ -103,13 +105,18 @@ def student_t3_unit_ppf(u):
     up to 1 - 2^-53. u = 0 and 1 map to -inf and inf.
     """
     u = np.asarray(u, dtype=float)
-    v = np.empty(u.shape)
-    flat_u, flat_v = u.reshape(-1), v.reshape(-1)
+    if out is None:
+        out = np.empty(u.shape)
+    elif out.dtype != float or out.shape != u.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array of u's shape")
+    flat_u, flat_v = u.reshape(-1), out.reshape(-1)
     scratch = np.empty((3, min(_T3_BLOCK, flat_u.size)))
     for start in range(0, flat_u.size, _T3_BLOCK):
         ub = flat_u[start : start + _T3_BLOCK]
         x = flat_v[start : start + _T3_BLOCK]
         q, a, b = scratch[:, : ub.size]
+        # x may alias ub (out=u), so ub is read only before x is first written
+        upper = ub > 0.5
         np.subtract(1.0, ub, out=q)
         np.minimum(q, ub, out=q)
         tail = np.flatnonzero(q < _T3_TAIL_Q)
@@ -144,8 +151,8 @@ def student_t3_unit_ppf(u):
             b /= a
             x -= b
         x[tail] = -_t3_tail_magnitude(q_tail)
-        np.negative(x, out=x, where=ub > 0.5)
-    return v
+        np.negative(x, out=x, where=upper)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +251,25 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
     The copula pushes a t3 class through the normal CDF, then the t3
     quantile. The quantile takes the tail probability Phi(-|y|) and gets the
     sign of y back, so both tails resolve as far as the lower one: Phi(y)
-    itself rounds to 1.0 for y above about 8.3.
+    itself rounds to 1.0 for y above about 8.3. Each t3 class costs one
+    contiguous copy of its column, which the quantile overwrites in place.
     """
     for k, marginal in enumerate(marginals):
         if marginal is Marginal.STUDENT_T3:
             col = y[..., k]
-            p = np.abs(col)
+            p = np.abs(col, order="C")
             np.negative(p, out=p)
             ndtr(p, out=p)
-            np.copysign(student_t3_unit_ppf(p), col, out=col)
+            np.copysign(student_t3_unit_ppf(p, out=p), col, out=col)
     return y
 
 
 # Uniforms are drawn and mapped to normals in sub-blocks of at most this many
-# doubles, so a block's shocks never coexist with all of its uniforms. The
-# mapping is elementwise: results do not depend on it.
-_UNIFORM_DOUBLES = 2**18
+# doubles (512 KiB), so a block's shocks never coexist with all of its
+# uniforms and a sub-block stays in L2 cache while ndtri reads it. Philox
+# skips ahead to each sub-block's first path and the mapping is elementwise:
+# results do not depend on it.
+_UNIFORM_DOUBLES = 2**16
 
 
 def _shocks(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:

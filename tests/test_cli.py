@@ -433,6 +433,17 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2
     assert "w setting for class 'forwards' changes nothing" in err
     assert "running" not in err
+    # a shared fraction that every scenario clearing its class overrides
+    overridden = tmp_path / "overridden.cfg"
+    overridden.write_text(
+        "".join(f"scenario.{sid}.w.credit = 0.7\n" for sid in ("cds_ccp", "two_ccps", "joint_ccp"))
+    )
+    code, _, err = run_cli(
+        capsys, *_scen_args(tmp_path, "u", "--config", str(overridden), "--w", "credit=0.5")
+    )
+    assert code == 2
+    assert "w setting for class 'credit' changes nothing: every scenario clearing it" in err
+    assert "running" not in err
     assert not (tmp_path / "u").exists()
     # an empty output path, from a flag or from a config file
     empty_out = tmp_path / "empty_out.cfg"

@@ -253,6 +253,21 @@ def test_build_market_rejects_unknown_class_settings():
             rf"scenario '{scen_id}' does not clear '{cls}'",
         ):
             build_market(rc)
+    # a shared fraction that every scenario clearing its class overrides
+    overrides = {(sid, "credit"): 0.7 for sid in ("cds_ccp", "two_ccps", "joint_ccp")}
+    rc = RunConfig(w={"credit": 0.5}, scenario_w=dict(overrides))
+    with pytest.raises(
+        ConfigError,
+        match="'credit' changes nothing: every scenario clearing it overrides it "
+        r"\(cds_ccp, two_ccps, joint_ccp\)",
+    ):
+        build_market(rc)
+    # the defaults are not settings: the same overrides alone are accepted,
+    # and so is the shared fraction once one scenario reads it
+    build_market(RunConfig(scenario_w=dict(overrides)))
+    del overrides[("two_ccps", "credit")]
+    scenarios = build_market(RunConfig(w={"credit": 0.5}, scenario_w=overrides))[1]
+    assert scenarios[3].cleared[1].fraction == 0.5
     # a zero fraction for a cleared class still takes effect
     rc = RunConfig()
     rc.w["swaps"] = 0.0

@@ -123,6 +123,33 @@ def test_t3_ppf_peak_memory():
     assert _peak_traced_bytes(student_t3_unit_ppf, u) <= 4 * u.nbytes
 
 
+def test_t3_ppf_in_place_is_bitwise_equal():
+    """out=u gives the out-of-place quantile bit for bit, zero signs and
+    infinities included, across block seams and a short last block, and
+    keeps no second array of u's size."""
+    n = 8 * montecarlo._T3_BLOCK + 5  # a short last block
+    u = np.random.Generator(np.random.Philox(key=12)).random(n)
+    u[:3] = [0.0, 0.5, 1.0]
+    u[3:8] = [1e-300, 1e-9, montecarlo._T3_TAIL_Q / 2, 1 - 1e-9, 1 - 2.0**-53]  # q < _T3_TAIL_Q
+    u[montecarlo._T3_BLOCK - 2 : montecarlo._T3_BLOCK + 2] = [0.5, 0.75, 0.25, 0.5]  # a seam
+    assert (u > 0.5).sum() > n // 3
+    ref = student_t3_unit_ppf(u)
+    got = u.copy()
+    assert student_t3_unit_ppf(got, out=got) is got
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert ref[:3].tolist() == [-math.inf, 0.0, math.inf]
+    # a separate out array gets the same bits and leaves u alone
+    before, other = u.copy(), np.empty_like(u)
+    student_t3_unit_ppf(u, out=other)
+    assert np.array_equal(other.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(u, before)
+    got = u.copy()
+    assert _peak_traced_bytes(lambda v: student_t3_unit_ppf(v, out=v), got) < got.nbytes
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        student_t3_unit_ppf(u[::2], out=u[::2])
+
+
 def test_t3_ppf_symmetry_and_median():
     u = np.array([0.01, 0.2, 0.4])
     assert np.allclose(student_t3_unit_ppf(u), -student_t3_unit_ppf(1 - u), atol=1e-12)
@@ -196,24 +223,44 @@ def test_copula_t3_tails_finite_and_mirrored(rho):
     assert y[2] == pytest.approx(-y[3], rel=1e-12)
 
 
+# What the t3 quantile allocates besides its output: three Halley buffers of
+# _T3_BLOCK doubles, at most two block-sized temporaries while the far-tail
+# start is computed, and the block's three boolean masks (sign, far, tail).
+_T3_SCRATCH_NBYTES = (3 + 2) * montecarlo._T3_BLOCK * 8 + 3 * montecarlo._T3_BLOCK
+
+
 def test_copula_peak_memory_with_t3_class():
+    """The copula's output, plus one class column (the common factor's
+    normals, then the t3 class's contiguous copy, which its quantile
+    overwrites in place), plus the quantile's scratch."""
     u = np.random.Generator(np.random.Philox(key=9)).random((4096, 190, 5))
     marginals = (Marginal.STUDENT_T3,) + (Marginal.GAUSSIAN,) * 3
     out_nbytes = u[..., 1:].size * 8
-    assert _peak_traced_bytes(copula_values, u, 0.1, marginals) <= 2.5 * out_nbytes
+    column_nbytes = u[..., 0].size * 8
+    peak = _peak_traced_bytes(copula_values, u, 0.1, marginals)
+    assert peak <= out_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
 
 
 def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
     """One 4096-path chunk holds its (paths, scenarios, dealers) output plus
-    the working set of one block of paths, not chunk-sized shocks."""
+    the working set of one block of paths, not chunk-sized shocks: the
+    block's shocks, one sub-block of uniforms while they are mapped to
+    normals, then the t3 class's column and the quantile's scratch. The
+    sub-block and the column never coexist, so their sum also covers the
+    kernel plan that the traced call builds."""
     config, scenarios = paper_market_t3
     layout = _build_layout(config, scenarios)
     bounds = montecarlo._path_blocks(layout, 0, 4096)
     assert len(bounds) > 2  # the chunk is evaluated in more than one block
-    block_nbytes = max(np.diff(bounds)) * layout.n_pairs * layout.n_classes * 8
+    block_paths = max(np.diff(bounds))
+    block_nbytes = block_paths * layout.n_pairs * layout.n_classes * 8
+    uniform_nbytes = montecarlo._UNIFORM_DOUBLES * 8
+    column_nbytes = block_paths * layout.n_pairs * 8
     out_nbytes = 4096 * len(scenarios) * layout.n_dealers * 8
     peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, 4096)
-    assert peak <= out_nbytes + 2 * block_nbytes
+    assert peak <= (
+        out_nbytes + block_nbytes + uniform_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
+    )
 
 
 def test_chunk_calls_the_kernel_once_per_block(paper_market, monkeypatch):
