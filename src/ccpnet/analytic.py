@@ -200,15 +200,12 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
     # so there is a single crossing; walk from the closed form to it with
     # the same strict test the window scan below applies to a whole range
     if n_star <= 100_000:
-
-        def ccp_below(n: int) -> bool:
-            return (n - 1) * b + w * sigma_c * math.sqrt(n - 1.0) < (n - 1) * a
-
-        while not ccp_below(n_star):
-            n_star += 1
-        while n_star > 2 and ccp_below(n_star - 1):
-            n_star -= 1
-        return ThresholdResult(spec=spec, w=w, n_star=n_star)
+        ws, k = w * sigma_c, n_star - 1  # k = N - 1
+        while not k * b + ws * math.sqrt(k) < k * a:
+            k += 1
+        while k > 1 and (k - 1) * b + ws * math.sqrt(k - 1) < (k - 1) * a:
+            k -= 1
+        return ThresholdResult(spec=spec, w=w, n_star=k + 1)
 
     # for gigantic thresholds the curves differ by rounding noise near the
     # crossing, so a window around the solution must show a single one

@@ -9,6 +9,7 @@ goes to standard error. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -171,26 +172,31 @@ def cmd_scenarios(args) -> int:
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,
     )
-    report = montecarlo.simulate(
-        config,
-        scenarios,
-        rc.paths,
-        rc.seed,
-        threads=args.threads,
-        level=args.level,
-        collect_histograms=args.histograms,
-        keep_samples=args.dump_paths,
-        assumptions=assumptions,
-    )
+    dump_path = os.path.join(rc.out_dir, "paths.npy")
+    dumping = contextlib.nullcontext()
+    if args.dump_paths:
+        dumping = dataio.open_path_dump(
+            dump_path, rc.paths, len(scenarios), config.n_dealers
+        )
+    with dumping as dump:
+        report = montecarlo.simulate(
+            config,
+            scenarios,
+            rc.paths,
+            rc.seed,
+            threads=args.threads,
+            level=args.level,
+            collect_histograms=args.histograms,
+            dump=dump,
+            assumptions=assumptions,
+        )
     files = dataio.write_report(report, rc.out_dir)
     if not config.has_t_marginals():
         # the closed forms exist for all-Gaussian runs; this file depends on
         # the market only, so --paths can never change it
         files["analytic_ee"] = dataio.write_analytic_ee(config, scenarios, rc.out_dir)
     if args.dump_paths:
-        path = os.path.join(rc.out_dir, "paths.csv")
-        dataio.write_path_dump(report, path)
-        files["paths"] = path
+        files["paths"] = dump_path
     for s, name in enumerate(report.scenario_names):
         line = (
             f"scenario={name} total_ee={report.total_ee[s]:.6g} "

@@ -685,15 +685,52 @@ def write_histograms(report: RiskReport, path: str) -> None:
                 )
 
 
-def write_path_dump(report: RiskReport, path) -> None:
-    """Per-path diagnostic dump: one ``scenario,dealer,value`` row per
-    realized exposure. Needs a report built with ``keep_samples=True``."""
-    if report.samples is None:
-        raise ValueError("report was built without keep_samples=True")
-    with open(path, "w") as fh:
-        fh.write("scenario,dealer,value\n")
-        for s, sname in enumerate(report.scenario_names):
-            for n, dname in enumerate(report.dealer_names):
-                prefix = f"{sname},{dname},"
-                values = report.samples[s, :, n].tolist()
-                fh.write("".join(f"{prefix}{v!r}\n" for v in values))
+class PathDump:
+    """An open ``.npy`` file of float64 exposures, shape ``(paths, scenarios,
+    dealers)`` in C order, for ``simulate`` to fill. Each chunk's rows go
+    straight to their own byte range, so chunks may arrive in any order and
+    from any thread."""
+
+    def __init__(self, fh, shape: tuple[int, int, int]):
+        self.shape = shape
+        self._fd = fh.fileno()
+        self._data = fh.tell()  # where the header ends
+        self._row_nbytes = shape[1] * shape[2] * 8
+        self.nbytes = self._data + shape[0] * self._row_nbytes
+
+    def write(self, start: int, rows: np.ndarray) -> None:
+        """Write ``rows``, a C-contiguous float64 array of shape (count,
+        scenarios, dealers), as paths [start, start + count)."""
+        if rows.dtype != np.float64 or rows.shape[1:] != self.shape[1:]:
+            raise ValueError(f"rows must be float64 paths of shape {self.shape[1:]}")
+        view = memoryview(rows).cast("B")
+        offset = self._data + start * self._row_nbytes
+        while view:
+            written = os.pwrite(self._fd, view, offset)
+            view, offset = view[written:], offset + written
+
+
+@contextlib.contextmanager
+def open_path_dump(path: str, n_paths: int, n_scenarios: int, n_dealers: int):
+    """Yield a :class:`PathDump` for ``simulate`` to fill. It is written as
+    ``path + ".part"`` and renamed to ``path`` only when the block exits
+    without an error and the file has reached its full size, so a run that
+    fails leaves no partial file. ``numpy.load(path)`` reads the result; its
+    axes follow ``report.csv``'s scenario and dealer order."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    part = path + ".part"
+    shape = (n_paths, n_scenarios, n_dealers)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": shape}
+    try:
+        with open(part, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            fh.flush()
+            dump = PathDump(fh, shape)
+            yield dump
+            if os.fstat(fh.fileno()).st_size != dump.nbytes:
+                raise RuntimeError(f"path dump {path!r} is missing paths")
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)

@@ -22,8 +22,9 @@ moments, mean-max sums, the exposure reductions to histogram and, per
 (scenario, dealer), the largest values that VaR and ES read. The calling
 thread merges these summaries in chunk order; chunk 0, merged first, fixes
 the histogram grids. No worker waits on another, and only the calling thread
-writes run-wide state. No per-path buffer is kept unless a path dump asks
-for one.
+writes run-wide state. No per-path buffer is kept: a path dump gets each
+chunk's exposures from the worker that made them, written in place at that
+chunk's offset in the file before the worker reduces them.
 """
 
 from __future__ import annotations
@@ -529,7 +530,6 @@ class RiskReport:
     base_index: int | None
     assumptions: tuple[str, ...] = ()
     histograms: dict | None = None   # scenario name -> (bin edges, counts)
-    samples: np.ndarray | None = None  # (scenarios, paths, dealers) float32
 
     @property
     def total_ee(self) -> np.ndarray:
@@ -592,7 +592,7 @@ def simulate(
     chunk_size: int = 4096,
     level: float = 0.99,
     collect_histograms: bool = False,
-    keep_samples: bool = False,
+    dump=None,
     assumptions: tuple[str, ...] = (),
 ) -> RiskReport:
     """Estimate EE, VaR, ES and mean-max for every scenario in one pass.
@@ -622,10 +622,13 @@ def simulate(
         per-dealer exposure reductions against the base. Chunk 0, merged
         first, fixes the grid (see ``freedman_diaconis_edges``); the merge
         counts every chunk on it, widened by whole bins to its values.
-    keep_samples
-        Keep every realized exposure, as float32, for ``dataio.write_path_dump``.
-        Without it, memory does not grow with ``n_paths`` beyond the tail
-        buffer of at most about 3 (1 - level) * n_paths values per cell.
+    dump
+        An open path dump (``dataio.open_path_dump``) of shape (n_paths,
+        scenarios, dealers), or None. Each worker writes its chunk's float64
+        exposures into it at the chunk's offset, so its bytes do not depend
+        on ``threads`` or ``chunk_size``, and nothing per path is kept.
+        Memory does not grow with ``n_paths`` beyond the tail buffer of at
+        most about 3 (1 - level) * n_paths values per cell.
     """
     validate(config).raise_if_invalid()
     scenarios = tuple(scenarios)
@@ -640,6 +643,10 @@ def simulate(
 
     layout = _build_layout(config, scenarios)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
+    if dump is not None and dump.shape != (n_paths, n_scen, n_dealers):
+        raise ValueError(
+            f"path dump of shape {dump.shape} for a run of {(n_paths, n_scen, n_dealers)}"
+        )
 
     base_candidates = [s for s, scen in enumerate(scenarios) if scen.clears_nothing]
     base_index = base_candidates[0] if base_candidates else None
@@ -653,7 +660,8 @@ def simulate(
         # the merge loop's
         count = min(chunk_size, n_paths - start)
         e = _chunk_exposures(layout, seed, start, count)
-        rows = e.astype(np.float32) if keep_samples else None
+        if dump is not None:
+            dump.write(start, e)  # before _top partitions e in place
         mean = e.sum(axis=0) / count
         sq_dev = np.empty_like(mean)  # per cell, the sum of squared deviations
         for s in range(n_scen):
@@ -662,7 +670,7 @@ def simulate(
             sq_dev[s] = d.sum(axis=0)
         mm = e.max(axis=2).sum(axis=0)
         diffs = [np.subtract(e[:, base_index], e[:, s]).ravel() for s in compared]
-        return count, mean, sq_dev, mm, diffs, rows, _top(e, m)
+        return count, mean, sq_dev, mm, diffs, _top(e, m)
 
     # Chunk summaries merge in chunk order in this thread, so the report's
     # bits do not depend on the thread count. EE moments use the pairwise
@@ -674,15 +682,11 @@ def simulate(
     m2 = np.zeros((n_scen, n_dealers))
     mm_sum = np.zeros(n_scen)
     tops = _TopRows((n_scen, n_dealers), m, min(m, chunk_size))
-    grids = hists = samples = None
-    if keep_samples:
-        samples = np.empty((n_scen, n_paths, n_dealers), dtype=np.float32)
+    grids = hists = None
     starts = range(0, n_paths, chunk_size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(reduce_chunk, starts) if threads > 1 else map(reduce_chunk, starts)
-        for count, c_mean, c_m2, c_mm, c_diffs, c_rows, c_top in results:
-            if samples is not None:
-                samples[:, n : n + count] = c_rows.transpose(1, 0, 2)
+        for count, c_mean, c_m2, c_mm, c_diffs, c_top in results:
             total = n + count
             delta = c_mean - ee
             ee += delta * (count / total)
@@ -698,7 +702,7 @@ def simulate(
             ]
             # free this chunk's arrays before the next one is drawn: without
             # threads, map evaluates it while these names still hold them
-            del c_diffs, c_rows, c_top
+            del c_diffs, c_top
 
     ee_se = np.sqrt(m2 / n_paths / n_paths)
     mean_max = mm_sum / n_paths
@@ -734,5 +738,4 @@ def simulate(
         base_index=base_index,
         assumptions=tuple(assumptions),
         histograms=histograms,
-        samples=samples,
     )

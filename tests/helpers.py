@@ -220,6 +220,41 @@ def reports_equal(a, b) -> bool:
     )
 
 
+def check_path_dump(paths: np.ndarray, report) -> None:
+    """Raise AssertionError unless the loaded path dump ``paths`` (paths,
+    scenarios, dealers) holds the exposures ``report`` was reduced from: the
+    per-cell mean is the EE, the mean over paths of each scenario's largest
+    dealer exposure is the mean-max, and the per-cell order statistic at
+    (paths - 1) * level is the VaR, bit for bit."""
+    assert paths.dtype == np.float64 and paths.flags.c_contiguous
+    n_scen, n_dealers = len(report.scenario_names), len(report.dealer_names)
+    assert paths.shape == (report.n_paths, n_scen, n_dealers)
+    np.testing.assert_allclose(paths.mean(axis=0), report.ee, rtol=1e-12)
+    np.testing.assert_allclose(paths.max(axis=2).mean(axis=0), report.mean_max, rtol=1e-12)
+    ordered = np.sort(paths, axis=0)
+    var = [
+        [montecarlo.empirical_quantile(ordered[:, s, d], report.level) for d in range(n_dealers)]
+        for s in range(n_scen)
+    ]
+    assert np.array_equal(var, report.var)
+
+
+def ee_zscores(seeds, n_paths: int) -> np.ndarray:
+    """z = (MC EE - closed form) / reported SE for every (scenario, dealer)
+    cell of the default Gaussian market, one row per seed: (seeds, cells)."""
+    from ccpnet import analytic, dataio
+
+    config, scenarios, _ = dataio.build_market(dataio.RunConfig())
+    exact = MILLIONS_PER_BILLION * np.array(
+        [analytic.scenario_expected_exposures(config, s).per_dealer for s in scenarios]
+    )
+    rows = []
+    for seed in seeds:
+        report = montecarlo.simulate(config, scenarios, n_paths, seed)
+        rows.append(((report.ee - exact) / report.ee_se).ravel())
+    return np.array(rows)
+
+
 def oracle_min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> int:
     """Member threshold by the matrix form of the pair variances and an
     integer scan: every N in [2, 10 n*] below the closed form's n* <= 100,000,

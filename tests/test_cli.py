@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccpnet import cli, dataio
+from helpers import check_path_dump
 
 
 def run_cli(capsys, *argv):
@@ -272,7 +274,7 @@ def test_scenarios_byte_identical_across_runs_and_threads(capsys, tmp_path):
             for p in (tmp_path / sub).iterdir()
         }
     assert set(digests["a"]) == {
-        "report.csv", "histograms.csv", "paths.csv", "mean_max.csv", "analytic_ee.csv",
+        "report.csv", "histograms.csv", "paths.npy", "mean_max.csv", "analytic_ee.csv",
         "ratios_expected_exposure.csv", "ratios_var99.csv", "ratios_es99.csv",
     }
     for sub in "bcd":
@@ -343,9 +345,8 @@ def test_scenarios_dump_paths(capsys, tmp_path):
     # 1000 paths leave about 10 samples in each ES tail: every cell is flagged
     report = dataio.load_report(kv["file_dump"][0])
     assert kv["low_confidence_es_cells"] == [str(report.low_confidence.sum())] == ["100"]
-    lines = Path(kv["file_paths"][0]).read_text().splitlines()
-    assert lines[0] == "scenario,dealer,value"
-    assert len(lines) == 1 + 5 * 20 * 1000
+    assert kv["file_paths"] == [str(tmp_path / "dump" / "paths.npy")]
+    check_path_dump(np.load(kv["file_paths"][0]), report)
 
 
 def test_scenarios_level_flag(capsys, tmp_path):

@@ -36,8 +36,10 @@ from ccpnet.montecarlo import (
     student_t3_unit_ppf,
 )
 from helpers import (
+    check_path_dump,
     check_pathwise,
     copula_values,
+    ee_zscores,
     exposures_for_paths,
     make_config,
     oracle_exposures,
@@ -689,18 +691,45 @@ def test_simulate_rejects_negative_seed():
     assert simulate(config, scenarios, 1000, 2**128 - 1).seed == 2**128 - 1
 
 
-def test_per_path_samples_independent_of_chunking():
+def test_per_path_samples_independent_of_chunking(tmp_path):
     """Per-path exposures are pure functions of (seed, path), so chunk size
-    regroups only the accumulators: samples and the quantile measures match
-    exactly, expectations to float regrouping tolerance."""
+    regroups only the accumulators: the float64 path dumps are the same
+    bytes (eight chunks written by four threads against one chunk), the
+    quantile measures match exactly, expectations to float regrouping
+    tolerance."""
     config, scenarios = _small_market()
-    a = simulate(config, scenarios, 2000, 21, chunk_size=257, keep_samples=True)
-    b = simulate(config, scenarios, 2000, 21, chunk_size=4096, keep_samples=True)
-    assert np.array_equal(a.samples, b.samples)
+    reports, dumps = [], []
+    for chunk, threads in ((257, 4), (4096, 1)):
+        path = tmp_path / f"paths_{chunk}.npy"
+        with dataio.open_path_dump(str(path), 2000, len(scenarios), config.n_dealers) as dump:
+            reports.append(
+                simulate(config, scenarios, 2000, 21, threads=threads, chunk_size=chunk, dump=dump)
+            )
+        dumps.append(path.read_bytes())
+    a, b = reports
+    assert dumps[0] == dumps[1]
     assert np.array_equal(a.var, b.var)
     assert np.array_equal(a.es, b.es)
     assert np.allclose(a.ee, b.ee, rtol=1e-12, atol=1e-12)
     assert np.allclose(a.mean_max, b.mean_max, rtol=1e-12, atol=1e-9)
+
+
+def test_ee_standard_error_is_calibrated():
+    """Over 40 seeds x 2048 paths of the default Gaussian market, z = (MC EE
+    - closed form) / ee_se has mean 0 and mean square 1 across all 100 cells.
+
+    Bounds from the per-seed spread: each seed's mean of z^2 over its cells
+    has a standard deviation of 0.32 across seeds (its cells share draws, so
+    they are far from independent), so the 40-seed mean has an SE of 0.051.
+    It must lie within 3.5 SE of 1, which a calibrated SE misses with
+    probability 5e-4: |mean z^2 - 1| < 0.18. Seeds 1-40 read 1.047; an SE
+    stated 1.15x too large or too small would read 0.79 or 1.38. Likewise
+    each seed's mean z has a spread of 0.14, an SE of 0.022 over 40 seeds,
+    so |mean z| < 0.08 (3.5 SE); seeds 1-40 read 0.049."""
+    z = ee_zscores(range(1, 41), 2048)
+    assert z.shape == (40, 100) and np.isfinite(z).all()
+    assert abs((z * z).mean() - 1.0) < 0.18
+    assert abs(z.mean()) < 0.08
 
 
 def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
@@ -896,22 +925,43 @@ def test_streamed_histogram_independent_of_chunking(chunk):
 
 
 def test_write_path_dump(tmp_path):
+    """The dump loads with numpy as the float64 exposures the report was
+    reduced from, in the report's scenario and dealer order; a run that
+    fails, or leaves paths out, leaves no file behind."""
     config, scenarios = _small_market()
-    report = simulate(config, scenarios, 1000, 8, keep_samples=True)
-    assert report.samples.dtype == np.float32
-    out = tmp_path / "paths.csv"
-    dataio.write_path_dump(report, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "scenario,dealer,value"
-    # the same text as one write per value
-    ref = [
-        f"{sname},{dname},{float(v)!r}"
-        for s, sname in enumerate(report.scenario_names)
-        for n, dname in enumerate(report.dealer_names)
-        for v in report.samples[s, :, n]
-    ]
-    assert lines[1:] == ref
-    assert len(lines) == 1 + len(scenarios) * config.n_dealers * 1000
-    no_samples = simulate(config, scenarios, 1000, 8)
-    with pytest.raises(ValueError):
-        dataio.write_path_dump(no_samples, out)
+    out = tmp_path / "paths.npy"
+    with dataio.open_path_dump(str(out), 1000, len(scenarios), config.n_dealers) as dump:
+        report = simulate(config, scenarios, 1000, 8, chunk_size=300, dump=dump)
+    paths = np.load(out)
+    check_path_dump(paths, report)
+    assert np.array_equal(paths, exposures_for_paths(config, scenarios, 8, 0, 1000))
+    assert not (tmp_path / "paths.npy.part").exists()
+
+    out.unlink()
+    with pytest.raises(ValueError, match="shape"):
+        with dataio.open_path_dump(str(out), 2000, len(scenarios), config.n_dealers) as dump:
+            simulate(config, scenarios, 1000, 8, dump=dump)
+    with pytest.raises(RuntimeError, match="missing paths"):
+        with dataio.open_path_dump(str(out), 1000, len(scenarios), config.n_dealers) as dump:
+            dump.write(0, exposures_for_paths(config, scenarios, 8, 0, 999))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_path_dump_memory_does_not_grow_with_paths(tmp_path):
+    """A dumping run's traced peak is flat in the path count: 8192 and 32768
+    paths differ by less than 0.25 MB. Between them the tail buffers and
+    their sorted copy grow by 4 (m2 - m1) doubles per cell, with m the
+    tail size (83 and 329 values): 0.13 MB for the 16 cells here. A kept
+    float32 copy of every exposure would add 4 bytes per value, 1.6 MB."""
+    config, scenarios = _small_market()
+    peaks = []
+    for n in (8192, 32768):
+        out = str(tmp_path / f"paths_{n}.npy")
+        with dataio.open_path_dump(out, n, len(scenarios), config.n_dealers) as dump:
+            tracemalloc.start()
+            try:
+                simulate(config, scenarios, n, 4, collect_histograms=True, dump=dump)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.25e6, peaks
