@@ -13,6 +13,7 @@ the source data.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -108,6 +109,37 @@ def _check_fraction(w: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _class_sums(
+    alphas: tuple[float, ...],
+    credit_exposures: tuple[float, ...],
+    cleared_class: int,
+    w: float,
+) -> tuple[float, float, float, float, float]:
+    """Class-std sums of a pair's position: ``(total, squares, total_b,
+    squares_b, sigma_c)``, the ``_b`` sums with the cleared class cut to its
+    1-w remainder, and sigma_c the cleared class's std.
+
+    Both sums run in one plain left-to-right loop, so they round the same on
+    every Python version (``sum`` compensates its float additions since 3.12).
+    None of them depends on rho, so the one-entry cache lets every cell of a
+    row-major ``threshold_surface`` row reuse its row's sums. A value key is
+    safe: alphas and exposures are finite and > 0, and w is read only as
+    ``1 - w``, so w = -0.0 and 0.0 (equal keys) give the same sums.
+    """
+    total = squares = total_b = squares_b = 0.0
+    for k, (alpha, ce) in enumerate(zip(alphas, credit_exposures)):
+        v = alpha * ce
+        total += v
+        squares += v * v
+        if k == cleared_class:
+            v *= 1.0 - w
+        total_b += v
+        squares_b += v * v
+    sigma_c = alphas[cleared_class] * credit_exposures[cleared_class]
+    return total, squares, total_b, squares_b, sigma_c
+
+
 def _pair_stds(spec: HomogeneousSpec, w: float) -> tuple[float, float]:
     """Std dev of a pair's class-sum position: all classes bilateral (A) and
     with the cleared class reduced to its 1-w remainder (B).
@@ -116,29 +148,21 @@ def _pair_stds(spec: HomogeneousSpec, w: float) -> tuple[float, float]:
     std devs v is sum v^2 + rho ((sum v)^2 - sum v^2). The cross term is kept
     as that difference so it is exactly zero for one class: otherwise A may
     round away from sigma and break the exact N=2 tie of a single class.
-    Both sums run in one plain left-to-right loop, so they round the same on
-    every Python version (``sum`` compensates its float additions since 3.12).
     """
-    c = spec.cleared_class
-    total = squares = total_b = squares_b = 0.0
-    for k, (alpha, ce) in enumerate(zip(spec.alphas, spec.credit_exposures)):
-        v = alpha * ce
-        total += v
-        squares += v * v
-        if k == c:
-            v *= 1.0 - w
-        total_b += v
-        squares_b += v * v
+    return _stds(spec, w)[:2]
+
+
+def _stds(spec: HomogeneousSpec, w: float) -> tuple[float, float, float]:
+    """``_pair_stds``'s A and B, plus the cleared class's sigma_c."""
+    total, squares, total_b, squares_b, sigma_c = _class_sums(
+        spec.alphas, spec.credit_exposures, spec.cleared_class, w
+    )
     rho = spec.rho
     return (
         math.sqrt(squares + rho * (total * total - squares)),
         math.sqrt(squares_b + rho * (total_b * total_b - squares_b)),
+        sigma_c,
     )
-
-
-def _cleared_sigma(spec: HomogeneousSpec) -> float:
-    c = spec.cleared_class
-    return spec.alphas[c] * spec.credit_exposures[c]
 
 
 def homogeneous_ee(
@@ -154,10 +178,9 @@ def homogeneous_ee(
     if n < 2:
         raise ConfigError("N >= 2 required")
     _check_fraction(w)
-    a, b = _pair_stds(spec, w)
+    a, b, sigma_c = _stds(spec, w)
     if not with_ccp:
         return (n - 1) * a * _INV_SQRT_2PI
-    sigma_c = _cleared_sigma(spec)
     return ((n - 1) * b + w * sigma_c * math.sqrt(n - 1)) * _INV_SQRT_2PI
 
 
@@ -189,10 +212,9 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
     _check_fraction(w)
     if w == 0.0:
         raise ConfigError("clearing fraction w = 0 never changes exposures")
-    a, b = _pair_stds(spec, w)
+    a, b, sigma_c = _stds(spec, w)
     if a <= b:
         raise ConfigError("CCP never reduces expected exposure for this spec")
-    sigma_c = _cleared_sigma(spec)
     x = w * sigma_c / (a - b)
     n_star = max(2, math.floor(1.0 + x * x) + 1)
 
@@ -234,7 +256,10 @@ def threshold_surface(
 
     The grids are validated once, before any cell is solved, and each cell
     is ``spec`` with only its cleared alpha and rho replaced, so the
-    per-cell solve does not re-run ``HomogeneousSpec``'s checks."""
+    per-cell solve does not re-run ``HomogeneousSpec``'s checks. Cells are
+    solved one alpha row at a time, and each row's class sums
+    (``_class_sums``) are computed once and shared by the row's cells: only
+    the two square roots depend on rho."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
     if alpha_grid.ndim != 1 or rho_grid.ndim != 1:
@@ -250,9 +275,10 @@ def threshold_surface(
     rhos = rho_grid.tolist()
     for ai, alpha in enumerate(alpha_grid.tolist()):
         alphas = spec.alphas[:c] + (alpha,) + spec.alphas[c + 1 :]
-        for ri, rho in enumerate(rhos):
-            cell = _surface_cell(spec, alphas, rho)
-            out[ai, ri] = min_clearing_members(cell, w=w).n_star
+        out[ai] = [
+            min_clearing_members(_surface_cell(spec, alphas, rho), w=w).n_star
+            for rho in rhos
+        ]
     return out
 
 

@@ -217,18 +217,33 @@ def _build_layout(config: MarketConfig, scenarios) -> _PairLayout:
     )
 
 
-def _uniforms(seed: int, layout: _PairLayout, start: int, count: int) -> np.ndarray:
-    """Uniform block for paths [start, start+count): shape (count, pairs, K+1).
+def _uniform_blocks(
+    seed: int, layout: _PairLayout, start: int, count: int, step: int
+):
+    """Uniform blocks for paths [start, start+count), ``step`` paths each
+    (the last may be shorter): shape (paths, pairs, K+1).
 
     Pure function of (seed, path index): path p owns doubles
-    [p * padded_draws, p * padded_draws + draws_per_path).
+    [p * padded_draws, p * padded_draws + draws_per_path). One Philox skips
+    ahead to path ``start`` and the blocks are drawn one after another; each
+    block is a whole number of Philox blocks, so the next one starts exactly
+    where a skip-ahead to its first path would.
     """
     bg = np.random.Philox(key=seed)
     bg.advance(start * layout.padded_draws // 4)
-    u = np.random.Generator(bg).random(count * layout.padded_draws)
-    np.maximum(u, _MIN_UNIFORM, out=u)
-    u = u.reshape(count, layout.padded_draws)[:, : layout.draws_per_path]
-    return u.reshape(count, layout.n_pairs, layout.n_classes + 1)
+    gen = np.random.Generator(bg)
+    for a in range(0, count, step):
+        n = min(step, count - a)
+        u = gen.random(n * layout.padded_draws)
+        np.maximum(u, _MIN_UNIFORM, out=u)
+        u = u.reshape(n, layout.padded_draws)[:, : layout.draws_per_path]
+        yield u.reshape(n, layout.n_pairs, layout.n_classes + 1)
+
+
+def _uniforms(seed: int, layout: _PairLayout, start: int, count: int) -> np.ndarray:
+    """Uniform block for paths [start, start+count): shape (count, pairs, K+1)."""
+    (u,) = _uniform_blocks(seed, layout, start, count, count)
+    return u
 
 
 def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
@@ -267,8 +282,8 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 
 # Uniforms are drawn and mapped to normals in sub-blocks of at most this many
 # doubles (512 KiB), so a block's shocks never coexist with all of its
-# uniforms and a sub-block stays in L2 cache while ndtri reads it. Philox
-# skips ahead to each sub-block's first path and the mapping is elementwise:
+# uniforms and a sub-block stays in L2 cache while ndtri reads it. The
+# sub-blocks continue one Philox stream and the mapping is elementwise:
 # results do not depend on it.
 _UNIFORM_DOUBLES = 2**16
 
@@ -279,8 +294,8 @@ def _shocks(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarra
     class's marginal applied."""
     y = np.empty((count, layout.n_pairs, layout.n_classes))
     step = max(1, _UNIFORM_DOUBLES // layout.padded_draws)
-    for a in range(0, count, step):
-        u = _uniforms(seed, layout, start + a, min(step, count - a))
+    blocks = _uniform_blocks(seed, layout, start, count, step)
+    for a, u in zip(range(0, count, step), blocks):
         _gaussian_copula(u, layout.rho, out=y[a : a + u.shape[0]])
     return _apply_marginals(y, layout.marginals)
 

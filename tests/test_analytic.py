@@ -389,6 +389,71 @@ def test_pair_stds_round_as_left_to_right_sums(spec, w):
     assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, w)
 
 
+def test_surface_computes_class_sums_once_per_alpha_row():
+    analytic._class_sums.cache_clear()
+    alphas, rhos = np.linspace(1.0, 3.0, 7), np.linspace(0.0, 0.5, 5)
+    surf = threshold_surface(_bis_spec(), alphas, rhos)
+    assert surf.shape == (7, 5)
+    info = analytic._class_sums.cache_info()
+    assert (info.misses, info.hits) == (7, 7 * 5 - 7)
+
+
+def _one_key_change_specs():
+    """Specs and fractions that differ from a base in exactly one component
+    of the class-sum key (alphas, credit exposures, cleared class, w), plus
+    one that differs only in rho, which is not part of the key."""
+    base = _bis_spec(3.0, 0.1)
+    c = base.cleared_class
+    other_alphas = list(base.alphas)
+    other_alphas[(c + 1) % base.n_classes] *= 1.5
+    other_ce = list(base.credit_exposures)
+    other_ce[0] *= 2.0
+
+    def like(**changes):
+        fields = dict(
+            credit_exposures=base.credit_exposures,
+            alphas=base.alphas,
+            rho=base.rho,
+            cleared_class=c,
+            class_names=base.class_names,
+        )
+        return HomogeneousSpec(**{**fields, **changes})
+
+    return [
+        (base, 1.0),
+        (like(alphas=tuple(other_alphas)), 1.0),
+        (base, 1.0),
+        (like(credit_exposures=tuple(other_ce)), 1.0),
+        (base, 1.0),
+        (like(cleared_class=(c + 2) % base.n_classes), 1.0),
+        (base, 1.0),
+        (base, 0.5),
+        (base, 1.0),
+        (like(rho=0.3), 1.0),
+        (base, 1.0),
+    ]
+
+
+def test_class_sums_memo_never_serves_another_key():
+    """Alternating specs one key component apart: every result equals the
+    left-to-right oracle and the solve with a cold memo, so the one-entry
+    cache never hands one key's sums to another."""
+    cases = _one_key_change_specs()
+    expected = []
+    for spec, w in cases:
+        analytic._class_sums.cache_clear()
+        expected.append(min_clearing_members(spec, w).n_star)
+    analytic._class_sums.cache_clear()
+    for (spec, w), n_star in zip(cases, expected):
+        assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, w)
+        assert min_clearing_members(spec, w).n_star == n_star
+    assert len(set(expected)) > 1
+    # w enters only as 1 - w: -0.0 and 0.0 are one key with one set of sums
+    spec = cases[0][0]
+    for w in (0.0, -0.0, 0.0):
+        assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, -0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     spec=_homogeneous_specs(),

@@ -53,6 +53,48 @@ def test_threshold_values(capsys, argv, expected):
     assert len(kv["N"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["threshold", "--ce", "bis-2010h1", "--rho", "0"],
+            "n_star=461\n"
+            "N=460 bilateral_ee=3277987.25 ccp_ee=3278000.022\n"
+            "N=461 bilateral_ee=3285128.834 ccp_ee=3285126.114\n"
+            "N=462 bilateral_ee=3292270.419 ccp_ee=3292252.19\n"
+        ),
+        (
+            ["threshold", "--ce", "bis-2010h1", "--alpha", "credit=3", "--rho", "0"],
+            "n_star=54\n"
+            "N=53 bilateral_ee=384012.7851 ccp_ee=384128.9746\n"
+            "N=54 bilateral_ee=391397.6464 ccp_ee=391377.1589\n"
+            "N=55 bilateral_ee=398782.5076 ccp_ee=398624.0511\n"
+        ),
+        (
+            ["threshold", "--ce", "bis-2010h1", "--alpha", "credit=3", "--rho", "0.1"],
+            "n_star=17\n"
+            "N=16 bilateral_ee=117695.6759 ccp_ee=117877.5475\n"
+            "N=17 bilateral_ee=125542.0543 ccp_ee=125474.4846\n"
+            "N=18 bilateral_ee=133388.4327 ccp_ee=133063.6235\n"
+        ),
+        (
+            ["threshold", "--ce", "bis-2010h1", "--alpha", "credit=2", "--rho", "0.2"],
+            "n_star=11\n"
+            "N=10 bilateral_ee=71969.71234 ccp_ee=72114.13926\n"
+            "N=11 bilateral_ee=79966.34704 ccp_ee=79899.44125\n"
+            "N=12 bilateral_ee=87962.98175 ccp_ee=87674.20138\n"
+        ),
+    ],
+    ids=["461", "54", "17", "11"],
+)
+def test_threshold_published_stdout(capsys, argv, expected):
+    """The four published thresholds print byte for byte this text: n_star
+    and both curves at 10 significant digits around the crossing."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_threshold_curves_show_crossing(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--ce", "equal:6", "--rho", "0")
     kv = parse_kv(out)
