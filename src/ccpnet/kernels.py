@@ -2,18 +2,24 @@
 
 Given one block of standardized pair shocks, computes every dealer's realized
 net exposure under every clearing scenario. Everything that depends only on
-the pair layout and the scenarios (coefficients, owner slabs, CCP groups) is
+the pair layout and the scenarios (gather index, coefficients, CCP groups) is
 a ``Plan``, built once per run by ``plan``. The caller sizes the blocks and
 streams a chunk of paths through them (``montecarlo._chunk_exposures``).
 
-The block is walked in sub-blocks of paths. Per direction of the pairs, one
-stacked matmul applies a fixed (rows, classes) coefficient matrix per pair to
-that pair's (classes, paths) shocks: the rows are the distinct bilateral
-remainders 1-w and one unit row per class that some CCP clears, scaled by the
-direction's pair scale. Pairs are sorted by owning dealer, so each dealer's
-sum over its counterparties is one reduction over a contiguous slab of pairs.
-Bilateral rows take their positive part before that sum; the cleared rows
-sum to net positions, and every CCP group is max(w . net, 0).
+Each pair row feeds two directed rows: the ``+`` direction, owned by
+``pair_i``, and the ``-`` direction, owned by ``pair_j``. The plan orders
+the directed rows by owner, so each dealer owns one contiguous run: its
+``+`` rows, then its ``-`` rows, each in pair order. Every dealer owns as
+many directed rows as every other.
+
+The block is walked in sub-blocks of paths. Per sub-block, one gather puts
+each directed row's (classes, paths) shocks in that order, and one stacked
+matmul applies each directed row's fixed (rows, classes) coefficient matrix
+to them: the rows are the distinct bilateral remainders 1-w and one unit row
+per class that some CCP clears, scaled by the direction's signed pair scale.
+Bilateral rows take their positive part; one reduction over each dealer's
+run then sums its counterparties left to right. The cleared rows sum to net
+positions, and every CCP group is max(w . net, 0).
 
 Every exposure is computed path by path in the same order whatever the block
 and sub-block sizes, so a path's bits do not depend on how a chunk is split.
@@ -30,24 +36,14 @@ import numpy as np
 # (perfbench/child.py) reads this name and records it in its metadata line.
 DEFAULT_BACKEND = "numpy"
 
-# Doubles of scratch (2 MB) for one sub-block of paths: its shocks, the
-# per-pair rows and the per-dealer sums. It fits a core's L2 cache, is reused
-# by every sub-block of a block and is freed when the kernel returns, so it
-# never coexists with the sampling temporaries of the next block.
+# Doubles of scratch (2 MB) for one sub-block of paths: its shocks in pair
+# and in directed order, the directed rows, the per-dealer sums, the CCP
+# terms and the exposures. That is about 4,880 doubles per path on the
+# default market, so a sub-block holds 53 paths. It fits a core's L2 cache,
+# is reused by every sub-block of a block and is freed when the kernel
+# returns, so it never coexists with the sampling temporaries of the next
+# block.
 _SCRATCH_DOUBLES = 2**18
-
-
-def _owner_slabs(owner: np.ndarray, n_dealers: int):
-    """Order of the pairs by owning dealer (stable; None when they already
-    are), the (dealer, lo, hi) slab of each owner in that order, and the
-    dealers that own no pair."""
-    order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=n_dealers)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    slabs = [(o, bounds[o], bounds[o + 1]) for o in np.flatnonzero(counts)]
-    if np.array_equal(order, np.arange(order.size)):
-        order = None
-    return order, slabs, np.flatnonzero(counts == 0)
 
 
 def _carve(flat: np.ndarray, paths: int, *shapes):
@@ -72,7 +68,8 @@ class Plan:
     shared: np.ndarray         # (scenarios,) remainder row of each scenario
     ccp_w: np.ndarray          # (groups, cleared classes) CCP weights
     group_scenario: tuple      # scenario of each CCP group
-    directions: tuple          # per direction: (order, coef, slabs, idle)
+    gather: np.ndarray         # (directed rows,) pair row of each, by owner
+    coef: np.ndarray           # (directed rows, rows, classes), signed scale folded in
     shapes: tuple              # per-path shape of each scratch array
 
     @property
@@ -81,8 +78,7 @@ class Plan:
 
 
 def _read_only(a):
-    if a is not None:
-        a.setflags(write=False)
+    a.setflags(write=False)
     return a
 
 
@@ -104,6 +100,9 @@ def plan(
     max(sum_j w . x_ij, 0) is linear inside the max, so each dealer's net
     position in each cleared class is summed once and every CCP group is a
     weighted sum of it.
+
+    Raises ``ValueError`` unless dealers 0 .. n_dealers-1 each own the same
+    number of directed rows.
     """
     n_pairs, n_classes = s_plus.shape
     resid_w = np.array([scen.residual_weights(n_classes) for scen in scenarios])
@@ -113,26 +112,26 @@ def plan(
     cleared = np.flatnonzero(ccp_w.any(axis=0))
     rows = np.vstack([distinct, np.eye(n_classes)[cleared]])  # (rows, classes)
     n_rows, n_groups = rows.shape[0], len(groups)
-    # per direction: pair order by owner, (pairs, rows, classes) coefficients
-    # with the signed scale folded in, owner slabs and idle dealers
-    directions = []
-    for scale, owner, sign in ((s_plus, pair_i, 1.0), (s_minus, pair_j, -1.0)):
-        order, slabs, idle = _owner_slabs(owner, n_dealers)
-        ranked = scale if order is None else scale[order]
-        coef = sign * (ranked[:, None, :] * rows)
-        directions.append((_read_only(order), _read_only(coef), tuple(slabs), _read_only(idle)))
+    # directed rows by owner: each dealer's + rows, then its - rows
+    owner = np.concatenate((pair_i, pair_j))
+    counts = np.bincount(owner, minlength=n_dealers)
+    if counts.size != n_dealers or (counts != counts[0]).any():
+        raise ValueError(f"dealers own unequal numbers of directed pair rows: {counts.tolist()}")
+    order = np.argsort(owner, kind="stable")
+    scale = np.concatenate((s_plus, -s_minus))[order]
     return Plan(
         n_dealers=n_dealers,
         n_bilateral=distinct.shape[0],
         shared=_read_only(shared.reshape(-1)),
         ccp_w=_read_only(ccp_w[:, cleared]),
         group_scenario=tuple(s for s, _ in groups),
-        directions=tuple(directions),
+        gather=_read_only(order % n_pairs),
+        coef=_read_only(scale[:, None, :] * rows),
         shapes=(
             (n_pairs, n_classes),          # shocks in pair order
-            (n_pairs, n_classes),          # shocks in one direction's order
-            (n_pairs, n_rows),             # per-pair rows
-            (2, n_dealers, n_rows),        # per-dealer sums of each direction
+            (2 * n_pairs, n_classes),      # shocks in directed order
+            (2 * n_pairs, n_rows),         # directed rows
+            (n_dealers, n_rows),           # per-dealer sums
             (n_dealers, n_groups),         # CCP terms
             (n_dealers, len(scenarios)),   # exposures
         ),
@@ -146,9 +145,9 @@ def scenario_exposures(
 ) -> np.ndarray:
     """Return the realized exposures of ``y`` under ``plan``, shape (paths,
     scenarios, dealers), written to ``out`` when it is given."""
-    n_paths, n_bilateral = y.shape[0], plan.n_bilateral
+    n_paths, n_bilateral, n_dealers = y.shape[0], plan.n_bilateral, plan.n_dealers
     if out is None:
-        out = np.empty((n_paths, plan.n_scenarios, plan.n_dealers))
+        out = np.empty((n_paths, plan.n_scenarios, n_dealers))
     per_path = sum(math.prod(shape) for shape in plan.shapes)
     step = max(1, _SCRATCH_DOUBLES // per_path)
     scratch = np.empty(max(2, min(step, n_paths)) * per_path)
@@ -157,19 +156,15 @@ def scenario_exposures(
         width = sub.shape[0]
         # BLAS rounds a one-column product differently, so a lone path is
         # evaluated as two copies of itself
-        pairwise, shocks, x, sums, ccp, exposure = _carve(scratch, max(2, width), *plan.shapes)
+        pairwise, shocks, x, total, ccp, exposure = _carve(scratch, max(2, width), *plan.shapes)
         np.copyto(pairwise, sub.transpose(1, 2, 0))
-        for (order, coef, slabs, idle), total in zip(plan.directions, sums):
-            ordered = pairwise
-            if order is not None:  # mode="clip" writes to out unbuffered
-                ordered = np.take(pairwise, order, axis=0, out=shocks, mode="clip")
-            np.matmul(coef, ordered, out=x)
-            bilateral = x[:, :n_bilateral]
-            np.maximum(bilateral, 0.0, out=bilateral)
-            for o, lo, hi in slabs:
-                np.add.reduce(x[lo:hi], axis=0, out=total[o])
-            total[idle] = 0.0
-        total = np.add(sums[0], sums[1], out=sums[0])
+        # mode="clip" writes to out unbuffered
+        np.take(pairwise, plan.gather, axis=0, out=shocks, mode="clip")
+        np.matmul(plan.coef, shocks, out=x)
+        bilateral = x[:, :n_bilateral]
+        np.maximum(bilateral, 0.0, out=bilateral)
+        # each dealer's run of directed rows, summed left to right
+        np.add.reduce(x.reshape(n_dealers, -1, *x.shape[1:]), axis=1, out=total)
         np.matmul(plan.ccp_w, total[:, n_bilateral:], out=ccp)
         np.maximum(ccp, 0.0, out=ccp)
         np.take(total, plan.shared, axis=1, out=exposure, mode="clip")

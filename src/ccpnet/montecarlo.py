@@ -167,12 +167,13 @@ class _PairLayout:
     of a run.
 
     Each row holds one copula draw: one row per unordered pair i<j, in
-    ``np.triu_indices`` order (so ``pair_i`` is sorted). The two directions
-    of a pair are the two sides of one trade: the draw feeds dealer i with
-    scale ``pair_scales(config, i, j)`` and dealer j, negated, with scale
-    ``pair_scales(config, j, i)``; ``plan`` folds both scales into the
-    kernel's coefficients. ``rho`` and ``marginals`` are the market config's
-    copula correlation and per-class marginal laws.
+    ``np.triu_indices`` order (so ``pair_i`` is sorted). The draw feeds two
+    directed rows, the two sides of one trade: dealer i with scale
+    ``pair_scales(config, i, j)`` and dealer j, negated, with scale
+    ``pair_scales(config, j, i)``. Every dealer owns n-1 directed rows, one
+    per counterparty; ``plan`` orders them by owning dealer and folds each
+    signed scale into the kernel's coefficients. ``rho`` and ``marginals``
+    are the market config's copula correlation and per-class marginal laws.
     """
 
     pair_i: np.ndarray

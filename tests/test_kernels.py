@@ -154,18 +154,6 @@ def test_out_is_filled_and_returned():
     assert np.isnan(out[:5]).all() and np.isnan(out[35:]).all()
 
 
-def test_shuffled_pairs_permute_both_directions():
-    _, *args = _random_problem(3, n_dealers=4, shuffled=True)
-    *_, pi, pj, _, n = args
-    assert kernels._owner_slabs(pi, n)[0] is not None
-    assert kernels._owner_slabs(pj, n)[0] is not None
-    assert all(order is not None for order, *_ in kernels.plan(*args).directions)
-    # triu rows are already in + owner order; the - direction needs a permutation
-    ii, jj = np.triu_indices(4, k=1)
-    assert kernels._owner_slabs(ii, 4)[0] is None
-    assert kernels._owner_slabs(jj, 4)[0] is not None
-
-
 def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
     """Each path rounds alike whatever the block and sub-block widths, a
     lone path included."""
@@ -184,16 +172,28 @@ def test_plan_is_read_only_and_reused():
     evaluating through it leaves it as it was."""
     y, *args = _random_problem(23, shuffled=True, scenarios=MIXED)
     plan = kernels.plan(*args)
-    arrays = [plan.shared, plan.ccp_w]
-    for order, coef, _, idle in plan.directions:
-        arrays += [order, coef, idle]
+    arrays = [plan.shared, plan.ccp_w, plan.gather, plan.coef]
     copies = [a.copy() for a in arrays]
     first = kernels.scenario_exposures(y, plan)
     assert np.array_equal(kernels.scenario_exposures(y, plan), first)
     for a, before in zip(arrays, copies):
         assert not a.flags.writeable
         assert np.array_equal(a, before)
+    # each dealer owns one run: its + rows, then its - rows, in pair order
+    *_, pi, pj, _, n = args
+    for d, run in enumerate(plan.gather.reshape(n, -1)):
+        owned = np.concatenate((np.flatnonzero(pi == d), np.flatnonzero(pj == d)))
+        assert np.array_equal(run, owned)
+    assert plan.coef.shape[0] == plan.gather.size
     # two CCPs and one joint CCP clearing the same fractions share a row
     standard = kernels.plan(*_random_problem(23)[1:])
     assert standard.n_bilateral == len(STANDARD) - 1
     assert standard.shared[3] == standard.shared[4]
+
+
+def test_plan_rejects_dealers_owning_unequal_rows():
+    """Each dealer's directed rows are one run of a common length, so a
+    layout that leaves one dealer short is refused, not padded."""
+    _, sp, sm, pi, pj, scenarios, n = _random_problem(29)
+    with pytest.raises(ValueError, match="unequal"):
+        kernels.plan(sp[1:], sm[1:], pi[1:], pj[1:], scenarios, n)
