@@ -13,10 +13,10 @@ the source data.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .market import (
     ConfigError,
     HomogeneousSpec,
     MarketConfig,
-    _surface_cell,
     pair_scale_matrix,
     validate,
 )
@@ -109,7 +108,11 @@ def _check_fraction(w: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
+# the key of _class_sums's last computed sums and those sums, replaced as one
+# tuple so that no reader pairs one key with another key's sums
+_sums_memo: tuple = ((), ())
+
+
 def _class_sums(
     alphas: tuple[float, ...],
     credit_exposures: tuple[float, ...],
@@ -122,11 +125,21 @@ def _class_sums(
 
     Both sums run in one plain left-to-right loop, so they round the same on
     every Python version (``sum`` compensates its float additions since 3.12).
-    None of them depends on rho, so the one-entry cache lets every cell of a
-    row-major ``threshold_surface`` row reuse its row's sums. A value key is
-    safe: alphas and exposures are finite and > 0, and w is read only as
-    ``1 - w``, so w = -0.0 and 0.0 (equal keys) give the same sums.
+    None of them depends on rho, so a one-entry memo of the last key lets
+    every cell of a row-major ``threshold_surface`` row reuse its row's sums.
+    The key is compared by value, and a surface row's cells share its tuples,
+    so a hit costs a few identity checks. A value key is safe: alphas and
+    exposures are finite and > 0, and w is read only as ``1 - w``, so
+    w = -0.0 and 0.0 (equal keys) give the same sums.
+
+    Raises ConfigError when total^2 overflows: it bounds the squares and
+    both variances for rho <= 1, so no later step can overflow either.
     """
+    global _sums_memo
+    key = (alphas, credit_exposures, cleared_class, w)
+    memo_key, sums = _sums_memo
+    if key == memo_key:
+        return sums
     total = squares = total_b = squares_b = 0.0
     for k, (alpha, ce) in enumerate(zip(alphas, credit_exposures)):
         v = alpha * ce
@@ -136,8 +149,15 @@ def _class_sums(
             v *= 1.0 - w
         total_b += v
         squares_b += v * v
+    if not math.isfinite(total * total):
+        raise ConfigError(
+            "class standard deviations overflow float64: "
+            "alphas times credit exposures are too large"
+        )
     sigma_c = alphas[cleared_class] * credit_exposures[cleared_class]
-    return total, squares, total_b, squares_b, sigma_c
+    sums = (total, squares, total_b, squares_b, sigma_c)
+    _sums_memo = (key, sums)
+    return sums
 
 
 def _pair_stds(spec: HomogeneousSpec, w: float) -> tuple[float, float]:
@@ -184,10 +204,11 @@ def homogeneous_ee(
     return ((n - 1) * b + w * sigma_c * math.sqrt(n - 1)) * _INV_SQRT_2PI
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Minimal member count at which the CCP strictly beats bilateral netting,
-    with both expected-exposure curves evaluable at any N."""
+    with both expected-exposure curves evaluable at any N. A named tuple:
+    ``threshold_surface`` builds one per cell, and a tuple costs less to build
+    than a frozen dataclass."""
 
     spec: HomogeneousSpec
     w: float
@@ -206,8 +227,13 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
 
     Solved in closed form via sqrt(N-1) > w*sigma_c / (A - B), then moved to
     the first N where the floating-point curves cross, so rounding can never
-    misplace the crossing. A <= B would mean the CCP never wins; that cannot
-    happen for rho >= 0 and a positive cleared-class sigma.
+    misplace the crossing. A <= B would mean the CCP never wins; for rho >= 0
+    and a positive cleared-class sigma it happens only by rounding, when
+    that sigma is too small against the other classes to move A in float64.
+
+    A and B come from the class sums in ``_class_sums``'s one-entry memo, so
+    repeated calls that differ only in rho, as a ``threshold_surface`` row
+    makes, run the class loop once. ConfigError when those sums overflow.
     """
     _check_fraction(w)
     if w == 0.0:
@@ -227,7 +253,7 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
             k += 1
         while k > 1 and (k - 1) * b + ws * math.sqrt(k - 1) < (k - 1) * a:
             k -= 1
-        return ThresholdResult(spec=spec, w=w, n_star=k + 1)
+        return ThresholdResult(spec, w, k + 1)
 
     # for gigantic thresholds the curves differ by rounding noise near the
     # crossing, so a window around the solution must show a single one
@@ -241,7 +267,7 @@ def min_clearing_members(spec: HomogeneousSpec, w: float = 1.0) -> ThresholdResu
     n_scan = int(ns[crossing[0]])
     if not below[crossing[0]:].all():
         raise ConfigError("expected-exposure curves cross more than once")
-    return ThresholdResult(spec=spec, w=w, n_star=n_scan)
+    return ThresholdResult(spec, w, n_scan)
 
 
 def threshold_surface(
@@ -255,11 +281,12 @@ def threshold_surface(
     rho_grid[r].
 
     The grids are validated once, before any cell is solved, and each cell
-    is ``spec`` with only its cleared alpha and rho replaced, so the
-    per-cell solve does not re-run ``HomogeneousSpec``'s checks. Cells are
-    solved one alpha row at a time, and each row's class sums
-    (``_class_sums``) are computed once and shared by the row's cells: only
-    the two square roots depend on rho."""
+    is ``spec`` with only its cleared alpha and rho replaced, built from its
+    row's template (a copy of ``spec``'s fields with the row's alphas) without
+    re-running ``HomogeneousSpec``'s checks. Cells are solved one alpha row at
+    a time, so every cell after a row's first finds the row's class sums in
+    ``_class_sums``'s one-entry memo: only the two square roots depend on
+    rho. Each cell is still one ``min_clearing_members`` call."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
     if alpha_grid.ndim != 1 or rho_grid.ndim != 1:
@@ -273,12 +300,19 @@ def threshold_surface(
     out = np.empty((alpha_grid.size, rho_grid.size), dtype=np.int64)
     c = spec.cleared_class
     rhos = rho_grid.tolist()
+    new_spec = object.__new__
     for ai, alpha in enumerate(alpha_grid.tolist()):
-        alphas = spec.alphas[:c] + (alpha,) + spec.alphas[c + 1 :]
-        out[ai] = [
-            min_clearing_members(_surface_cell(spec, alphas, rho), w=w).n_star
-            for rho in rhos
-        ]
+        # the checks passed: alpha is a finite float > 0 and every rho a
+        # float in [0, 1), so each cell equals the checked construction
+        template = dict(spec.__dict__)
+        template["alphas"] = spec.alphas[:c] + (alpha,) + spec.alphas[c + 1 :]
+        row = []
+        for rho in rhos:
+            cell = new_spec(HomogeneousSpec)
+            template["rho"] = rho
+            cell.__dict__.update(template)
+            row.append(min_clearing_members(cell, w).n_star)
+        out[ai] = row
     return out
 
 

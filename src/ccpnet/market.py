@@ -352,14 +352,3 @@ class HomogeneousSpec:
     def n_classes(self) -> int:
         return len(self.credit_exposures)
 
-
-def _surface_cell(
-    spec: HomogeneousSpec, alphas: tuple[float, ...], rho: float
-) -> HomogeneousSpec:
-    """``spec`` with ``alphas`` and ``rho`` replaced, without running
-    ``__post_init__`` again. The caller guarantees what it would check:
-    ``alphas`` is a tuple of ``spec.n_classes`` finite floats > 0 and ``rho``
-    a float in [0, 1). The result then equals the checked construction."""
-    cell = object.__new__(HomogeneousSpec)
-    cell.__dict__.update(spec.__dict__, alphas=alphas, rho=rho)
-    return cell

@@ -1,6 +1,7 @@
 """Closed-form exposures vs independent quadrature oracles, plus the
 homogeneous threshold model against its published reference values."""
 
+import dataclasses
 import functools
 import math
 import operator
@@ -389,13 +390,33 @@ def test_pair_stds_round_as_left_to_right_sums(spec, w):
     assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, w)
 
 
-def test_surface_computes_class_sums_once_per_alpha_row():
-    analytic._class_sums.cache_clear()
+def _clear_sums_memo(monkeypatch):
+    monkeypatch.setattr(analytic, "_sums_memo", ((), ()))
+
+
+def test_surface_computes_class_sums_once_per_alpha_row(monkeypatch):
+    """The memo is replaced only when the row-sum loop runs, so recording it
+    after every cell counts the loop's runs: one per alpha row, at the row's
+    first cell, keyed by that row's alphas."""
+    memos = []
+
+    def solve(cell, w):
+        result = min_clearing_members(cell, w)
+        memos.append(analytic._sums_memo)
+        return result
+
+    monkeypatch.setattr(analytic, "min_clearing_members", solve)
+    _clear_sums_memo(monkeypatch)
+    spec = _bis_spec()
     alphas, rhos = np.linspace(1.0, 3.0, 7), np.linspace(0.0, 0.5, 5)
-    surf = threshold_surface(_bis_spec(), alphas, rhos)
+    surf = threshold_surface(spec, alphas, rhos)
     assert surf.shape == (7, 5)
-    info = analytic._class_sums.cache_info()
-    assert (info.misses, info.hits) == (7, 7 * 5 - 7)
+    assert len(memos) == 7 * 5
+    runs = [i for i, memo in enumerate(memos) if i == 0 or memo is not memos[i - 1]]
+    assert runs == [0, 5, 10, 15, 20, 25, 30]
+    assert [memos[i][0][0] for i in runs] == [
+        _bis_spec(alpha).alphas for alpha in alphas.tolist()
+    ]
 
 
 def _one_key_change_specs():
@@ -434,24 +455,74 @@ def _one_key_change_specs():
     ]
 
 
-def test_class_sums_memo_never_serves_another_key():
+def test_class_sums_memo_never_serves_another_key(monkeypatch):
     """Alternating specs one key component apart: every result equals the
     left-to-right oracle and the solve with a cold memo, so the one-entry
-    cache never hands one key's sums to another."""
+    memo never hands one key's sums to another."""
     cases = _one_key_change_specs()
     expected = []
     for spec, w in cases:
-        analytic._class_sums.cache_clear()
+        _clear_sums_memo(monkeypatch)
         expected.append(min_clearing_members(spec, w).n_star)
-    analytic._class_sums.cache_clear()
+    _clear_sums_memo(monkeypatch)
     for (spec, w), n_star in zip(cases, expected):
         assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, w)
         assert min_clearing_members(spec, w).n_star == n_star
     assert len(set(expected)) > 1
     # w enters only as 1 - w: -0.0 and 0.0 are one key with one set of sums
     spec = cases[0][0]
+    analytic._pair_stds(spec, 0.0)
+    memo = analytic._sums_memo
     for w in (0.0, -0.0, 0.0):
         assert analytic._pair_stds(spec, w) == _left_to_right_pair_stds(spec, -0.0)
+        assert analytic._sums_memo is memo
+
+
+def test_threshold_result_fields_curves_and_immutability():
+    spec = _bis_spec(3.0, 0.1)
+    result = min_clearing_members(spec, 0.5)
+    assert result == analytic.ThresholdResult(spec, 0.5, result.n_star)
+    assert (result.spec, result.w) == (spec, 0.5)
+    assert analytic.ThresholdResult._fields == ("spec", "w", "n_star")
+    for n in (2, result.n_star, 1000):
+        assert result.bilateral_ee(n) == homogeneous_ee(spec, n, with_ccp=False)
+        assert result.ccp_ee(n) == homogeneous_ee(spec, n, with_ccp=True, w=0.5)
+    for name, value in (("n_star", 2), ("w", 1.0), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(result, name, value)
+
+
+def test_overflowing_class_stds_are_a_config_error():
+    """alpha * exposure near 1e160 makes (sum v)^2 infinite, and at rho = 0
+    the cross term 0 * (inf - inf) would be NaN: the spec is rejected."""
+    spec = _bis_spec(1e160, 0.0)
+    with pytest.raises(ConfigError, match="overflow"):
+        min_clearing_members(spec)
+    for with_ccp in (False, True):
+        with pytest.raises(ConfigError, match="overflow"):
+            homogeneous_ee(spec, 10, with_ccp)
+    with pytest.raises(ConfigError, match="overflow"):
+        threshold_surface(_bis_spec(), [1.0, 1e160], [0.0, 0.3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=_homogeneous_specs(),
+    exponent=st.floats(-300.0, 300.0),
+    w=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_threshold_solve_returns_or_raises_config_error(spec, exponent, w):
+    """Any finite cleared-class alpha, tiny or huge: the solve gives a
+    threshold of at least 2 members or a ConfigError, never another error."""
+    c = spec.cleared_class
+    spec = dataclasses.replace(
+        spec, alphas=spec.alphas[:c] + (10.0**exponent,) + spec.alphas[c + 1 :]
+    )
+    try:
+        n_star = min_clearing_members(spec, w).n_star
+    except ConfigError:
+        return
+    assert n_star >= 2
 
 
 @settings(max_examples=60, deadline=None)

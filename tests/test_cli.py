@@ -152,6 +152,21 @@ def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
         assert "class names must be unique, repeated: ['credit']" in err
 
 
+def test_overflowing_alpha_exits_2(capsys, tmp_path):
+    """An alpha whose class std overflows float64 squared is a config error,
+    for one threshold and for a surface row."""
+    for argv in (
+        ("threshold", "--ce", "bis-2010h1", "--alpha", "credit=1e160"),
+        ("surface", "--ce", "bis-2010h1", "--alpha-grid", "1e160:1e160:1",
+         "--rho-grid", "0:0.5:2", "--out", str(tmp_path / "s.csv")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert not out
+        assert err.startswith("config error: ") and "overflow" in err, argv
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # surface
 # ---------------------------------------------------------------------------
