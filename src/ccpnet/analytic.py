@@ -160,20 +160,14 @@ def _class_sums(
     return sums
 
 
-def _pair_stds(spec: HomogeneousSpec, w: float) -> tuple[float, float]:
-    """Std dev of a pair's class-sum position: all classes bilateral (A) and
-    with the cleared class reduced to its 1-w remainder (B).
+def _stds(spec: HomogeneousSpec, w: float) -> tuple[float, float, float]:
+    """Std devs of a pair's class-sum position with all classes bilateral (A)
+    and with the cleared class reduced to its 1-w remainder (B), and sigma_c.
 
     Under equicorrelation rho the variance of a sum of class positions with
     std devs v is sum v^2 + rho ((sum v)^2 - sum v^2). The cross term is kept
     as that difference so it is exactly zero for one class: otherwise A may
-    round away from sigma and break the exact N=2 tie of a single class.
-    """
-    return _stds(spec, w)[:2]
-
-
-def _stds(spec: HomogeneousSpec, w: float) -> tuple[float, float, float]:
-    """``_pair_stds``'s A and B, plus the cleared class's sigma_c."""
+    round away from sigma and break the exact N=2 tie of a single class."""
     total, squares, total_b, squares_b, sigma_c = _class_sums(
         spec.alphas, spec.credit_exposures, spec.cleared_class, w
     )

@@ -20,6 +20,9 @@ import numpy as np
 from . import analytic, dataio, montecarlo
 from .market import ConfigError, HomogeneousSpec, validate
 
+# equal:<K> builds K-long tuples, so K is bounded before they exist
+_MAX_EQUAL_CLASSES = 10**6
+
 
 def _parse_kv(pairs, what, cast=float):
     out = {}
@@ -77,8 +80,8 @@ def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
             k = int(source.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"equal:<K> needs an integer, got {source!r}") from None
-        if k < 1:
-            raise ConfigError("equal:<K> needs K >= 1")
+        if not 1 <= k <= _MAX_EQUAL_CLASSES:
+            raise ConfigError(f"equal:<K> needs 1 <= K <= {_MAX_EQUAL_CLASSES}")
         spec = HomogeneousSpec(
             credit_exposures=(1.0,) * k,
             alphas=(1.0,) * k,
@@ -229,13 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bilateral vs multilateral netting analysis for OTC dealer markets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ce_help = f"builtin name, equal:<K> (K <= {_MAX_EQUAL_CLASSES}), or class,exposure CSV"
 
     p = sub.add_parser(
         "threshold", help="minimum clearing members for a homogeneous market"
     )
-    p.add_argument(
-        "--ce", default="bis-2010h1", help="builtin name, equal:<K>, or class,exposure CSV"
-    )
+    p.add_argument("--ce", default="bis-2010h1", help=ce_help)
     p.add_argument("--alpha", action="append", metavar="CLASS=V")
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--cleared", default=None, metavar="CLASS")
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("surface", help="threshold over an (alpha, rho) grid")
-    p.add_argument("--ce", default="bis-2010h1")
+    p.add_argument("--ce", default="bis-2010h1", help=ce_help)
     p.add_argument("--alpha", action="append", metavar="CLASS=V")
     p.add_argument("--cleared", default=None, metavar="CLASS")
     p.add_argument("--w", type=float, default=1.0)
@@ -288,7 +290,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -17,12 +17,13 @@ block's rows of the chunk's (paths, scenarios, dealers) exposures. A
 worker's working set is one block's shocks and temporaries plus its chunk's
 exposures, whatever the chunk size.
 
-Each worker reduces only its own chunk, as soon as its exposures exist: EE
-moments, mean-max sums, the exposure reductions to histogram and, per
-(scenario, dealer), the largest values that VaR and ES read. The calling
-thread merges these summaries in chunk order; chunk 0, merged first, fixes
-the histogram grids. No worker waits on another, and only the calling thread
-writes run-wide state. No per-path buffer is kept: a path dump gets each
+Each worker reduces only its own chunk, as soon as its exposures exist: a
+``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
+reductions to histogram and, per (scenario, dealer), the largest values that
+VaR and ES read. The calling thread merges these in chunk order, the
+summaries by their one ``merge``; chunk 0, merged first, fixes the histogram
+grids. No worker waits on another, and only the calling thread writes
+run-wide state. No per-path buffer is kept: a path dump gets each
 chunk's exposures from the worker that made them, written in place at that
 chunk's offset in the file before the worker reduces them.
 """
@@ -239,12 +240,6 @@ def _uniform_blocks(
         np.maximum(u, _MIN_UNIFORM, out=u)
         u = u.reshape(n, layout.padded_draws)[:, : layout.draws_per_path]
         yield u.reshape(n, layout.n_pairs, layout.n_classes + 1)
-
-
-def _uniforms(seed: int, layout: _PairLayout, start: int, count: int) -> np.ndarray:
-    """Uniform block for paths [start, start+count): shape (count, pairs, K+1)."""
-    (u,) = _uniform_blocks(seed, layout, start, count, count)
-    return u
 
 
 def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
@@ -527,6 +522,33 @@ def _histogram_edges(grid: tuple[float, float], hist) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _ChunkSummary:
+    """Streamed sums of exposures e (paths, scenarios, dealers): the path
+    count ``n``, per cell the EE ``mean`` and sum of squared deviations
+    ``sq_dev``, per scenario ``max_sum`` = sum over paths of max_i e_i.
+    ``merge`` folds in another summary: moments by Chan, Golub and LeVeque
+    (1983), sums by addition. ``simulate`` folds chunks in chunk order in one
+    thread from the summary of no paths (n = 0, zeros), so threads move no bit."""
+
+    def __init__(self, e: np.ndarray):
+        self.n = e.shape[0]
+        self.mean = e.sum(axis=0) / max(self.n, 1)
+        self.sq_dev = np.empty_like(self.mean)
+        for s in range(e.shape[1]):
+            d = e[:, s] - self.mean[s]
+            d *= d
+            self.sq_dev[s] = d.sum(axis=0)
+        self.max_sum = e.max(axis=2).sum(axis=0)
+
+    def merge(self, other: _ChunkSummary) -> None:
+        total = self.n + other.n
+        delta = other.mean - self.mean
+        self.mean += delta * (other.n / total)
+        self.sq_dev += other.sq_dev + delta * delta * (self.n * other.n / total)
+        self.max_sum += other.max_sum
+        self.n = total
+
+
 @dataclass(frozen=True, eq=False)
 class RiskReport:
     """Per-dealer and per-scenario risk measures from one common-random-numbers
@@ -626,8 +648,8 @@ def simulate(
         chunk_size) gives a bit-identical report at any ``threads``.
     threads
         Chunks evaluated concurrently (>= 1). Each worker reduces only its
-        own chunk; the calling thread merges the chunks' summaries in chunk
-        order.
+        own chunk; the calling thread merges the chunks' ``_ChunkSummary``
+        (EE moments, mean-max sums), tails and histograms in chunk order.
     chunk_size
         Paths per chunk (>= 1). Each worker evaluates its chunk in blocks of
         bounded size, so its working set does not grow with ``chunk_size``;
@@ -674,41 +696,20 @@ def simulate(
     def reduce_chunk(start):
         # everything here depends on this chunk alone; run-wide state is
         # the merge loop's
-        count = min(chunk_size, n_paths - start)
-        e = _chunk_exposures(layout, seed, start, count)
+        e = _chunk_exposures(layout, seed, start, min(chunk_size, n_paths - start))
         if dump is not None:
             dump.write(start, e)  # before _top partitions e in place
-        mean = e.sum(axis=0) / count
-        sq_dev = np.empty_like(mean)  # per cell, the sum of squared deviations
-        for s in range(n_scen):
-            d = e[:, s] - mean[s]
-            d *= d
-            sq_dev[s] = d.sum(axis=0)
-        mm = e.max(axis=2).sum(axis=0)
         diffs = [np.subtract(e[:, base_index], e[:, s]).ravel() for s in compared]
-        return count, mean, sq_dev, mm, diffs, _top(e, m)
+        return _ChunkSummary(e), diffs, _top(e, m)  # _top, which partitions e, last
 
-    # Chunk summaries merge in chunk order in this thread, so the report's
-    # bits do not depend on the thread count. EE moments use the pairwise
-    # update of Chan, Golub and LeVeque (1983); the top-m buffers and
-    # histogram counts merge exactly. Chunk 0, merged first, fixes each
-    # compared scenario's histogram grid.
-    n = 0
-    ee = np.zeros((n_scen, n_dealers))
-    m2 = np.zeros((n_scen, n_dealers))
-    mm_sum = np.zeros(n_scen)
+    sums = _ChunkSummary(np.empty((0, n_scen, n_dealers)))
     tops = _TopRows((n_scen, n_dealers), m, min(m, chunk_size))
     grids = hists = None
     starts = range(0, n_paths, chunk_size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(reduce_chunk, starts) if threads > 1 else map(reduce_chunk, starts)
-        for count, c_mean, c_m2, c_mm, c_diffs, c_top in results:
-            total = n + count
-            delta = c_mean - ee
-            ee += delta * (count / total)
-            m2 += c_m2 + delta * delta * (n * count / total)
-            n = total
-            mm_sum += c_mm
+        for c_sums, c_diffs, c_top in results:
+            sums.merge(c_sums)
             tops.add(c_top)
             if grids is None:
                 grids = [_histogram_grid(d, n_paths * n_dealers) for d in c_diffs]
@@ -719,9 +720,6 @@ def simulate(
             # free this chunk's arrays before the next one is drawn: without
             # threads, map evaluates it while these names still hold them
             del c_diffs, c_top
-
-    ee_se = np.sqrt(m2 / n_paths / n_paths)
-    mean_max = mm_sum / n_paths
 
     var = np.empty((n_scen, n_dealers))
     es = np.empty((n_scen, n_dealers))
@@ -745,12 +743,12 @@ def simulate(
         n_paths=n_paths,
         seed=seed,
         level=level,
-        ee=ee,
-        ee_se=ee_se,
+        ee=sums.mean,
+        ee_se=np.sqrt(sums.sq_dev / n_paths / n_paths),
         var=var,
         es=es,
         es_exceedances=exceed,
-        mean_max=mean_max,
+        mean_max=sums.max_sum / n_paths,
         base_index=base_index,
         assumptions=tuple(assumptions),
         histograms=histograms,

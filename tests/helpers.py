@@ -104,6 +104,12 @@ def student_t3_unit_cdf(x):
     return 0.5 + (np.arctan(v) + v / (1.0 + v * v)) / np.pi
 
 
+def _uniforms(seed: int, layout: montecarlo._PairLayout, start: int, count: int) -> np.ndarray:
+    """Uniform block for paths [start, start+count): shape (count, pairs, K+1)."""
+    (u,) = montecarlo._uniform_blocks(seed, layout, start, count, count)
+    return u
+
+
 def copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     """Standardized class shocks (..., K) from uniforms (..., K+1) in one
     pass: the engine's Gaussian copula, then its t3 marginals."""

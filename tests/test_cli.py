@@ -133,6 +133,7 @@ def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
     assert run_cli(capsys, "threshold", "--cleared", "missing")[0] == 2
     assert run_cli(capsys, "threshold", "--ce", "equal:0")[0] == 2
     assert run_cli(capsys, "threshold", "--ce", "equal:six")[0] == 2
+    assert run_cli(capsys, "threshold", "--ce", "equal:100000000000")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit=nan")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit=inf")[0] == 2
     code, _, err = run_cli(capsys, "threshold", "--ce", str(tmp_path))
@@ -165,6 +166,17 @@ def test_overflowing_alpha_exits_2(capsys, tmp_path):
         assert not out
         assert err.startswith("config error: ") and "overflow" in err, argv
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_unexpected_error_without_text_prints_its_type(capsys, monkeypatch):
+    def fail(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_threshold", fail)
+    code, out, err = run_cli(capsys, "threshold")
+    assert code == 3
+    assert not out
+    assert err == "error: MemoryError\n"
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,13 @@ from ccpnet.market import (
 from ccpnet.montecarlo import (
     _MIN_UNIFORM,
     _build_layout,
-    _uniforms,
     empirical_quantile,
     freedman_diaconis_edges,
     simulate,
     student_t3_unit_ppf,
 )
 from helpers import (
+    _uniforms,
     check_path_dump,
     check_pathwise,
     copula_values,
@@ -530,6 +530,32 @@ def test_streamed_tail_equals_full_sort(values, chunk, level):
     n = x.size
     assert montecarlo._tail_size(n, level) <= math.ceil((1.0 - level) * n) + 1
     assert _streamed_tail(x, chunk, level) == montecarlo._tail_stats(np.sort(x), level)
+
+
+@pytest.mark.parametrize("chunk", [257, 500, 700])
+def test_chunk_summary_fold_matches_one_pass(chunk):
+    """Summaries folded in chunk order agree with one pass over all paths,
+    and one merge into the empty summary leaves a chunk's arrays unchanged."""
+    e = np.maximum(np.random.default_rng(11).normal(size=(2000, 5, 7)), 0.0)
+    fields = ("mean", "sq_dev", "max_sum")
+    folded = montecarlo._ChunkSummary(e[:0])
+    assert folded.n == 0 and folded.mean.shape == folded.sq_dev.shape == (5, 7)
+    assert folded.max_sum.shape == (5,)
+    assert not any(getattr(folded, f).any() for f in fields)
+    for a in range(0, e.shape[0], chunk):
+        part = montecarlo._ChunkSummary(e[a : a + chunk])
+        alone = montecarlo._ChunkSummary(e[:0])
+        alone.merge(part)
+        assert alone.n == part.n
+        for f in fields:
+            got, want = getattr(alone, f), getattr(part, f)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f
+        folded.merge(part)
+    mean = e.mean(axis=0)
+    assert folded.n == e.shape[0]
+    np.testing.assert_allclose(folded.mean, mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(folded.sq_dev, ((e - mean) ** 2).sum(axis=0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(folded.max_sum, e.max(axis=2).sum(axis=0), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
