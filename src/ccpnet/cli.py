@@ -17,11 +17,18 @@ import sys
 
 import numpy as np
 
+# montecarlo, and SciPy with it, is imported here rather than on first use
+# as ``import ccpnet`` does, for two reasons: a caller that imports this
+# module and then times a command times no import, and a tracer that wraps
+# the functions of already-imported ccpnet modules finds the engine's
 from . import analytic, dataio, montecarlo
 from .market import ConfigError, HomogeneousSpec, validate
 
 # equal:<K> builds K-long tuples, so K is bounded before they exist
 _MAX_EQUAL_CLASSES = 10**6
+# surface grids are bounded before their arrays or the surface exist
+_MAX_GRID_STEPS = 10**6
+_MAX_SURFACE_CELLS = 10**8
 
 
 def _parse_kv(pairs, what, cast=float):
@@ -37,7 +44,8 @@ def _parse_kv(pairs, what, cast=float):
     return out
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """``lo:hi:steps`` as ``np.linspace`` arguments, checked."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be lo:hi:steps, got {text!r}")
@@ -47,9 +55,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid must be lo:hi:steps, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"grid bounds must be finite, got {text!r}")
-    if n < 1:
-        raise ConfigError("grid needs at least one point")
-    return np.linspace(lo, hi, n)
+    if not 1 <= n <= _MAX_GRID_STEPS:
+        raise ConfigError(f"grid needs 1 <= steps <= {_MAX_GRID_STEPS}, got {text!r}")
+    return lo, hi, n
 
 
 def _load_ce_file(path: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -141,8 +149,10 @@ def cmd_surface(args) -> int:
             f"--alpha {cleared}= would be ignored: "
             f"--alpha-grid sets the alpha of the cleared class {cleared!r}"
         )
-    alpha_grid = _parse_grid(args.alpha_grid)
-    rho_grid = _parse_grid(args.rho_grid)
+    alpha_args, rho_args = _parse_grid(args.alpha_grid), _parse_grid(args.rho_grid)
+    if alpha_args[2] * rho_args[2] > _MAX_SURFACE_CELLS:
+        raise ConfigError(f"surface needs at most {_MAX_SURFACE_CELLS} cells")
+    alpha_grid, rho_grid = np.linspace(*alpha_args), np.linspace(*rho_args)
     surface = analytic.threshold_surface(spec, alpha_grid, rho_grid, w=args.w)
     analytic.write_surface(args.out, alpha_grid, rho_grid, surface)
     print(f"surface={args.out} cells={surface.size}")
@@ -167,7 +177,7 @@ def cmd_scenarios(args) -> int:
     if args.out is not None:
         rc.out_dir = args.out
 
-    montecarlo.check_run_args(rc.paths, rc.seed, args.threads, args.level)
+    dataio.check_run_args(rc.paths, rc.seed, args.threads, args.level)
     dataio.check_output_path(rc.out_dir, is_dir=True)
     config, scenarios, assumptions = dataio.build_market(rc)
     validate(config).raise_if_invalid()
@@ -249,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", action="append", metavar="CLASS=V")
     p.add_argument("--cleared", default=None, metavar="CLASS")
     p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--alpha-grid", required=True, metavar="LO:HI:N")
-    p.add_argument("--rho-grid", required=True, metavar="LO:HI:N")
+    grid_help = f"N <= {_MAX_GRID_STEPS}, at most {_MAX_SURFACE_CELLS} cells in all"
+    p.add_argument("--alpha-grid", required=True, metavar="LO:HI:N", help=grid_help)
+    p.add_argument("--rho-grid", required=True, metavar="LO:HI:N", help=grid_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_surface)
 

@@ -4,6 +4,12 @@ Two public OCC dealer tables and the six-class gross-credit-exposure vector
 ship as built-in named datasets so the default run needs no external files.
 Report files carry their run metadata (seed, paths, assumptions) in comment
 headers and never a timestamp, so identical runs write identical bytes.
+
+The run arguments' checks (``check_run_args``) and the report type
+(``RiskReport``) live here: ``simulate`` uses both, and so do the CLI's
+early checks and ``load_report``. This module imports nothing from the
+Monte Carlo engine, so building a market and writing or loading a report
+do not load SciPy.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .market import (
     single_ccp,
     two_ccps,
 )
-from .montecarlo import RiskReport, check_run_args
 
 # ---------------------------------------------------------------------------
 # Built-in datasets
@@ -223,6 +228,19 @@ class RunConfig:
         return self.scenario_w.get((scenario_id, cls), shared)
 
 
+def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
+    """Raise ConfigError for a path count, seed, thread count or level that
+    ``simulate`` rejects, so a caller can check them before announcing a run."""
+    if n_paths < 1000:
+        raise ConfigError("n_paths below the 10^3 floor")
+    if not 0.0 < level < 1.0:
+        raise ConfigError("risk-measure level must lie in (0, 1)")
+    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
+        raise ConfigError("seed must be an integer in [0, 2**128)")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+
+
 def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
     """Parse the flat ``key = value`` config format. Unknown keys are errors."""
     rc = RunConfig()
@@ -373,6 +391,64 @@ def build_market(rc: RunConfig):
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class RiskReport:
+    """Per-dealer and per-scenario risk measures from one common-random-numbers
+    pass, all in millions USD, plus ratios against the no-CCP base."""
+
+    dealer_names: tuple[str, ...]
+    scenario_names: tuple[str, ...]
+    n_paths: int
+    seed: int
+    level: float
+    ee: np.ndarray              # (scenarios, dealers)
+    ee_se: np.ndarray           # standard error of each EE estimate
+    var: np.ndarray             # empirical quantile at `level`
+    es: np.ndarray              # mean exceedance beyond the quantile
+    es_exceedances: np.ndarray  # tail sample size behind each ES cell
+    mean_max: np.ndarray        # (scenarios,) mean over paths of max_i e_i
+    base_index: int | None
+    assumptions: tuple[str, ...] = ()
+    histograms: dict | None = None   # scenario name -> (bin edges, counts)
+
+    @property
+    def total_ee(self) -> np.ndarray:
+        return self.ee.sum(axis=1)
+
+    def _ratio(self, values: np.ndarray) -> np.ndarray:
+        if self.base_index is None:
+            raise ValueError("report has no no-CCP base scenario")
+        base = values[self.base_index]
+        return np.divide(
+            values, base, out=np.full_like(values, np.nan), where=base != 0
+        )
+
+    @property
+    def ee_ratio(self) -> np.ndarray:
+        return self._ratio(self.ee)
+
+    @property
+    def var_ratio(self) -> np.ndarray:
+        return self._ratio(self.var)
+
+    @property
+    def es_ratio(self) -> np.ndarray:
+        return self._ratio(self.es)
+
+    @property
+    def total_ee_ratio(self) -> np.ndarray:
+        return self._ratio(self.total_ee)
+
+    @property
+    def mean_max_ratio(self) -> np.ndarray:
+        return self._ratio(self.mean_max)
+
+    @property
+    def low_confidence(self) -> np.ndarray:
+        """ES cells whose tail holds fewer than 100 samples."""
+        return self.es_exceedances < 100
 
 
 def _fmt(v) -> str:

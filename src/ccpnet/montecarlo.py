@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
+from .dataio import RiskReport, check_run_args
 from .market import (
     MILLIONS_PER_BILLION,
     ConfigError,
@@ -547,77 +548,6 @@ class _ChunkSummary:
         self.sq_dev += other.sq_dev + delta * delta * (self.n * other.n / total)
         self.max_sum += other.max_sum
         self.n = total
-
-
-@dataclass(frozen=True, eq=False)
-class RiskReport:
-    """Per-dealer and per-scenario risk measures from one common-random-numbers
-    pass, all in millions USD, plus ratios against the no-CCP base."""
-
-    dealer_names: tuple[str, ...]
-    scenario_names: tuple[str, ...]
-    n_paths: int
-    seed: int
-    level: float
-    ee: np.ndarray              # (scenarios, dealers)
-    ee_se: np.ndarray           # standard error of each EE estimate
-    var: np.ndarray             # empirical quantile at `level`
-    es: np.ndarray              # mean exceedance beyond the quantile
-    es_exceedances: np.ndarray  # tail sample size behind each ES cell
-    mean_max: np.ndarray        # (scenarios,) mean over paths of max_i e_i
-    base_index: int | None
-    assumptions: tuple[str, ...] = ()
-    histograms: dict | None = None   # scenario name -> (bin edges, counts)
-
-    @property
-    def total_ee(self) -> np.ndarray:
-        return self.ee.sum(axis=1)
-
-    def _ratio(self, values: np.ndarray) -> np.ndarray:
-        if self.base_index is None:
-            raise ValueError("report has no no-CCP base scenario")
-        base = values[self.base_index]
-        return np.divide(
-            values, base, out=np.full_like(values, np.nan), where=base != 0
-        )
-
-    @property
-    def ee_ratio(self) -> np.ndarray:
-        return self._ratio(self.ee)
-
-    @property
-    def var_ratio(self) -> np.ndarray:
-        return self._ratio(self.var)
-
-    @property
-    def es_ratio(self) -> np.ndarray:
-        return self._ratio(self.es)
-
-    @property
-    def total_ee_ratio(self) -> np.ndarray:
-        return self._ratio(self.total_ee)
-
-    @property
-    def mean_max_ratio(self) -> np.ndarray:
-        return self._ratio(self.mean_max)
-
-    @property
-    def low_confidence(self) -> np.ndarray:
-        """ES cells whose tail holds fewer than 100 samples."""
-        return self.es_exceedances < 100
-
-
-def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
-    """Raise ConfigError for a path count, seed, thread count or level that
-    ``simulate`` rejects, so a caller can check them before announcing a run."""
-    if n_paths < 1000:
-        raise ConfigError("n_paths below the 10^3 floor")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("risk-measure level must lie in (0, 1)")
-    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
-        raise ConfigError("seed must be an integer in [0, 2**128)")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
 
 
 def simulate(

@@ -235,6 +235,21 @@ def test_surface_bad_grid_exits_2(capsys, tmp_path):
             "--out", str(tmp_path / "s.csv"),
         )
         assert code == 2, (alpha_grid, rho_grid)
+    # the grid sizes are bounded before any grid array or the surface exists
+    for alpha_grid, rho_grid, bound in [
+        ("1:3:100000000000", "0:0.2:5", "steps <= 1000000"),
+        ("1:3:2", "0:0.2:1000001", "steps <= 1000000"),
+        ("1:3:10001", "0:0.2:10000", "at most 100000000 cells"),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            "surface",
+            "--alpha-grid", alpha_grid,
+            "--rho-grid", rho_grid,
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2 and not out, (alpha_grid, rho_grid)
+        assert err.startswith("config error:") and bound in err, err
     # the alpha grid sets the cleared class's alpha; --alpha may not
     grids = ("--alpha-grid", "1:3:3", "--rho-grid", "0:0.2:3")
     code, out, err = run_cli(
