@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginal", action="append", metavar="CLASS=gaussian|t3")
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help=f"chunk threads, 1 to {dataio.MAX_THREADS}"
+    )
     p.add_argument("--level", type=float, default=0.99, help="VaR/ES level")
     p.add_argument("--out", default=None)
     p.add_argument("--mirror", action=argparse.BooleanOptionalAction, default=None)

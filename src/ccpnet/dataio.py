@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import analytic
 from .market import (
+    MILLIONS_PER_BILLION,
     RESERVED_DEALER_NAMES,
     AssetClass,
     ConfigError,
@@ -228,6 +230,11 @@ class RunConfig:
         return self.scenario_w.get((scenario_id, cls), shared)
 
 
+# every chunk thread holds a whole chunk's working set (about 20 MB on the
+# default market), so the thread count is bounded before any thread starts
+MAX_THREADS = 64
+
+
 def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
     """Raise ConfigError for a path count, seed, thread count or level that
     ``simulate`` rejects, so a caller can check them before announcing a run."""
@@ -239,6 +246,8 @@ def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
         raise ConfigError("seed must be an integer in [0, 2**128)")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    if threads > MAX_THREADS:
+        raise ConfigError(f"threads must be <= {MAX_THREADS}")
 
 
 def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -720,9 +729,6 @@ def write_analytic_ee(config, scenarios, out_dir: str) -> str:
     metadata: the values depend on the market alone, so the file is
     byte-identical across path counts and seeds.
     """
-    from . import analytic
-    from .market import MILLIONS_PER_BILLION
-
     os.makedirs(out_dir, exist_ok=True)
     results = [analytic.scenario_expected_exposures(config, s) for s in scenarios]
     base = next((r for r, s in zip(results, scenarios) if s.clears_nothing), None)

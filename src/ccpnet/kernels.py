@@ -1,10 +1,10 @@
 """Scenario-exposure kernel.
 
-Given one block of standardized pair shocks, computes every dealer's realized
+Given one chunk of standardized pair shocks, computes every dealer's realized
 net exposure under every clearing scenario. Everything that depends only on
 the pair layout and the scenarios (gather index, coefficients, CCP groups) is
-a ``Plan``, built once per run by ``plan``. The caller sizes the blocks and
-streams a chunk of paths through them (``montecarlo._chunk_exposures``).
+a ``Plan``, built once per run by ``plan``. The caller sizes the chunks and
+makes one call per chunk (``montecarlo._chunk_exposures``).
 
 Each pair row feeds two directed rows: the ``+`` direction, owned by
 ``pair_i``, and the ``-`` direction, owned by ``pair_j``. The plan orders
@@ -12,7 +12,7 @@ the directed rows by owner, so each dealer owns one contiguous run: its
 ``+`` rows, then its ``-`` rows, each in pair order. Every dealer owns as
 many directed rows as every other.
 
-The block is walked in sub-blocks of paths. Per sub-block, one gather puts
+The chunk is walked in sub-blocks of paths. Per sub-block, one gather puts
 each directed row's (classes, paths) shocks in that order, and one stacked
 matmul applies each directed row's fixed (rows, classes) coefficient matrix
 to them: the rows are the distinct bilateral remainders 1-w and one unit row
@@ -21,8 +21,9 @@ Bilateral rows take their positive part; one reduction over each dealer's
 run then sums its counterparties left to right. The cleared rows sum to net
 positions, and every CCP group is max(w . net, 0).
 
-Every exposure is computed path by path in the same order whatever the block
-and sub-block sizes, so a path's bits do not depend on how a chunk is split.
+Every exposure is computed path by path in the same order whatever the chunk
+and sub-block sizes, so a path's bits do not depend on which chunk holds it
+or where its sub-block starts.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ DEFAULT_BACKEND = "numpy"
 # and in directed order, the directed rows, the per-dealer sums, the CCP
 # terms and the exposures. That is about 4,880 doubles per path on the
 # default market, so a sub-block holds 53 paths. It fits a core's L2 cache,
-# is reused by every sub-block of a block and is freed when the kernel
+# is reused by every sub-block of a chunk and is freed when the kernel
 # returns, so it never coexists with the sampling temporaries of the next
-# block.
+# chunk.
 _SCRATCH_DOUBLES = 2**18
 
 

@@ -3,19 +3,19 @@
 Sampling is counter-based: the uniform block feeding (path, pair, class) is a
 pure function of (seed, path, pair, class), implemented with numpy's Philox
 generator plus explicit block arithmetic. Workers therefore cannot influence
-results; a report is bit-identical for a fixed (seed, n_paths, chunk_size)
-at any thread count.
+results; a report is bit-identical for a fixed (seed, n_paths, level) at
+any thread count.
 
 All clearing scenarios are evaluated on the same draws (common random
 numbers), which is what makes scenario differences and the exposure-reduction
 histograms low-variance.
 
-Each chunk streams through uniforms, copula and kernel in equal blocks of a
-bounded number of paths (``_BLOCK_DOUBLES`` uniforms each): the chunk loop
-draws one block's shocks and hands them to the kernel, which writes that
-block's rows of the chunk's (paths, scenarios, dealers) exposures. A
-worker's working set is one block's shocks and temporaries plus its chunk's
-exposures, whatever the chunk size.
+The chunk is the one unit of sampling, kernel evaluation, threading and
+reduction. Its size comes from the market alone (``_chunk_paths``): at most
+``_CHUNK_PATHS`` paths of at most ``_BLOCK_DOUBLES`` uniforms in all. A
+worker draws its chunk's shocks in one call and hands them to the kernel in
+one call, which writes the chunk's (paths, scenarios, dealers) exposures. A
+worker's working set is one chunk's shocks, exposures and kernel scratch.
 
 Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
@@ -278,7 +278,7 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 
 
 # Uniforms are drawn and mapped to normals in sub-blocks of at most this many
-# doubles (512 KiB), so a block's shocks never coexist with all of its
+# doubles (512 KiB), so a chunk's shocks never coexist with all of its
 # uniforms and a sub-block stays in L2 cache while ndtri reads it. The
 # sub-blocks continue one Philox stream and the mapping is elementwise:
 # results do not depend on it.
@@ -297,37 +297,29 @@ def _shocks(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarra
     return _apply_marginals(y, layout.marginals)
 
 
-# ``_chunk_exposures`` samples and evaluates a chunk in equal blocks of paths
-# (their sizes differ by at most one) holding at most this many uniform
-# doubles, one kernel call per block, so a worker's working set does not grow
-# with the chunk size. The split moves no bits: the kernel's BLAS products run
-# per pair over classes, with paths as columns, and round every path alike
-# whatever the block or sub-block width.
-# 2**21 keeps a 2000-path chunk of the default market in one block, where the
-# benchmark self-test (perfbench/selftest.py) counts one t3 quantile call.
+# A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
+# uniforms (or one path), so a worker's working set is bounded on any market
+# and a small market still splits into chunks for threads. The chunk
+# regroups the EE sums and fixes the histogram grid: like _MAX_BINS, both
+# constants fix report bits.
+# 2**21 keeps a 2000-path run of the default market in one chunk, where the
+# benchmark self-test (perfbench/selftest.py) counts one kernel call and one
+# t3 quantile call.
 _BLOCK_DOUBLES = 2**21
+_CHUNK_PATHS = 4096
 
 
-def _path_blocks(layout: _PairLayout, start: int, count: int) -> list[int]:
-    """Bounds [b_0 = start, ..., b_n = start + count] of the equal blocks
-    that paths [start, start+count) are evaluated in."""
-    per_block = max(1, _BLOCK_DOUBLES // layout.padded_draws)
-    n_blocks = -(-count // per_block)
-    return [start + count * b // n_blocks for b in range(n_blocks + 1)]
+def _chunk_paths(layout: _PairLayout) -> int:
+    """Paths per chunk of a run on ``layout``: 2202 on the default market."""
+    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // layout.padded_draws))
 
 
 def _chunk_exposures(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:
-    """Realized exposures (count, scenarios, dealers) for one chunk of paths.
-
-    Each block's shocks are drawn just before the kernel evaluates them and
-    freed when it returns, so only one block of uniforms and shocks exists
-    at a time."""
+    """Realized exposures (count, scenarios, dealers) for one chunk of paths:
+    its shocks, drawn just before the kernel evaluates them and freed when
+    it returns."""
     out = np.empty((count, layout.plan.n_scenarios, layout.n_dealers))
-    bounds = _path_blocks(layout, start, count)
-    for a, b in zip(bounds, bounds[1:]):
-        block = out[a - start : b - start]
-        kernels.scenario_exposures(_shocks(layout, seed, a, b - a), layout.plan, out=block)
-    return out
+    return kernels.scenario_exposures(_shocks(layout, seed, start, count), layout.plan, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +549,6 @@ def simulate(
     seed: int,
     *,
     threads: int = 1,
-    chunk_size: int = 4096,
     level: float = 0.99,
     collect_histograms: bool = False,
     dump=None,
@@ -574,17 +565,14 @@ def simulate(
         Clearing scenarios, all evaluated on the same draws. Ratios are
         reported against the first scenario that clears nothing.
     n_paths, seed
-        Path count (>= 1000) and Philox key. Fixed (seed, n_paths,
-        chunk_size) gives a bit-identical report at any ``threads``.
+        Path count (>= 1000) and Philox key. Fixed (seed, n_paths, level)
+        gives a bit-identical report at any ``threads``: the chunks are
+        fixed by the market (``_chunk_paths``), not by the caller.
     threads
-        Chunks evaluated concurrently (>= 1). Each worker reduces only its
-        own chunk; the calling thread merges the chunks' ``_ChunkSummary``
-        (EE moments, mean-max sums), tails and histograms in chunk order.
-    chunk_size
-        Paths per chunk (>= 1). Each worker evaluates its chunk in blocks of
-        bounded size, so its working set does not grow with ``chunk_size``;
-        the chunk size still regroups the EE sums and fixes the histogram
-        grid, so it is part of what fixes the report's bits.
+        Chunks evaluated concurrently (1 to ``dataio.MAX_THREADS``). Each
+        worker reduces only its own chunk; the calling thread merges the
+        chunks' ``_ChunkSummary`` (EE moments, mean-max sums), tails and
+        histograms in chunk order.
     collect_histograms
         Histogram, for each scenario but the base, the per-path and
         per-dealer exposure reductions against the base. Chunk 0, merged
@@ -594,7 +582,7 @@ def simulate(
         An open path dump (``dataio.open_path_dump``) of shape (n_paths,
         scenarios, dealers), or None. Each worker writes its chunk's float64
         exposures into it at the chunk's offset, so its bytes do not depend
-        on ``threads`` or ``chunk_size``, and nothing per path is kept.
+        on ``threads``, and nothing per path is kept.
         Memory does not grow with ``n_paths`` beyond the tail buffer of at
         most about 3 (1 - level) * n_paths values per cell.
     """
@@ -606,8 +594,6 @@ def simulate(
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique")
     check_run_args(n_paths, seed, threads, level)
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be >= 1")
 
     layout = _build_layout(config, scenarios)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
@@ -622,20 +608,21 @@ def simulate(
     if collect_histograms and base_index is not None:
         compared = [s for s in range(n_scen) if s != base_index]
     m = _tail_size(n_paths, level)
+    chunk = _chunk_paths(layout)
 
     def reduce_chunk(start):
         # everything here depends on this chunk alone; run-wide state is
         # the merge loop's
-        e = _chunk_exposures(layout, seed, start, min(chunk_size, n_paths - start))
+        e = _chunk_exposures(layout, seed, start, min(chunk, n_paths - start))
         if dump is not None:
             dump.write(start, e)  # before _top partitions e in place
         diffs = [np.subtract(e[:, base_index], e[:, s]).ravel() for s in compared]
         return _ChunkSummary(e), diffs, _top(e, m)  # _top, which partitions e, last
 
     sums = _ChunkSummary(np.empty((0, n_scen, n_dealers)))
-    tops = _TopRows((n_scen, n_dealers), m, min(m, chunk_size))
+    tops = _TopRows((n_scen, n_dealers), m, min(m, chunk))
     grids = hists = None
-    starts = range(0, n_paths, chunk_size)
+    starts = range(0, n_paths, chunk)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(reduce_chunk, starts) if threads > 1 else map(reduce_chunk, starts)
         for c_sums, c_diffs, c_top in results:

@@ -347,7 +347,7 @@ def test_scenarios_run_and_outputs(capsys, tmp_path):
 
 
 def test_scenarios_byte_identical_across_runs_and_threads(capsys, tmp_path):
-    """5000 paths make two chunks, the second one short: a rerun and runs
+    """5000 paths make three chunks, the last one short: a rerun and runs
     at 2 and 3 threads write the same bytes in every output file."""
     digests = {}
     for sub, threads in [("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")]:
@@ -471,6 +471,7 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
         ("--paths", "10", "n_paths below the 10^3 floor"),
         ("--level", "1.5", "level must lie in (0, 1)"),
         ("--threads", "0", "threads must be >= 1"),
+        ("--threads", "65", "threads must be <= 64"),
         ("--seed", str(2**130), "seed must be an integer in [0, 2**128)"),
     ]:
         code, _, err = run_cli(capsys, *_scen_args(tmp_path, "x", flag, value))

@@ -243,34 +243,33 @@ def test_copula_peak_memory_with_t3_class():
     assert peak <= out_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
 
 
-def test_chunk_peak_memory_is_chunk_output_plus_blocks(paper_market_t3):
-    """One 4096-path chunk holds its (paths, scenarios, dealers) output plus
-    the working set of one block of paths, not chunk-sized shocks: the
-    block's shocks, one sub-block of uniforms while they are mapped to
-    normals, then the t3 class's column and the quantile's scratch. The
-    sub-block and the column never coexist, so their sum also covers the
-    kernel plan that the traced call builds."""
+def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
+    """One chunk of the default t3 market holds its (paths, scenarios,
+    dealers) output plus its shocks, one sub-block of uniforms while they
+    are mapped to normals, then the t3 class's column and the quantile's
+    scratch. The sub-block and the column never coexist, so their sum also
+    covers the kernel plan that the traced call builds."""
     config, scenarios = paper_market_t3
     layout = _build_layout(config, scenarios)
-    bounds = montecarlo._path_blocks(layout, 0, 4096)
-    assert len(bounds) > 2  # the chunk is evaluated in more than one block
-    block_paths = max(np.diff(bounds))
-    block_nbytes = block_paths * layout.n_pairs * layout.n_classes * 8
+    chunk = montecarlo._chunk_paths(layout)
+    shocks_nbytes = chunk * layout.n_pairs * layout.n_classes * 8
     uniform_nbytes = montecarlo._UNIFORM_DOUBLES * 8
-    column_nbytes = block_paths * layout.n_pairs * 8
-    out_nbytes = 4096 * len(scenarios) * layout.n_dealers * 8
-    peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, 4096)
+    column_nbytes = chunk * layout.n_pairs * 8
+    out_nbytes = chunk * len(scenarios) * layout.n_dealers * 8
+    peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
     assert peak <= (
-        out_nbytes + block_nbytes + uniform_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
+        out_nbytes + shocks_nbytes + uniform_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
     )
 
 
-def test_chunk_calls_the_kernel_once_per_block(paper_market, monkeypatch):
-    """The chunk loop draws each block's shocks and hands them to the kernel
-    as one array, which writes that block's rows of the chunk output."""
+def test_chunk_calls_the_kernel_once(paper_market, monkeypatch):
+    """A chunk draws its shocks and hands them to the kernel as one array,
+    which writes the whole chunk output. A default-market chunk is 2202
+    paths, so a 2000-path run is one kernel call."""
     config, scenarios, _ = paper_market
     layout = _build_layout(config, scenarios)
-    bounds = montecarlo._path_blocks(layout, 0, 4096)
+    chunk = montecarlo._chunk_paths(layout)
+    assert chunk == 2202
     calls = []
     kernel = kernels.scenario_exposures
 
@@ -279,12 +278,29 @@ def test_chunk_calls_the_kernel_once_per_block(paper_market, monkeypatch):
         return kernel(y, *args, out=out)
 
     monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
-    e = exposures_for_paths(config, scenarios, 2, 0, 4096)
-    assert e.shape == (4096, len(scenarios), layout.n_dealers)
-    assert len(calls) == len(bounds) - 1 > 1
-    for (y, out), a, b in zip(calls, bounds, bounds[1:]):
-        assert type(y) is np.ndarray and y.shape == (b - a, layout.n_pairs, layout.n_classes)
-        assert out.base is e and np.array_equal(out, e[a:b])
+    e = exposures_for_paths(config, scenarios, 2, 0, chunk)
+    assert e.shape == (chunk, len(scenarios), layout.n_dealers)
+    [(y, out)] = calls
+    assert type(y) is np.ndarray and y.shape == (chunk, layout.n_pairs, layout.n_classes)
+    assert out is e
+    calls.clear()
+    simulate(config, scenarios, 2000, 3)
+    [(y, out)] = calls
+    assert y.shape[0] == out.shape[0] == 2000
+
+
+@pytest.mark.parametrize("n_dealers", [3, 20, 60])
+def test_chunk_paths_bounded(n_dealers):
+    """A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
+    uniforms, unless it is one path."""
+    config = make_config(np.ones((n_dealers, 4)), betas=[1.0] * 4)
+    layout = _build_layout(config, [no_ccp()])
+    chunk = montecarlo._chunk_paths(layout)
+    assert 1 <= chunk <= montecarlo._CHUNK_PATHS
+    assert chunk == 1 or chunk * layout.padded_draws <= montecarlo._BLOCK_DOUBLES
+    # and no smaller than both bounds make it
+    over_block = (chunk + 1) * layout.padded_draws > montecarlo._BLOCK_DOUBLES
+    assert chunk == montecarlo._CHUNK_PATHS or over_block
 
 
 def test_simulate_builds_one_kernel_plan(monkeypatch):
@@ -304,16 +320,18 @@ def test_simulate_builds_one_kernel_plan(monkeypatch):
 
     monkeypatch.setattr(kernels, "plan", counting_plan)
     monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 500)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # workers interleave inside the kernel
     try:
-        report = simulate(config, scenarios, 3000, 5, threads=3, chunk_size=500)
+        report = simulate(config, scenarios, 3000, 5, threads=3)
     finally:
         sys.setswitchinterval(interval)
     assert len(plans) == 1
     assert len(used) >= 6 and all(plan is plans[0] for plan in used)  # six chunks
     monkeypatch.undo()
-    assert reports_equal(report, simulate(config, scenarios, 3000, 5, chunk_size=500))
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 500)
+    assert reports_equal(report, simulate(config, scenarios, 3000, 5))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1])
@@ -590,17 +608,18 @@ def test_simulate_rejects_path_floor_and_bad_inputs():
             simulate(bad_rho, scenarios, 2000, 1)
     with pytest.raises(ConfigError):
         simulate(config, scenarios, 2000, 1, level=1.0)
-    for threads in (0, -2):
+    for threads in (0, -2, dataio.MAX_THREADS + 1):
         with pytest.raises(ConfigError, match="threads"):
             simulate(config, scenarios, 2000, 1, threads=threads)
 
 
-def test_simulate_deterministic_across_threads_and_reruns():
+def test_simulate_deterministic_across_threads_and_reruns(monkeypatch):
     config, scenarios = _small_market()
     check_pathwise(exposures_for_paths(config, scenarios, 11, 0, 3000), scenarios)
-    a = simulate(config, scenarios, 3000, 11, threads=1, chunk_size=512)
-    b = simulate(config, scenarios, 3000, 11, threads=2, chunk_size=512)
-    c = simulate(config, scenarios, 3000, 11, threads=1, chunk_size=512)
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 512)
+    a = simulate(config, scenarios, 3000, 11, threads=1)
+    b = simulate(config, scenarios, 3000, 11, threads=2)
+    c = simulate(config, scenarios, 3000, 11, threads=1)
     for other in (b, c):
         assert np.array_equal(a.ee, other.ee)
         assert np.array_equal(a.var, other.var)
@@ -609,15 +628,15 @@ def test_simulate_deterministic_across_threads_and_reruns():
         assert np.array_equal(a.es_exceedances, other.es_exceedances)
 
 
-def test_report_and_histogram_files_byte_identical_across_threads(tmp_path):
+def test_report_and_histogram_files_byte_identical_across_threads(tmp_path, monkeypatch):
     """Five chunks, the last one short: the written report and histograms
     are the same bytes at 1, 2 and 3 threads."""
     config, scenarios = _small_market()
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 700)
     files = []
     for threads in (1, 2, 3):
         report = simulate(
-            config, scenarios, 3000, 12, threads=threads, chunk_size=700,
-            collect_histograms=True,
+            config, scenarios, 3000, 12, threads=threads, collect_histograms=True
         )
         out = tmp_path / f"t{threads}"
         dataio.write_report(report, str(out))
@@ -641,14 +660,12 @@ def test_failed_chunk_error_reaches_caller(monkeypatch, failing_start, threads):
         return chunk_exposures(layout, seed, start, count)
 
     monkeypatch.setattr(montecarlo, "_chunk_exposures", failing_chunk)
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 500)
     errors = []
 
     def run():
         try:
-            simulate(
-                config, scenarios, 3000, 1, threads=threads, chunk_size=500,
-                collect_histograms=True,
-            )
+            simulate(config, scenarios, 3000, 1, threads=threads, collect_histograms=True)
         except RuntimeError as exc:
             errors.append(exc)
 
@@ -721,7 +738,7 @@ def test_simulate_rejects_negative_seed():
     assert simulate(config, scenarios, 1000, 2**128 - 1).seed == 2**128 - 1
 
 
-def test_per_path_samples_independent_of_chunking(tmp_path):
+def test_per_path_samples_independent_of_chunking(tmp_path, monkeypatch):
     """Per-path exposures are pure functions of (seed, path), so chunk size
     regroups only the accumulators: the float64 path dumps are the same
     bytes (eight chunks written by four threads against one chunk), the
@@ -730,11 +747,10 @@ def test_per_path_samples_independent_of_chunking(tmp_path):
     config, scenarios = _small_market()
     reports, dumps = [], []
     for chunk, threads in ((257, 4), (4096, 1)):
+        monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", chunk)
         path = tmp_path / f"paths_{chunk}.npy"
         with dataio.open_path_dump(str(path), 2000, len(scenarios), config.n_dealers) as dump:
-            reports.append(
-                simulate(config, scenarios, 2000, 21, threads=threads, chunk_size=chunk, dump=dump)
-            )
+            reports.append(simulate(config, scenarios, 2000, 21, threads=threads, dump=dump))
         dumps.append(path.read_bytes())
     a, b = reports
     assert dumps[0] == dumps[1]
@@ -762,21 +778,18 @@ def test_ee_standard_error_is_calibrated():
     assert abs(z.mean()) < 0.08
 
 
-def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
-    """A chunk that is not a whole number of blocks, whose blocks are not a
-    whole number of kernel sub-blocks: reports are bitwise equal at 1 and 2
-    threads, and the paths on both sides of a block seam and of sub-block
-    seams match the straight-line oracle."""
+def test_chunk_seams_on_default_market(paper_market_t3, monkeypatch):
+    """Chunks that are not a whole number of kernel sub-blocks: reports are
+    bitwise equal at 1 and 2 threads, and the paths on both sides of a chunk
+    seam and of sub-block seams match the straight-line oracle."""
     config, scenarios = paper_market_t3
     layout = _build_layout(config, scenarios)
-    # chunks [0, 2501) and [2501, 5000), each evaluated in two blocks
-    start, count = 2501, 2499
-    bounds = montecarlo._path_blocks(layout, start, count)
-    assert len(bounds) == 3
-    a = simulate(config, scenarios, 5000, 8, threads=1, chunk_size=start)
-    b = simulate(config, scenarios, 5000, 8, threads=2, chunk_size=start)
+    # chunks [0, 2202), [2202, 4404) and [4404, 5000)
+    chunk = montecarlo._chunk_paths(layout)
+    assert 2 * chunk < 5000
+    a = simulate(config, scenarios, 5000, 8, threads=1)
+    b = simulate(config, scenarios, 5000, 8, threads=2)
     assert reports_equal(a, b)
-    check_pathwise(exposures_for_paths(config, scenarios, 8, 0, start), scenarios)
 
     widths = []  # paths of each kernel sub-block, in order
     carve = kernels._carve
@@ -786,19 +799,21 @@ def test_block_seams_on_default_market(paper_market_t3, monkeypatch):
         return carve(flat, paths, *shapes)
 
     monkeypatch.setattr(kernels, "_carve", recording_carve)
-    engine = exposures_for_paths(config, scenarios, 8, start, count)
+    # the first two chunks, each evaluated as simulate evaluates it
+    engine = np.concatenate(
+        [exposures_for_paths(config, scenarios, 8, start, chunk) for start in (0, chunk)]
+    )
     check_pathwise(engine, scenarios)
     step = widths[0]
-    first = bounds[1] - start
-    assert first % step  # the first block ends in a short sub-block
-    short = start + first // step * step
-    for seam in (start + step, short, bounds[1]):
+    assert chunk % step  # each chunk ends in a short sub-block
+    short = chunk // step * step
+    for seam in (step, short, chunk):
         draws = sample_draws(config, 8, seam - 1, 2)  # the paths either side
         for c in range(2):
             ref = oracle_exposures(draws[c], scenarios)
             for s, scen in enumerate(scenarios):
                 assert np.allclose(
-                    engine[seam - 1 - start + c, s], ref[scen.name], rtol=1e-12, atol=1e-9
+                    engine[seam - 1 + c, s], ref[scen.name], rtol=1e-12, atol=1e-9
                 )
 
 
@@ -843,11 +858,12 @@ def test_simulate_scales_linearly_with_notionals():
     assert np.array_equal(2.0 * a.mean_max, b.mean_max)
 
 
-def test_simulate_tail_measures_single_pair():
+def test_simulate_tail_measures_single_pair(monkeypatch):
     """Degenerate two-dealer market: the exposure is max(s*Y, 0) with s known,
     so the 99% quantile and its tail mean have quadrature oracles."""
     config = make_config([[1.0], [1.0]], betas=[1.0])
-    report = simulate(config, [no_ccp()], 1_000_000, 17, chunk_size=65536)
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 65536)
+    report = simulate(config, [no_ccp()], 1_000_000, 17)
     sigma = 1000.0  # unit pair scale, reported in millions
     q_ref, es_ref = quad_tail_stats(1.0, 0.99)
     assert q_ref == pytest.approx(2.3263478740408408, rel=1e-9)
@@ -954,14 +970,15 @@ def test_streamed_histogram_independent_of_chunking(chunk):
     assert edges[0] <= v.min() and v.max() < edges[-1]
 
 
-def test_write_path_dump(tmp_path):
+def test_write_path_dump(tmp_path, monkeypatch):
     """The dump loads with numpy as the float64 exposures the report was
     reduced from, in the report's scenario and dealer order; a run that
     fails, or leaves paths out, leaves no file behind."""
     config, scenarios = _small_market()
     out = tmp_path / "paths.npy"
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 300)
     with dataio.open_path_dump(str(out), 1000, len(scenarios), config.n_dealers) as dump:
-        report = simulate(config, scenarios, 1000, 8, chunk_size=300, dump=dump)
+        report = simulate(config, scenarios, 1000, 8, dump=dump)
     paths = np.load(out)
     check_path_dump(paths, report)
     assert np.array_equal(paths, exposures_for_paths(config, scenarios, 8, 0, 1000))
