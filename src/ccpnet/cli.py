@@ -181,6 +181,7 @@ def cmd_scenarios(args) -> int:
     dataio.check_output_path(rc.out_dir, is_dir=True)
     config, scenarios, assumptions = dataio.build_market(rc)
     validate(config).raise_if_invalid()
+    montecarlo.check_tail_buffer(len(scenarios) * config.n_dealers, rc.paths, args.level)
     print(
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,

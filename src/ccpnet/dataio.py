@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -162,9 +163,11 @@ def load_notionals(path_or_name: str) -> NotionalTable:
 
 
 def _parse_notionals(fh, source: str) -> NotionalTable:
-    reader = csv.reader(line for line in fh if line.strip())
+    reader = csv.reader(fh)
+    # rows of whitespace-only lines are skipped; line_num still counts them
+    lines = (row for row in reader if len(row) > 1 or "".join(row).strip())
     try:
-        header = next(reader)
+        header = next(lines)
     except StopIteration:
         raise ConfigError(f"{source}: empty notional file") from None
     header = [h.strip().lower() for h in header]
@@ -174,7 +177,8 @@ def _parse_notionals(fh, source: str) -> NotionalTable:
     if not classes:
         raise ConfigError(f"{source}: no asset-class columns")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in lines:
+        lineno = reader.line_num
         if len(row) != len(header):
             raise ConfigError(
                 f"{source}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -262,9 +266,7 @@ def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             _apply_config_key(rc, key, value, base_dir)
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # ConfigError included
             raise ConfigError(f"config line {lineno}: {exc}") from None
     return rc
 
@@ -625,9 +627,11 @@ def load_report(path: str) -> RiskReport:
     The lines before the column header are the header, and its unknown keys
     (the ``# backend`` of older dumps) are skipped; every later line is a
     data row. Tail labels are read whatever level digits they carry (older
-    dumps say ``var99`` at any level). A dump that lacks or repeats a row,
-    names an unknown measure or holds a header value that no run accepts is
-    a configuration error naming the file and line."""
+    dumps say ``var99`` at any level). A dump that lacks or repeats a row or
+    a single-valued header key, names an unknown measure, or holds a header
+    value that no run accepts or a value that no run writes (one not finite
+    and >= 0, or an exceedance count above the path count) is a
+    configuration error naming the file and line."""
     if not os.path.isfile(path):
         raise ConfigError(f"report dump not found: {path!r}")
     header = {}  # key -> [(line number, value)]
@@ -675,6 +679,8 @@ def load_report(path: str) -> RiskReport:
         lines = header.get(key, [])
         if count == "1" and not lines:
             raise ConfigError(f"{path}: missing '# {key} = ...' header")
+        if count != "*" and len(lines) > 1:
+            raise ConfigError(f"{path}:{lines[1][0]}: repeated '# {key}' header")
         vals = []
         for lineno, v in lines:
             try:
@@ -693,6 +699,18 @@ def load_report(path: str) -> RiskReport:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    def number(text: str, lineno: int, cast=float, most=math.inf):
+        # every value a run writes is finite and >= 0 (exposures are
+        # positive parts), and an exceedance count is at most the path count
+        try:
+            v = cast(text)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
+        if not (math.isfinite(v) and 0 <= v <= most):
+            bound = f"in [0, {most}]" if cast is int else "finite and >= 0"
+            raise ConfigError(f"{path}:{lineno}: value {text!r} is not {bound}")
+        return v
+
     shape = (len(scenario_names), len(dealer_names))
     arrays = {m.attr: np.zeros(shape, dtype=m.cast) for m in _MEASURES}
     arrays |= {m.se: np.zeros(shape) for m in _MEASURES if m.se}
@@ -702,21 +720,20 @@ def load_report(path: str) -> RiskReport:
             for n, dealer in enumerate(dealer_names):
                 for m in _MEASURES:
                     lineno, row = cells[dealer, scen, m.label]
-                    arrays[m.attr][s, n] = m.cast(row[3])
+                    most = fields["n_paths"] if m.cast is int else math.inf
+                    arrays[m.attr][s, n] = number(row[3], lineno, m.cast, most)
                     if m.se:
-                        arrays[m.se][s, n] = float(row[5])
+                        arrays[m.se][s, n] = number(row[5], lineno)
             for dealer, attr, _, read in _SCENARIO_ROWS:
                 lineno, row = cells[dealer, scen, attr]
                 if read:
-                    arrays[attr][s] = float(row[3])
+                    arrays[attr][s] = number(row[3], lineno)
     except KeyError as exc:
         dealer, scen, label = exc.args[0]
         label = label.format(tag=_level_tag(fields["level"]))
         raise ConfigError(
             f"{path}: no {label} row for {dealer!r} in scenario {scen!r}"
         ) from None
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
     return RiskReport(
         dealer_names=dealer_names, scenario_names=scenario_names, **fields, **arrays
     )

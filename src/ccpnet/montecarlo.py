@@ -21,11 +21,12 @@ Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
 reductions to histogram and, per (scenario, dealer), the largest values that
 VaR and ES read. The calling thread merges these in chunk order, the
-summaries by their one ``merge``; chunk 0, merged first, fixes the histogram
-grids. No worker waits on another, and only the calling thread writes
-run-wide state. No per-path buffer is kept: a path dump gets each
-chunk's exposures from the worker that made them, written in place at that
-chunk's offset in the file before the worker reduces them.
+summaries by their one ``merge`` and each scenario's reductions by its
+``_Histogram``'s ``add``; chunk 0, added first, fixes the histogram grids.
+No worker waits on another, and only the calling thread writes run-wide
+state. No per-path buffer is kept: a path dump gets each chunk's exposures
+from the worker that made them, written in place at that chunk's offset in
+the file before the worker reduces them.
 """
 
 from __future__ import annotations
@@ -358,6 +359,23 @@ def _tail_size(n: int, level: float) -> int:
     return n - int(math.floor((n - 1) * level))
 
 
+# Bound on a run's tail buffer (``_TopRows``) in doubles, 8 GiB: a path count
+# whose buffer would be larger is rejected before any work starts.
+MAX_TAIL_DOUBLES = 2**30
+
+
+def check_tail_buffer(n_cells: int, n_paths: int, level: float) -> None:
+    """Raise ConfigError when a run's tail buffer, at most n_cells * (3m - 1)
+    doubles for m = ``_tail_size(n_paths, level)`` and ``n_cells``
+    (scenario, dealer) cells, would exceed ``MAX_TAIL_DOUBLES``."""
+    doubles = n_cells * (3 * _tail_size(n_paths, level) - 1)
+    if doubles > MAX_TAIL_DOUBLES:
+        raise ConfigError(
+            f"n_paths={n_paths} at level {level} needs a VaR/ES tail buffer of "
+            f"{doubles} values, more than {MAX_TAIL_DOUBLES}"
+        )
+
+
 def _tail_stats(
     sorted_top: np.ndarray, level: float, n: int | None = None
 ) -> tuple[float, float, int]:
@@ -426,15 +444,13 @@ class _TopRows:
 _MAX_BINS = 2000
 
 
-def freedman_diaconis_edges(
-    values: np.ndarray, max_bins: int = _MAX_BINS, n_total: int | None = None
-) -> np.ndarray:
+def freedman_diaconis_edges(values: np.ndarray, n_total: int | None = None) -> np.ndarray:
     """Histogram bin edges on a Freedman-Diaconis grid through ``values``.
 
     Bins of width 2 IQR / n^(1/3), with n = ``n_total`` (default: the
     number of values), start at the minimum and run to the bin holding the
     maximum; neighbouring bins merge pairwise while there are more than
-    ``max_bins``. A constant sample gets the one bin [v - 0.5, v + 0.5], and
+    ``_MAX_BINS``. A constant sample gets the one bin [v - 0.5, v + 0.5], and
     a zero IQR one bin as wide as the range. ``simulate`` fixes its grid
     from chunk 0 with n the run's total count, so its bins are as fine as
     those of the whole run's values.
@@ -449,65 +465,55 @@ def freedman_diaconis_edges(
     if not width > 0.0:
         width = hi - lo
     n_bins = math.floor((hi - lo) / width) + 1
-    while n_bins > max_bins:
+    while n_bins > _MAX_BINS:
         width *= 2.0
         n_bins = math.floor((hi - lo) / width) + 1
     return lo + width * np.arange(n_bins + 1)
 
 
-def _histogram_grid(values: np.ndarray, n_total: int) -> tuple[float, float]:
-    """(origin, width) of the grid continuing the first bin of
-    ``freedman_diaconis_edges(values, n_total=n_total)``."""
-    edges = freedman_diaconis_edges(values, n_total=n_total)
-    return float(edges[0]), float(edges[1] - edges[0])
+class _Histogram:
+    """Counts of a stream of values, fed in blocks to ``add``, on the grid
+    continuing the first bin of ``freedman_diaconis_edges(first block,
+    n_total=n_total)``.
 
+    Each value's bin index j on that grid is computed once; it is counted in
+    bin j >> shift of the grid with bins 2^shift times as wide, where shift
+    is the smallest that spans the stream's range of j in fewer than
+    ``_MAX_BINS`` bins. The counts therefore do not depend on how the stream
+    is split into blocks."""
 
-# A streamed histogram is (first, shift, counts): counts[i] is the number of
-# values in bin j = first + i of the grid origin + width * 2^shift * [j, j+1).
-# Bin indices are integers computed once at shift 0, so merging neighbouring
-# bins is j >> 1 and the counts do not depend on when bins were merged.
+    def __init__(self, n_total: int):
+        self._n_total = n_total
+        self._origin = self._width = None
+        self._lo, self._hi = math.inf, -math.inf  # range of j so far
+        self._shift = 0
+        self.counts = np.zeros(0, dtype=np.int64)
 
+    def add(self, values: np.ndarray) -> None:
+        if self._width is None:
+            edges = freedman_diaconis_edges(values, n_total=self._n_total)
+            self._origin, self._width = float(edges[0]), float(edges[1] - edges[0])
+        j = np.floor((values - self._origin) / self._width).astype(np.int64)
+        lo, hi = min(self._lo, int(j.min())), max(self._hi, int(j.max()))
+        shift = self._shift
+        while (hi >> shift) - (lo >> shift) >= _MAX_BINS:
+            shift += 1
+        first = lo >> shift
+        n_bins = (hi >> shift) - first + 1
+        j >>= shift
+        j -= first
+        counts = np.bincount(j, minlength=n_bins)
+        if self.counts.size:
+            old = (self._lo >> self._shift) + np.arange(self.counts.size)
+            old >>= shift - self._shift
+            old -= first
+            counts += np.bincount(old, self.counts, n_bins).astype(np.int64)
+        self._lo, self._hi, self._shift, self.counts = lo, hi, shift, counts
 
-def _coarsen(hist, shift: int):
-    """``hist`` with neighbouring bins merged pairwise up to ``shift``."""
-    first, old, counts = hist
-    if shift == old:
-        return hist
-    j = (first + np.arange(counts.size)) >> (shift - old)
-    return int(j[0]), shift, np.bincount(j - j[0], weights=counts).astype(np.int64)
-
-
-def _chunk_histogram(values: np.ndarray, grid: tuple[float, float], max_bins: int):
-    """Histogram of ``values`` on ``grid`` = (origin, width), with at most
-    ``max_bins`` bins."""
-    origin, width = grid
-    j = np.floor((values - origin) / width).astype(np.int64)
-    lo, hi = int(j.min()), int(j.max())
-    shift = 0
-    while (hi >> shift) - (lo >> shift) >= max_bins:
-        shift += 1
-    j >>= shift
-    return lo >> shift, shift, np.bincount(j - (lo >> shift))
-
-
-def _merge_histograms(a, b, max_bins: int):
-    """The histogram of both streams, with at most ``max_bins`` bins."""
-    shift = max(a[1], b[1])
-    a, b = _coarsen(a, shift), _coarsen(b, shift)
-    first = min(a[0], b[0])
-    counts = np.zeros(max(a[0] + a[2].size, b[0] + b[2].size) - first, dtype=np.int64)
-    for f, _, c in (a, b):
-        counts[f - first : f - first + c.size] += c
-    hist = (first, shift, counts)
-    while hist[2].size > max_bins:
-        hist = _coarsen(hist, hist[1] + 1)
-    return hist
-
-
-def _histogram_edges(grid: tuple[float, float], hist) -> np.ndarray:
-    origin, width = grid
-    first, shift, counts = hist
-    return origin + (width * 2.0**shift) * np.arange(first, first + counts.size + 1)
+    def edges(self) -> np.ndarray:
+        first = self._lo >> self._shift
+        bins = np.arange(first, first + self.counts.size + 1)
+        return self._origin + (self._width * 2.0**self._shift) * bins
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +578,13 @@ def simulate(
         Chunks evaluated concurrently (1 to ``dataio.MAX_THREADS``). Each
         worker reduces only its own chunk; the calling thread merges the
         chunks' ``_ChunkSummary`` (EE moments, mean-max sums), tails and
-        histograms in chunk order.
+        ``_Histogram`` counts in chunk order.
     collect_histograms
         Histogram, for each scenario but the base, the per-path and
-        per-dealer exposure reductions against the base. Chunk 0, merged
-        first, fixes the grid (see ``freedman_diaconis_edges``); the merge
-        counts every chunk on it, widened by whole bins to its values.
+        per-dealer exposure reductions against the base, one ``_Histogram``
+        per scenario. Chunk 0, added first, fixes the grid (see
+        ``freedman_diaconis_edges``); every chunk is counted on it, its bins
+        merged pairwise while the run's values span ``_MAX_BINS`` or more.
     dump
         An open path dump (``dataio.open_path_dump``) of shape (n_paths,
         scenarios, dealers), or None. Each worker writes its chunk's float64
@@ -594,6 +601,7 @@ def simulate(
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique")
     check_run_args(n_paths, seed, threads, level)
+    check_tail_buffer(len(scenarios) * config.n_dealers, n_paths, level)
 
     layout = _build_layout(config, scenarios)
     n_scen, n_dealers = len(scenarios), layout.n_dealers
@@ -621,22 +629,18 @@ def simulate(
 
     sums = _ChunkSummary(np.empty((0, n_scen, n_dealers)))
     tops = _TopRows((n_scen, n_dealers), m, min(m, chunk))
-    grids = hists = None
+    hists = [_Histogram(n_paths * n_dealers) for _ in compared]
     starts = range(0, n_paths, chunk)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(reduce_chunk, starts) if threads > 1 else map(reduce_chunk, starts)
         for c_sums, c_diffs, c_top in results:
             sums.merge(c_sums)
             tops.add(c_top)
-            if grids is None:
-                grids = [_histogram_grid(d, n_paths * n_dealers) for d in c_diffs]
-            c_hists = [_chunk_histogram(d, g, _MAX_BINS) for d, g in zip(c_diffs, grids)]
-            hists = c_hists if hists is None else [
-                _merge_histograms(h, c, _MAX_BINS) for h, c in zip(hists, c_hists)
-            ]
+            for hist, d in zip(hists, c_diffs):
+                hist.add(d)
             # free this chunk's arrays before the next one is drawn: without
             # threads, map evaluates it while these names still hold them
-            del c_diffs, c_top
+            c_diffs = c_top = d = None
 
     var = np.empty((n_scen, n_dealers))
     es = np.empty((n_scen, n_dealers))
@@ -650,9 +654,7 @@ def simulate(
 
     histograms = None
     if compared:
-        histograms = {}
-        for s, grid, hist in zip(compared, grids, hists):
-            histograms[scenarios[s].name] = (_histogram_edges(grid, hist), hist[2])
+        histograms = {scenarios[s].name: (h.edges(), h.counts) for s, h in zip(compared, hists)}
 
     return RiskReport(
         dealer_names=tuple(d.name for d in config.dealers),

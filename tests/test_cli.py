@@ -473,6 +473,7 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
         ("--threads", "0", "threads must be >= 1"),
         ("--threads", "65", "threads must be <= 64"),
         ("--seed", str(2**130), "seed must be an integer in [0, 2**128)"),
+        ("--paths", str(10**13), "needs a VaR/ES tail buffer of"),
     ]:
         code, _, err = run_cli(capsys, *_scen_args(tmp_path, "x", flag, value))
         assert code == 2 and message in err
@@ -714,10 +715,22 @@ __max__,no_ccp,mean_max,2.5,1.0,
         ),
         ("__total__", "A,no_ccp,vol,1.0,,\n__total__", "{dump}:11: unknown measure 'vol'"),
         ("# level = 0.99", "# level = nan", "{dump}: risk-measure level must lie in (0, 1)"),
+        ("# seed = 5\n", "# seed = 2\n# seed = 7\n", "{dump}:3: repeated '# seed' header"),
+        (
+            "# base_scenario = no_ccp\n",
+            "# base_scenario = no_ccp\n# base_scenario = no_ccp\n",
+            "{dump}:6: repeated '# base_scenario' header",
+        ),
+        ("A,no_ccp,ee,2.5,", "A,no_ccp,ee,nan,", "{dump}:7: value 'nan' is not finite and >= 0"),
+        ("1.0,0.1\n", "1.0,-0.1\n", "{dump}:7: value '-0.1' is not finite and >= 0"),
+        ("_exceedances,10,", "_exceedances,-5,", "{dump}:10: value '-5' is not in [0, 1000]"),
+        ("_exceedances,10,", "_exceedances,1001,", "{dump}:10: value '1001' is not in [0, 1000]"),
     ],
     ids=[
         "no_paths", "bad_paths", "short_row", "bad_value", "empty_value", "bad_base",
         "undecodable", "missing_cell", "duplicate_row", "unknown_measure", "bad_level",
+        "repeated_seed", "repeated_base", "nan_value", "negative_se", "negative_count",
+        "count_above_paths",
     ],
 )
 def test_report_malformed_dump_exits_2(capsys, tmp_path, old, new, message):

@@ -92,6 +92,10 @@ def test_load_notionals_malformed_row_reports_line(tmp_path):
     path.write_text("dealer,swaps\nAlpha,1\nBeta,1,2\n")
     with pytest.raises(ConfigError, match=":3"):
         load_notionals(str(path))
+    # blank lines are skipped but still counted
+    path.write_text("dealer,swaps,credit\n\nA,1,2\n  \nB,x,3\n")
+    with pytest.raises(ConfigError, match="bad.csv:5: non-numeric notional"):
+        load_notionals(str(path))
 
 
 def test_load_notionals_rejects_negative(tmp_path):
@@ -171,18 +175,18 @@ def test_parse_run_config_full():
 
 
 def test_parse_run_config_unknown_key():
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ConfigError, match="config line 1: unknown config key 'pathz'"):
         parse_run_config("pathz = 100")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        parse_run_config("scenario.irs_ccp.b.swaps = 1")
+    with pytest.raises(ConfigError, match="config line 3: unknown config key"):
+        parse_run_config("paths = 2000\n\nscenario.irs_ccp.b.swaps = 1")
 
 
 def test_parse_run_config_bad_values():
-    with pytest.raises(ConfigError):
-        parse_run_config("scenario.super_ccp.w.swaps = 0.5")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config line 2: unknown scenario id"):
+        parse_run_config("# scenario weights\nscenario.super_ccp.w.swaps = 0.5")
+    with pytest.raises(ConfigError, match="config line 1: mirror_dealers must be"):
         parse_run_config("mirror_dealers = maybe")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config line 1: expected"):
         parse_run_config("rho")
 
 
@@ -527,19 +531,20 @@ def _drawn_reports(draw):
     )
     scenarios = ("no_ccp", "irs_ccp", "joint_ccp")[: draw(st.integers(1, 3))]
     shape = (len(scenarios), len(dealers))
+    n_paths = draw(st.integers(1000, 10**9))
     # exact zeros in the base row make nan ratios; no ratio overflows
     values = st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1e6)
     return montecarlo.RiskReport(
         dealer_names=tuple(dealers),
         scenario_names=scenarios,
-        n_paths=draw(st.integers(1000, 10**9)),
+        n_paths=n_paths,
         seed=draw(st.integers(0, 2**128 - 1)),
         level=draw(st.sampled_from([0.99, 0.975, 0.999]) | st.floats(1e-9, 1 - 1e-9)),
         ee=draw(arrays(np.float64, shape, elements=values)),
         ee_se=draw(arrays(np.float64, shape, elements=values)),
         var=draw(arrays(np.float64, shape, elements=values)),
         es=draw(arrays(np.float64, shape, elements=values)),
-        es_exceedances=draw(arrays(np.int64, shape, elements=st.integers(0, 10**6))),
+        es_exceedances=draw(arrays(np.int64, shape, elements=st.integers(0, min(n_paths, 10**6)))),
         mean_max=draw(arrays(np.float64, shape[0], elements=values)),
         base_index=draw(st.none() | st.integers(0, len(scenarios) - 1)),
         assumptions=tuple(

@@ -611,6 +611,14 @@ def test_simulate_rejects_path_floor_and_bad_inputs():
     for threads in (0, -2, dataio.MAX_THREADS + 1):
         with pytest.raises(ConfigError, match="threads"):
             simulate(config, scenarios, 2000, 1, threads=threads)
+    # the tail buffer is bounded before it is allocated; the default market's
+    # 100 cells fit at 10^6 paths and at 10^8 paths at level 0.99
+    with pytest.raises(ConfigError, match="tail buffer"):
+        simulate(config, scenarios, 10**13, 1)
+    for n_paths in (10**6, 10**8):
+        montecarlo.check_tail_buffer(100, n_paths, 0.99)
+    with pytest.raises(ConfigError, match="tail buffer"):
+        montecarlo.check_tail_buffer(100, 10**13, 0.99)
 
 
 def test_simulate_deterministic_across_threads_and_reruns(monkeypatch):
@@ -938,7 +946,7 @@ def test_freedman_diaconis_edges_degenerate():
     assert np.array_equal(edges, [0.0, 5.0, 10.0])
 
 
-def test_freedman_diaconis_edges_whole_bins_and_pairwise_cap():
+def test_freedman_diaconis_edges_whole_bins_and_pairwise_cap(monkeypatch):
     v = np.random.default_rng(3).standard_normal(10_000)
     q25, q75 = np.percentile(v, [25.0, 75.0])
     width = 2.0 * (q75 - q25) / 10_000 ** (1.0 / 3.0)
@@ -947,27 +955,69 @@ def test_freedman_diaconis_edges_whole_bins_and_pairwise_cap():
     assert np.allclose(np.diff(edges), width)
     # the run's total count fixes the width; the cap doubles it
     assert np.allclose(np.diff(freedman_diaconis_edges(v, n_total=8 * v.size)), width / 2)
-    capped = freedman_diaconis_edges(v, max_bins=len(edges) // 3)
+    monkeypatch.setattr(montecarlo, "_MAX_BINS", len(edges) // 3)
+    capped = freedman_diaconis_edges(v)
     assert len(capped) - 1 <= len(edges) // 3
     assert np.allclose(np.diff(capped), 4 * width)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 250, 4000])
-def test_streamed_histogram_independent_of_chunking(chunk):
-    """Chunk histograms merged in order count every value in the bin the
-    whole sample puts it in, merged pairwise to the same cap."""
+def _binned_counts(values, grid_block, n_total, max_bins):
+    """Reference for ``_Histogram``: every value's bin index j on the grid of
+    ``grid_block``, counted in bin j >> shift for the smallest shift that
+    spans all of j in fewer than ``max_bins`` bins; (edges, counts)."""
+    edges = freedman_diaconis_edges(grid_block, n_total=n_total)
+    origin, width = float(edges[0]), float(edges[1] - edges[0])
+    j = np.floor((values - origin) / width).astype(np.int64)
+    shift = 0
+    while (j.max() >> shift) - (j.min() >> shift) >= max_bins:
+        shift += 1
+    first = j.min() >> shift
+    counts = np.bincount((j >> shift) - first)
+    return origin + width * 2.0**shift * np.arange(first, first + counts.size + 1), counts
+
+
+@pytest.mark.parametrize("block", [1, 7, 250, 4000])
+def test_streamed_histogram_independent_of_chunking(block, monkeypatch):
+    """The first block fixes the grid; the counts do not depend on how the
+    rest of the stream is split, and count every value in its bin of the
+    whole stream, merged pairwise to the cap."""
+    monkeypatch.setattr(montecarlo, "_MAX_BINS", 64)
     v = np.random.default_rng(5).standard_t(3, 4000) * 10.0
-    grid = montecarlo._histogram_grid(v[:250], v.size)
-    whole = montecarlo._chunk_histogram(v, grid, 64)
-    hist = None
-    for a in range(0, v.size, chunk):
-        c = montecarlo._chunk_histogram(v[a : a + chunk], grid, 64)
-        hist = c if hist is None else montecarlo._merge_histograms(hist, c, 64)
-    assert hist[:2] == whole[:2] and np.array_equal(hist[2], whole[2])
-    assert hist[2].sum() == v.size and hist[2].size <= 64
-    assert hist[2][0] > 0 and hist[2][-1] > 0
-    edges = montecarlo._histogram_edges(grid, hist)
+    whole = montecarlo._Histogram(v.size)
+    whole.add(v[:250])
+    whole.add(v[250:])
+    hist = montecarlo._Histogram(v.size)
+    hist.add(v[:250])
+    for a in range(250, v.size, block):
+        hist.add(v[a : a + block])
+    edges = hist.edges()
+    assert np.array_equal(edges, whole.edges()) and np.array_equal(hist.counts, whole.counts)
+    ref_edges, ref_counts = _binned_counts(v, v[:250], v.size, 64)
+    assert np.allclose(edges, ref_edges, rtol=0, atol=1e-12 * np.abs(edges).max())
+    assert np.array_equal(hist.counts, ref_counts) and hist.counts.dtype == np.int64
+    assert hist.counts.sum() == v.size and hist.counts.size <= 64
+    assert hist.counts[0] > 0 and hist.counts[-1] > 0
     assert edges[0] <= v.min() and v.max() < edges[-1]
+
+
+def test_streamed_histogram_outlier_coarsens_earlier_counts(monkeypatch):
+    """A later block far outside the first block's range raises the shift,
+    so the counts already held are merged onto the wider bins."""
+    monkeypatch.setattr(montecarlo, "_MAX_BINS", 64)
+    v = np.random.default_rng(7).standard_normal(1000)
+    hist = montecarlo._Histogram(v.size + 1)
+    hist.add(v)
+    fine = hist.edges()
+    assert fine.size - 1 < 64
+    outlier = v.max() + 1000 * (fine[1] - fine[0])
+    hist.add(np.array([outlier]))
+    edges = hist.edges()
+    assert edges[1] - edges[0] >= 16 * (fine[1] - fine[0])
+    ref_edges, ref_counts = _binned_counts(np.append(v, outlier), v, v.size + 1, 64)
+    assert np.allclose(edges, ref_edges, rtol=0, atol=1e-12 * np.abs(edges).max())
+    assert np.array_equal(hist.counts, ref_counts)
+    assert hist.counts.size <= 64 and hist.counts.sum() == v.size + 1
+    assert hist.counts[-1] == 1 and edges[-2] <= outlier < edges[-1]
 
 
 def test_write_path_dump(tmp_path, monkeypatch):
