@@ -550,6 +550,35 @@ def check_output_path(path: str, is_dir: bool) -> None:
         raise ConfigError(f"output path lies under a file: {path!r}")
 
 
+def _dump_rows(report: RiskReport):
+    """The data rows of ``report``'s dump, at full float precision so that
+    it reloads losslessly, each with the columns that ``load_report`` reads
+    back as values; every other column is derived from those."""
+    tag = _level_tag(report.level)
+    has_base = report.base_index is not None
+
+    def arr(attr, wanted=True):
+        return getattr(report, attr) if attr and wanted else None
+
+    def text(values, at, cast=float):
+        return "" if values is None else repr(cast(values[at]))
+
+    cells = [
+        (m.label.format(tag=tag), m.cast, arr(m.attr), arr(m.ratio, has_base), arr(m.se))
+        for m in _MEASURES
+    ]
+    rows = [(d, a, arr(a), arr(r, has_base), read) for d, a, r, read in _SCENARIO_ROWS]
+    for s, scen in enumerate(report.scenario_names):
+        for n, dealer in enumerate(report.dealer_names):
+            for label, cast, values, ratios, ses in cells:
+                yield [
+                    dealer, scen, label, text(values, (s, n), cast),
+                    text(ratios, (s, n)), text(ses, (s, n)),
+                ], (3, 5) if ses is not None else (3,)
+        for dealer, label, values, ratios, read in rows:
+            yield [dealer, scen, label, text(values, s), text(ratios, s), ""], (3,) if read else ()
+
+
 def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
     """Emit the human ratio tables, the mean-max table, the full-precision
     dump and (when present) histogram data. Returns name -> path."""
@@ -584,34 +613,12 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
             writer.writerow([scen, _fmt(report.mean_max[s]), *ratio])
     files["mean_max"] = path
 
-    # the dump, at full float precision so that it reloads losslessly
-    def arr(attr, wanted=True):
-        return getattr(report, attr) if attr and wanted else None
-
-    def text(values, at, cast=float):
-        return "" if values is None else repr(cast(values[at]))
-
-    cells = [
-        (m.label.format(tag=tag), m.cast, arr(m.attr), arr(m.ratio, has_base), arr(m.se))
-        for m in _MEASURES
-    ]
-    rows = [(d, a, arr(a), arr(r, has_base)) for d, a, r, _ in _SCENARIO_ROWS]
     path = os.path.join(out_dir, "report.csv")
     with open(path, "w", newline="") as fh:
         fh.write(head)
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for s, scen in enumerate(report.scenario_names):
-            for n, dealer in enumerate(report.dealer_names):
-                for label, cast, values, ratios, ses in cells:
-                    writer.writerow([
-                        dealer, scen, label, text(values, (s, n), cast),
-                        text(ratios, (s, n)), text(ses, (s, n)),
-                    ])
-            for dealer, label, values, ratios in rows:
-                writer.writerow(
-                    [dealer, scen, label, text(values, s), text(ratios, s), ""]
-                )
+        writer.writerows(row for row, _ in _dump_rows(report))
     files["dump"] = path
 
     if report.histograms:
@@ -630,8 +637,11 @@ def load_report(path: str) -> RiskReport:
     dumps say ``var99`` at any level). A dump that lacks or repeats a row or
     a single-valued header key, names an unknown measure, or holds a header
     value that no run accepts or a value that no run writes (one not finite
-    and >= 0, or an exceedance count above the path count) is a
-    configuration error naming the file and line."""
+    and >= 0, an exceedance count above the path count, or an ES below its
+    VaR) is a configuration error naming the file and line. So is a cell
+    that the loaded values derive (a ``ratio_to_base``, the ``__total__``
+    value, a ``std_error`` outside the EE rows) holding any text but what
+    ``write_report`` writes for them."""
     if not os.path.isfile(path):
         raise ConfigError(f"report dump not found: {path!r}")
     header = {}  # key -> [(line number, value)]
@@ -724,6 +734,12 @@ def load_report(path: str) -> RiskReport:
                     arrays[m.attr][s, n] = number(row[3], lineno, m.cast, most)
                     if m.se:
                         arrays[m.se][s, n] = number(row[5], lineno)
+                var, es = arrays["var"][s, n], arrays["es"][s, n]
+                if es < var:
+                    lineno = cells[dealer, scen, "es{tag}"][0]
+                    raise ConfigError(
+                        f"{path}:{lineno}: ES {float(es)!r} is below VaR {float(var)!r}"
+                    )
             for dealer, attr, _, read in _SCENARIO_ROWS:
                 lineno, row = cells[dealer, scen, attr]
                 if read:
@@ -734,9 +750,18 @@ def load_report(path: str) -> RiskReport:
         raise ConfigError(
             f"{path}: no {label} row for {dealer!r} in scenario {scen!r}"
         ) from None
-    return RiskReport(
+    report = RiskReport(
         dealer_names=dealer_names, scenario_names=scenario_names, **fields, **arrays
     )
+    for want, read in _dump_rows(report):
+        lineno, row = cells[want[0], want[1], _TAG_DIGITS.sub("{tag}", want[2], count=1)]
+        for col in range(3, len(_COLUMNS)):
+            if col not in read and row[col] != want[col]:
+                raise ConfigError(
+                    f"{path}:{lineno}: {_COLUMNS[col]} {row[col]!r} does not match "
+                    f"the dump's values, which give {want[col]!r}"
+                )
+    return report
 
 
 def write_analytic_ee(config, scenarios, out_dir: str) -> str:
@@ -764,7 +789,8 @@ def write_analytic_ee(config, scenarios, out_dir: str) -> str:
                     row.append("")
                 writer.writerow(row)
             total_row = ["__total__", scen.name, _fmt(res.total * MILLIONS_PER_BILLION)]
-            total_row.append("" if base is None else _fmt(res.total / base.total))
+            has_ratio = base is not None and base.total > 0
+            total_row.append(_fmt(res.total / base.total) if has_ratio else "")
             writer.writerow(total_row)
     return path
 

@@ -6,6 +6,12 @@ generator plus explicit block arithmetic. Workers therefore cannot influence
 results; a report is bit-identical for a fixed (seed, n_paths, level) at
 any thread count.
 
+A run's whole state is its ``MarketConfig``, which alone fixes the sampling
+law (rho and the per-class marginals), and one ``kernels.Plan`` (``_plan``).
+Each path draws one pair row per unordered dealer pair i<j, in
+``np.triu_indices`` order: K+1 uniforms, a common factor and one shock per
+class (``_draws``). A pair row's shocks feed both sides of that pair's trade.
+
 All clearing scenarios are evaluated on the same draws (common random
 numbers), which is what makes scenario differences and the exposure-reduction
 histograms low-variance.
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -160,70 +165,39 @@ def student_t3_unit_ppf(u, out=None):
 
 
 # ---------------------------------------------------------------------------
-# Pair layout
+# Pair rows and sampling
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PairLayout:
-    """Pair bookkeeping, sampling law and kernel plan shared by every chunk
-    of a run.
+def _plan(config: MarketConfig, scenarios) -> kernels.Plan:
+    """The kernel plan shared by every chunk of a run.
 
-    Each row holds one copula draw: one row per unordered pair i<j, in
-    ``np.triu_indices`` order (so ``pair_i`` is sorted). The draw feeds two
-    directed rows, the two sides of one trade: dealer i with scale
-    ``pair_scales(config, i, j)`` and dealer j, negated, with scale
-    ``pair_scales(config, j, i)``. Every dealer owns n-1 directed rows, one
-    per counterparty; ``plan`` orders them by owning dealer and folds each
-    signed scale into the kernel's coefficients. ``rho`` and ``marginals``
-    are the market config's copula correlation and per-class marginal laws.
+    Each pair row holds one copula draw: one row per unordered pair i<j, in
+    ``np.triu_indices`` order. The draw feeds two directed rows, the two
+    sides of one trade: dealer i with scale ``pair_scales(config, i, j)``
+    and dealer j, negated, with scale ``pair_scales(config, j, i)``. Every
+    dealer owns n-1 directed rows, one per counterparty; the plan orders
+    them by owning dealer and folds each signed scale into the kernel's
+    coefficients.
     """
-
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    n_dealers: int
-    rho: float
-    marginals: tuple[Marginal, ...]
-    plan: kernels.Plan
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.marginals)
-
-    @property
-    def n_pairs(self) -> int:
-        return self.pair_i.shape[0]
-
-    @property
-    def draws_per_path(self) -> int:
-        # one common factor plus one idiosyncratic shock per class, per row
-        return self.n_pairs * (self.n_classes + 1)
-
-    @property
-    def padded_draws(self) -> int:
-        # Philox advances whole blocks of 4 doubles; pad so each path starts
-        # exactly on a block boundary
-        return -(-self.draws_per_path // 4) * 4
-
-
-def _build_layout(config: MarketConfig, scenarios) -> _PairLayout:
     n = config.n_dealers
     ii, jj = (k.astype(np.intp) for k in np.triu_indices(n, k=1))
     s_plus = pair_scales(config, ii, jj) * MILLIONS_PER_BILLION
     s_minus = pair_scales(config, jj, ii) * MILLIONS_PER_BILLION
-    return _PairLayout(
-        pair_i=ii,
-        pair_j=jj,
-        n_dealers=n,
-        rho=config.rho,
-        marginals=config.marginals(),
-        plan=kernels.plan(s_plus, s_minus, ii, jj, scenarios, n),
-    )
+    return kernels.plan(s_plus, s_minus, ii, jj, scenarios, n)
 
 
-def _uniform_blocks(
-    seed: int, layout: _PairLayout, start: int, count: int, step: int
-):
+def _draws(config: MarketConfig) -> tuple[int, int, int]:
+    """(pair rows, draws per path, padded draws) of ``config``: one common
+    factor plus one idiosyncratic shock per class, per pair row. Philox
+    advances whole blocks of 4 doubles, so each path's draws are padded to a
+    multiple of 4 and every path starts exactly on a block boundary."""
+    n_pairs = config.n_dealers * (config.n_dealers - 1) // 2
+    draws = n_pairs * (config.n_classes + 1)
+    return n_pairs, draws, -(-draws // 4) * 4
+
+
+def _uniform_blocks(seed: int, config: MarketConfig, start: int, count: int, step: int):
     """Uniform blocks for paths [start, start+count), ``step`` paths each
     (the last may be shorter): shape (paths, pairs, K+1).
 
@@ -233,15 +207,16 @@ def _uniform_blocks(
     block is a whole number of Philox blocks, so the next one starts exactly
     where a skip-ahead to its first path would.
     """
+    n_pairs, draws, padded = _draws(config)
     bg = np.random.Philox(key=seed)
-    bg.advance(start * layout.padded_draws // 4)
+    bg.advance(start * padded // 4)
     gen = np.random.Generator(bg)
     for a in range(0, count, step):
         n = min(step, count - a)
-        u = gen.random(n * layout.padded_draws)
+        u = gen.random(n * padded)
         np.maximum(u, _MIN_UNIFORM, out=u)
-        u = u.reshape(n, layout.padded_draws)[:, : layout.draws_per_path]
-        yield u.reshape(n, layout.n_pairs, layout.n_classes + 1)
+        u = u.reshape(n, padded)[:, :draws]
+        yield u.reshape(n, n_pairs, config.n_classes + 1)
 
 
 def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
@@ -286,16 +261,17 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 _UNIFORM_DOUBLES = 2**16
 
 
-def _shocks(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:
+def _shocks(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarray:
     """Standardized class shocks for paths [start, start+count):
     (count, pairs, K): the Gaussian copula of their uniforms, with each t3
     class's marginal applied."""
-    y = np.empty((count, layout.n_pairs, layout.n_classes))
-    step = max(1, _UNIFORM_DOUBLES // layout.padded_draws)
-    blocks = _uniform_blocks(seed, layout, start, count, step)
+    n_pairs, _, padded = _draws(config)
+    y = np.empty((count, n_pairs, config.n_classes))
+    step = max(1, _UNIFORM_DOUBLES // padded)
+    blocks = _uniform_blocks(seed, config, start, count, step)
     for a, u in zip(range(0, count, step), blocks):
-        _gaussian_copula(u, layout.rho, out=y[a : a + u.shape[0]])
-    return _apply_marginals(y, layout.marginals)
+        _gaussian_copula(u, config.rho, out=y[a : a + u.shape[0]])
+    return _apply_marginals(y, config.marginals())
 
 
 # A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
@@ -310,17 +286,19 @@ _BLOCK_DOUBLES = 2**21
 _CHUNK_PATHS = 4096
 
 
-def _chunk_paths(layout: _PairLayout) -> int:
-    """Paths per chunk of a run on ``layout``: 2202 on the default market."""
-    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // layout.padded_draws))
+def _chunk_paths(config: MarketConfig) -> int:
+    """Paths per chunk of a run on ``config``: 2202 on the default market."""
+    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // _draws(config)[2]))
 
 
-def _chunk_exposures(layout: _PairLayout, seed: int, start: int, count: int) -> np.ndarray:
+def _chunk_exposures(
+    config: MarketConfig, plan: kernels.Plan, seed: int, start: int, count: int
+) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for one chunk of paths:
     its shocks, drawn just before the kernel evaluates them and freed when
     it returns."""
-    out = np.empty((count, layout.plan.n_scenarios, layout.n_dealers))
-    return kernels.scenario_exposures(_shocks(layout, seed, start, count), layout.plan, out=out)
+    out = np.empty((count, plan.n_scenarios, plan.n_dealers))
+    return kernels.scenario_exposures(_shocks(config, seed, start, count), plan, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +581,8 @@ def simulate(
     check_run_args(n_paths, seed, threads, level)
     check_tail_buffer(len(scenarios) * config.n_dealers, n_paths, level)
 
-    layout = _build_layout(config, scenarios)
-    n_scen, n_dealers = len(scenarios), layout.n_dealers
+    plan = _plan(config, scenarios)
+    n_scen, n_dealers = len(scenarios), config.n_dealers
     if dump is not None and dump.shape != (n_paths, n_scen, n_dealers):
         raise ValueError(
             f"path dump of shape {dump.shape} for a run of {(n_paths, n_scen, n_dealers)}"
@@ -616,12 +594,12 @@ def simulate(
     if collect_histograms and base_index is not None:
         compared = [s for s in range(n_scen) if s != base_index]
     m = _tail_size(n_paths, level)
-    chunk = _chunk_paths(layout)
+    chunk = _chunk_paths(config)
 
     def reduce_chunk(start):
         # everything here depends on this chunk alone; run-wide state is
         # the merge loop's
-        e = _chunk_exposures(layout, seed, start, min(chunk, n_paths - start))
+        e = _chunk_exposures(config, plan, seed, start, min(chunk, n_paths - start))
         if dump is not None:
             dump.write(start, e)  # before _top partitions e in place
         diffs = [np.subtract(e[:, base_index], e[:, s]).ravel() for s in compared]

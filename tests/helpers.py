@@ -22,7 +22,6 @@ from ccpnet.market import (
     HomogeneousSpec,
     Marginal,
     MarketConfig,
-    no_ccp,
     pair_scales,
 )
 
@@ -104,9 +103,9 @@ def student_t3_unit_cdf(x):
     return 0.5 + (np.arctan(v) + v / (1.0 + v * v)) / np.pi
 
 
-def _uniforms(seed: int, layout: montecarlo._PairLayout, start: int, count: int) -> np.ndarray:
+def _uniforms(seed: int, config: MarketConfig, start: int, count: int) -> np.ndarray:
     """Uniform block for paths [start, start+count): shape (count, pairs, K+1)."""
-    (u,) = montecarlo._uniform_blocks(seed, layout, start, count, count)
+    (u,) = montecarlo._uniform_blocks(seed, config, start, count, count)
     return u
 
 
@@ -123,10 +122,9 @@ def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.
     (millions USD), built from the shocks the simulation kernel consumes for
     the same seed and path indices.
     """
-    layout = montecarlo._build_layout(config, [no_ccp()])
-    y = montecarlo._shocks(layout, seed, start, count)
-    ii, jj = layout.pair_i, layout.pair_j
-    n, k = layout.n_dealers, layout.n_classes
+    y = montecarlo._shocks(config, seed, start, count)
+    n, k = config.n_dealers, config.n_classes
+    ii, jj = np.triu_indices(n, k=1)
     x = np.zeros((count, n, n, k))
     x[:, ii, jj, :] = y * (pair_scales(config, ii, jj) * MILLIONS_PER_BILLION)
     x[:, jj, ii, :] = -y * (pair_scales(config, jj, ii) * MILLIONS_PER_BILLION)
@@ -138,8 +136,8 @@ def exposures_for_paths(
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for the given paths:
     the chunk evaluation ``simulate`` runs before it reduces a chunk."""
-    layout = montecarlo._build_layout(config, scenarios)
-    return montecarlo._chunk_exposures(layout, seed, start, count)
+    plan = montecarlo._plan(config, scenarios)
+    return montecarlo._chunk_exposures(config, plan, seed, start, count)
 
 
 def check_pathwise(e: np.ndarray, scenarios) -> None:

@@ -605,6 +605,20 @@ def test_scenarios_duplicate_dealer_names_exit_2(capsys, tmp_path, rows):
     assert not (tmp_path / "dup").exists()
 
 
+def test_scenarios_market_without_positions(capsys, tmp_path):
+    """A market whose notionals are all zero has no exposure: the run exits
+    0, and its closed-form totals carry no ratio, like its dealers' rows."""
+    table = tmp_path / "zero.csv"
+    table.write_text("dealer,forwards,options,swaps,credit\nA,0,0,0,0\nB,0,0,0,0\n")
+    argv = _scen_args(tmp_path, "zero", "--notionals", str(table), "--no-mirror")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rows = (tmp_path / "zero" / "analytic_ee.csv").read_text().splitlines()[2:]
+    assert len(rows) == 15 and all(row.endswith(",0,") for row in rows)
+    report = dataio.load_report(str(tmp_path / "zero" / "report.csv"))
+    assert not report.ee.any() and not report.mean_max.any()
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_scenarios_rejects_nonpositive_threads(capsys, tmp_path, threads):
     code, _, err = run_cli(capsys, *_scen_args(tmp_path, "t", "--threads", threads))
@@ -725,12 +739,21 @@ __max__,no_ccp,mean_max,2.5,1.0,
         ("1.0,0.1\n", "1.0,-0.1\n", "{dump}:7: value '-0.1' is not finite and >= 0"),
         ("_exceedances,10,", "_exceedances,-5,", "{dump}:10: value '-5' is not in [0, 1000]"),
         ("_exceedances,10,", "_exceedances,1001,", "{dump}:10: value '1001' is not in [0, 1000]"),
+        (
+            "A,no_ccp,var99,4.0,1.0,", "A,no_ccp,var99,4.0,banana,",
+            "{dump}:8: ratio_to_base 'banana' does not match the dump's values, which give '1.0'",
+        ),
+        ("total_ee,2.5", "total_ee,lots", "{dump}:11: value 'lots' does not match"),
+        ("var99,4.0,1.0,\n", "var99,4.0,1.0,oops\n", "{dump}:8: std_error 'oops' does not match"),
+        ("_exceedances,10,,", "_exceedances,10,zzz,", "{dump}:10: ratio_to_base 'zzz' does not"),
+        ("es99,5.0", "es99,1.0", "{dump}:9: ES 1.0 is below VaR 4.0"),
     ],
     ids=[
         "no_paths", "bad_paths", "short_row", "bad_value", "empty_value", "bad_base",
         "undecodable", "missing_cell", "duplicate_row", "unknown_measure", "bad_level",
         "repeated_seed", "repeated_base", "nan_value", "negative_se", "negative_count",
-        "count_above_paths",
+        "count_above_paths", "bad_ratio", "bad_total", "derived_se", "count_ratio",
+        "es_below_var",
     ],
 )
 def test_report_malformed_dump_exits_2(capsys, tmp_path, old, new, message):

@@ -534,6 +534,9 @@ def _drawn_reports(draw):
     n_paths = draw(st.integers(1000, 10**9))
     # exact zeros in the base row make nan ratios; no ratio overflows
     values = st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1e6)
+    var = draw(arrays(np.float64, shape, elements=values))
+    # a run's ES is the mean of the values above its VaR, or VaR itself
+    es = np.maximum(var, draw(arrays(np.float64, shape, elements=values)))
     return montecarlo.RiskReport(
         dealer_names=tuple(dealers),
         scenario_names=scenarios,
@@ -542,8 +545,8 @@ def _drawn_reports(draw):
         level=draw(st.sampled_from([0.99, 0.975, 0.999]) | st.floats(1e-9, 1 - 1e-9)),
         ee=draw(arrays(np.float64, shape, elements=values)),
         ee_se=draw(arrays(np.float64, shape, elements=values)),
-        var=draw(arrays(np.float64, shape, elements=values)),
-        es=draw(arrays(np.float64, shape, elements=values)),
+        var=var,
+        es=es,
         es_exceedances=draw(arrays(np.int64, shape, elements=st.integers(0, min(n_paths, 10**6)))),
         mean_max=draw(arrays(np.float64, shape[0], elements=values)),
         base_index=draw(st.none() | st.integers(0, len(scenarios) - 1)),

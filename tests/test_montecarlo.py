@@ -28,7 +28,6 @@ from ccpnet.market import (
 )
 from ccpnet.montecarlo import (
     _MIN_UNIFORM,
-    _build_layout,
     empirical_quantile,
     freedman_diaconis_edges,
     simulate,
@@ -57,18 +56,16 @@ from helpers import (
 
 def test_uniforms_are_pure_functions_of_path_index():
     config = make_config(np.ones((4, 3)), betas=[1.0] * 3)
-    layout = _build_layout(config, [no_ccp()])
-    whole = _uniforms(99, layout, 0, 16)
-    assert np.array_equal(_uniforms(99, layout, 5, 4), whole[5:9])
-    assert np.array_equal(_uniforms(99, layout, 15, 1), whole[15:16])
+    whole = _uniforms(99, config, 0, 16)
+    assert np.array_equal(_uniforms(99, config, 5, 4), whole[5:9])
+    assert np.array_equal(_uniforms(99, config, 15, 1), whole[15:16])
     # different seeds decouple
-    assert not np.array_equal(_uniforms(98, layout, 0, 16), whole)
+    assert not np.array_equal(_uniforms(98, config, 0, 16), whole)
 
 
 def test_uniforms_shape_and_range():
     config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
-    layout = _build_layout(config, [no_ccp()])
-    u = _uniforms(1, layout, 0, 100)
+    u = _uniforms(1, config, 0, 100)
     assert u.shape == (100, 3, 3)  # 3 unordered pairs, K+1 coordinates
     assert (u > 0).all() and (u < 1).all()
 
@@ -250,12 +247,12 @@ def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
     scratch. The sub-block and the column never coexist, so their sum also
     covers the kernel plan that the traced call builds."""
     config, scenarios = paper_market_t3
-    layout = _build_layout(config, scenarios)
-    chunk = montecarlo._chunk_paths(layout)
-    shocks_nbytes = chunk * layout.n_pairs * layout.n_classes * 8
+    chunk = montecarlo._chunk_paths(config)
+    n_pairs = montecarlo._draws(config)[0]
+    shocks_nbytes = chunk * n_pairs * config.n_classes * 8
     uniform_nbytes = montecarlo._UNIFORM_DOUBLES * 8
-    column_nbytes = chunk * layout.n_pairs * 8
-    out_nbytes = chunk * len(scenarios) * layout.n_dealers * 8
+    column_nbytes = chunk * n_pairs * 8
+    out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
     peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
     assert peak <= (
         out_nbytes + shocks_nbytes + uniform_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
@@ -267,8 +264,7 @@ def test_chunk_calls_the_kernel_once(paper_market, monkeypatch):
     which writes the whole chunk output. A default-market chunk is 2202
     paths, so a 2000-path run is one kernel call."""
     config, scenarios, _ = paper_market
-    layout = _build_layout(config, scenarios)
-    chunk = montecarlo._chunk_paths(layout)
+    chunk = montecarlo._chunk_paths(config)
     assert chunk == 2202
     calls = []
     kernel = kernels.scenario_exposures
@@ -279,9 +275,10 @@ def test_chunk_calls_the_kernel_once(paper_market, monkeypatch):
 
     monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
     e = exposures_for_paths(config, scenarios, 2, 0, chunk)
-    assert e.shape == (chunk, len(scenarios), layout.n_dealers)
+    assert e.shape == (chunk, len(scenarios), config.n_dealers)
     [(y, out)] = calls
-    assert type(y) is np.ndarray and y.shape == (chunk, layout.n_pairs, layout.n_classes)
+    n_pairs = montecarlo._draws(config)[0]
+    assert type(y) is np.ndarray and y.shape == (chunk, n_pairs, config.n_classes)
     assert out is e
     calls.clear()
     simulate(config, scenarios, 2000, 3)
@@ -294,12 +291,12 @@ def test_chunk_paths_bounded(n_dealers):
     """A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
     uniforms, unless it is one path."""
     config = make_config(np.ones((n_dealers, 4)), betas=[1.0] * 4)
-    layout = _build_layout(config, [no_ccp()])
-    chunk = montecarlo._chunk_paths(layout)
+    chunk = montecarlo._chunk_paths(config)
+    padded_draws = montecarlo._draws(config)[2]
     assert 1 <= chunk <= montecarlo._CHUNK_PATHS
-    assert chunk == 1 or chunk * layout.padded_draws <= montecarlo._BLOCK_DOUBLES
+    assert chunk == 1 or chunk * padded_draws <= montecarlo._BLOCK_DOUBLES
     # and no smaller than both bounds make it
-    over_block = (chunk + 1) * layout.padded_draws > montecarlo._BLOCK_DOUBLES
+    over_block = (chunk + 1) * padded_draws > montecarlo._BLOCK_DOUBLES
     assert chunk == montecarlo._CHUNK_PATHS or over_block
 
 
@@ -340,24 +337,38 @@ def test_shocks_bitwise_equal_one_pass_copula(rho):
     elementwise, so any sub-block seam gives the one-pass values exactly."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
-    layout = _build_layout(config, [no_ccp()])
-    step = montecarlo._UNIFORM_DOUBLES // layout.padded_draws
+    step = montecarlo._UNIFORM_DOUBLES // montecarlo._draws(config)[2]
     count = 2 * step + 7  # two full sub-blocks and a short one
-    y = montecarlo._shocks(layout, 4, 3, count)
-    ref = copula_values(_uniforms(4, layout, 3, count), rho, marginals)
+    y = montecarlo._shocks(config, 4, 3, count)
+    ref = copula_values(_uniforms(4, config, 3, count), rho, marginals)
     assert np.array_equal(y, ref)
+
+
+def test_shocks_depend_on_market_only_through_sampling_law():
+    """A chunk's shocks read the market's dealer and class counts, rho and
+    marginals alone: other notionals and betas give bitwise-equal shocks,
+    another rho or marginal other shocks."""
+    marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
+    base = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.2, marginals=marginals)
+    y = montecarlo._shocks(base, 7, 11, 50)
+    other_book = make_config(
+        np.arange(1.0, 11.0).reshape(5, 2), betas=[0.3, 2.0], rho=0.2, marginals=marginals
+    )
+    assert np.array_equal(montecarlo._shocks(other_book, 7, 11, 50), y)
+    other_rho = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.3, marginals=marginals)
+    assert not np.array_equal(montecarlo._shocks(other_rho, 7, 11, 50), y)
+    gaussian = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.2)
+    assert not np.array_equal(montecarlo._shocks(gaussian, 7, 11, 50), y)
 
 
 def test_sample_pair_exposures_scales_and_antisymmetry():
     """Both directions of a pair are one standardized draw, each under its
     owner's pair scale, the reverse direction negated."""
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
-    layout = _build_layout(config, [no_ccp()])
-    # one row per unordered pair, owned by the lower index
-    assert list(zip(layout.pair_i, layout.pair_j)) == [(0, 1), (0, 2), (1, 2)]
-    y = copula_values(_uniforms(9, layout, 0, 1000), config.rho, config.marginals())
+    y = copula_values(_uniforms(9, config, 0, 1000), config.rho, config.marginals())
     x = sample_draws(config, seed=9, start=0, count=1000)
-    for p, (i, j) in enumerate(zip(layout.pair_i, layout.pair_j)):
+    # one row per unordered pair, owned by the lower index
+    for p, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
         s_ij = pair_scale_matrix(config, i)[j] * MILLIONS_PER_BILLION
         s_ji = pair_scale_matrix(config, j)[i] * MILLIONS_PER_BILLION
         assert np.array_equal(x[:, i, j], y[:, p] * s_ij)
@@ -661,11 +672,11 @@ def test_failed_chunk_error_reaches_caller(monkeypatch, failing_start, threads):
     config, scenarios = _small_market()
     chunk_exposures = montecarlo._chunk_exposures
 
-    def failing_chunk(layout, seed, start, count):
+    def failing_chunk(config, plan, seed, start, count):
         if start == failing_start:
             time.sleep(0.2)  # let the other workers run ahead
             raise RuntimeError(f"chunk at {start} failed")
-        return chunk_exposures(layout, seed, start, count)
+        return chunk_exposures(config, plan, seed, start, count)
 
     monkeypatch.setattr(montecarlo, "_chunk_exposures", failing_chunk)
     monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 500)
@@ -791,9 +802,8 @@ def test_chunk_seams_on_default_market(paper_market_t3, monkeypatch):
     bitwise equal at 1 and 2 threads, and the paths on both sides of a chunk
     seam and of sub-block seams match the straight-line oracle."""
     config, scenarios = paper_market_t3
-    layout = _build_layout(config, scenarios)
     # chunks [0, 2202), [2202, 4404) and [4404, 5000)
-    chunk = montecarlo._chunk_paths(layout)
+    chunk = montecarlo._chunk_paths(config)
     assert 2 * chunk < 5000
     a = simulate(config, scenarios, 5000, 8, threads=1)
     b = simulate(config, scenarios, 5000, 8, threads=2)
