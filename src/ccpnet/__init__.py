@@ -49,7 +49,7 @@ from .market import (
     validate,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _ENGINE_NAMES = ("empirical_quantile", "simulate", "student_t3_unit_ppf")
 _ENGINE_MODULES = ("kernels", "montecarlo")

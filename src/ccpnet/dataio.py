@@ -246,7 +246,7 @@ def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
         raise ConfigError("n_paths below the 10^3 floor")
     if not 0.0 < level < 1.0:
         raise ConfigError("risk-measure level must lie in (0, 1)")
-    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
+    if not 0 <= seed < 2**128:  # at most 128 bits, the size of the PCG64DXSM state
         raise ConfigError("seed must be an integer in [0, 2**128)")
     if threads < 1:
         raise ConfigError("threads must be >= 1")

@@ -1,10 +1,10 @@
 """Copula-based exposure sampling and risk-measure estimation.
 
-Sampling is counter-based: the uniform block feeding (path, pair, class) is a
-pure function of (seed, path, pair, class), implemented with numpy's Philox
-generator plus explicit block arithmetic. Workers therefore cannot influence
-results; a report is bit-identical for a fixed (seed, n_paths, level) at
-any thread count.
+Sampling is skip-ahead: the uniform feeding (path, pair, class) is a pure
+function of (seed, path, pair, class). Path p owns a fixed run of numpy's
+PCG64DXSM stream, which ``advance`` reaches exactly (``_uniform_blocks``).
+Workers therefore cannot influence results; a report is bit-identical for a
+fixed (seed, n_paths, level) at any thread count.
 
 A run's whole state is its ``MarketConfig``, which alone fixes the sampling
 law (rho and the per-class marginals), and one ``kernels.Plan`` (``_plan``).
@@ -30,15 +30,20 @@ VaR and ES read. The calling thread merges these in chunk order, the
 summaries by their one ``merge`` and each scenario's reductions by its
 ``_Histogram``'s ``add``; chunk 0, added first, fixes the histogram grids.
 No worker waits on another, and only the calling thread writes run-wide
-state. No per-path buffer is kept: a path dump gets each chunk's exposures
-from the worker that made them, written in place at that chunk's offset in
-the file before the worker reduces them.
+state. At most 2 * threads chunks are submitted ahead of the merge
+(``_in_order``), so pending results are bounded. No per-path buffer is
+kept: a path dump gets each chunk's exposures from the worker that made
+them, written in place at that chunk's offset in the file before the worker
+reduces them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -64,15 +69,23 @@ _MIN_UNIFORM = 2.0 ** -53
 # ---------------------------------------------------------------------------
 
 
-# Values are inverted in blocks of this size so that the three Halley scratch
-# buffers stay in cache; results do not depend on it.
+# Values are inverted in blocks of this size so that the three scratch rows
+# stay in cache; results do not depend on it.
 _T3_BLOCK = 32768
 # Below this tail probability F(x) - q loses digits to cancellation, so such
-# quantiles come from the tail series instead of the Halley iteration.
+# quantiles come from the tail series instead of the Halley step.
 _T3_TAIL_Q = 1e-4
 # pi q = w^3 P(w^2) for the tail probability q at |v| = 1/w, with
 # P(y) = sum_{n>=1} (-1)^(n+1) 2n/(2n+1) y^(n-1); highest power first
 _T3_TAIL_SERIES = tuple((-1) ** (n + 1) * 2 * n / (2 * n + 1) for n in range(13, 0, -1))
+# The Halley step starts from x r, with r = cbrt(q), interpolated linearly
+# between _T3_STEPS + 1 even knots in r over [cbrt(_T3_TAIL_Q), cbrt(1/2)].
+# x r is smooth there: 0 at the median, about -cbrt(2 / (3 pi)) in the tail.
+# Plain floats, not np.cbrt: a numpy call at import raised the peak RSS of
+# every run, Gaussian ones included, by about 0.1 MB.
+_T3_STEPS = 2048
+_T3_R0 = _T3_TAIL_Q ** (1.0 / 3.0)
+_T3_STEP = (0.5 ** (1.0 / 3.0) - _T3_R0) / _T3_STEPS
 
 
 def _t3_tail_magnitude(q):
@@ -90,26 +103,51 @@ def _t3_tail_magnitude(q):
         return 1.0 / (c * z)
 
 
+@functools.cache
+def _t3_start_table() -> tuple[np.ndarray, np.ndarray]:
+    """(intercepts, slopes) of the _T3_STEPS segments of the start: x r is
+    about intercept + slope * r on the segment holding r.
+
+    Built on first use, so a run without a t3 class never builds it: each
+    knot's x solves pi (F(x) - r^3) = 0 by 64 bisection steps on [-30, 0],
+    which holds every knot since F(-30) < _T3_TAIL_Q.
+    """
+    r = _T3_R0 + _T3_STEP * np.arange(_T3_STEPS + 1)
+    c = np.pi * (0.5 - r**3)
+    lo, hi = np.full_like(r, -30.0), np.zeros_like(r)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = np.arctan(mid) + mid / (1.0 + mid * mid) + c < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    xr = 0.5 * (lo + hi) * r
+    slopes = np.diff(xr) / _T3_STEP
+    return xr[:-1] - slopes * r[:-1], slopes
+
+
 def student_t3_unit_ppf(u, out=None):
     """Quantile of the unit-variance t3 marginal, written to ``out`` when it
     is given: a C-contiguous float64 array of u's shape, which may be u
     itself.
 
     There is no algebraic closed form at 3 dof (the CDF mixes arctan with a
-    rational term), so it is inverted numerically on the lower half: with
-    q = min(u, 1-u), which is exact, solve F(x) = q for x <= 0 and return
-    x for u < 1/2 and -x above.
+    rational term), so it is inverted numerically from the tail probability
+    q = min(u, 1-u), which is exact: solve F(x) = q for x <= 0, and return x
+    for u < 1/2 and -x above.
 
-    Start from a rational guess near the median and from the cubic tail
-    2/(3 pi |x|^3) for q < 0.15, then take three Halley steps. With
-    s = 1+x^2 and g = pi (F(x) - q), and since F''/F'^2 = -2 pi x s, the
-    Halley step is x -= g s^2 / 2 / (1 + g x s). For q < 1e-4, where
+    The start reads x r, with r = cbrt(q), off a table of 2048 even steps in
+    r (``_t3_start_table``), and one Halley step follows. With s = 1+x^2 and
+    g = pi (F(x) - q), and since F''/F'^2 = -2 pi x s, the step is
+    x -= g s^2 / 2 / (1 + g x s). It runs on the signed quantile: with
+    c = pi (q - 1/2) given the sign of u - 1/2, g = arctan x + x/s - c for
+    both halves, so no pass negates the upper one. For q < 1e-4, where
     F(x) - q cancels, x comes instead from the series
     pi q = sum_n (-1)^(n+1) 2n/(2n+1) w^(2n+1) in w = 1/|x|
-    (see _t3_tail_magnitude).
+    (see _t3_tail_magnitude), once per call: that series costs mostly its
+    numpy calls, and few values need it.
 
     The round-trip defect |cdf(ppf(u)) - u| is at machine epsilon. Against
-    a 60-digit inversion the relative error is at most about 1e-13 (near
+    a 40-digit inversion the relative error is at most about 3e-13 (near
     q = 1e-4) and about 1e-16 in the series range, for u down to 1e-300 and
     up to 1 - 2^-53. u = 0 and 1 map to -inf and inf.
     """
@@ -119,48 +157,50 @@ def student_t3_unit_ppf(u, out=None):
     elif out.dtype != float or out.shape != u.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float64 array of u's shape")
     flat_u, flat_v = u.reshape(-1), out.reshape(-1)
+    intercepts, slopes = _t3_start_table()
     scratch = np.empty((3, min(_T3_BLOCK, flat_u.size)))
+    tails, q_tails = [], []
     for start in range(0, flat_u.size, _T3_BLOCK):
         ub = flat_u[start : start + _T3_BLOCK]
         x = flat_v[start : start + _T3_BLOCK]
         q, a, b = scratch[:, : ub.size]
+        k = b.view(np.intp)  # the segment index shares b's row
         # x may alias ub (out=u), so ub is read only before x is first written
-        upper = ub > 0.5
         np.subtract(1.0, ub, out=q)
         np.minimum(q, ub, out=q)
         tail = np.flatnonzero(q < _T3_TAIL_Q)
-        q_tail = q[tail]
-        # the Halley pass runs on q >= _T3_TAIL_Q; the tail is overwritten
+        tails.append(tail + start)
+        q_tails.append(q[tail])
+        # the Halley step runs on q >= _T3_TAIL_Q; the tail is overwritten
         np.maximum(q, _T3_TAIL_Q, out=q)
-        # start: slope pi/2 at the median, 1 - F(v) ~ 2/(3 pi v^3) in the tail
-        np.subtract(q, 0.5, out=x)
-        np.multiply(x, x, out=a)
-        a *= -1.6
-        a += 1.0
-        x *= np.pi / 2.0
-        x /= a
-        far = q < 0.15
-        x[far] = -np.cbrt(2.0 / (3.0 * np.pi * q[far]))
+        np.subtract(ub, 0.5, out=b)  # the sign of the quantile
+        np.cbrt(q, out=a)
         q -= 0.5
-        q *= -np.pi  # pi (1/2 - q), so that g = q + arctan x + x/s
-        for _ in range(3):
-            np.multiply(x, x, out=b)
-            b += 1.0
-            np.divide(x, b, out=b)
-            np.arctan(x, out=a)
-            a += b
-            a += q
-            np.multiply(x, x, out=b)
-            b += 1.0
-            a *= b  # g s
-            b *= a
-            b *= 0.5  # g s^2 / 2
-            a *= x
-            a += 1.0  # 1 + g x s
-            b /= a
-            x -= b
-        x[tail] = -_t3_tail_magnitude(q_tail)
-        np.negative(x, out=x, where=upper)
+        q *= np.pi
+        np.copysign(q, b, out=q)  # c
+        np.subtract(a, _T3_R0, out=x)
+        x *= 1.0 / _T3_STEP
+        np.copyto(k, x, casting="unsafe")  # truncates; clip mode takes the ends
+        np.take(intercepts, k, out=x, mode="clip")
+        x /= a
+        np.take(slopes, k, out=a, mode="clip")
+        x += a
+        np.copysign(x, q, out=x)
+        np.multiply(x, x, out=b)
+        b += 1.0  # s
+        np.divide(x, b, out=a)
+        np.subtract(a, q, out=q)
+        np.arctan(x, out=a)
+        a += q  # g
+        a *= b  # g s
+        b *= a
+        b *= 0.5  # g s^2 / 2
+        a *= x
+        a += 1.0  # 1 + g x s
+        b /= a
+        x -= b
+    tail = np.concatenate(tails)
+    flat_v[tail] = np.copysign(_t3_tail_magnitude(np.concatenate(q_tails)), flat_v[tail])
     return out
 
 
@@ -187,14 +227,11 @@ def _plan(config: MarketConfig, scenarios) -> kernels.Plan:
     return kernels.plan(s_plus, s_minus, ii, jj, scenarios, n)
 
 
-def _draws(config: MarketConfig) -> tuple[int, int, int]:
-    """(pair rows, draws per path, padded draws) of ``config``: one common
-    factor plus one idiosyncratic shock per class, per pair row. Philox
-    advances whole blocks of 4 doubles, so each path's draws are padded to a
-    multiple of 4 and every path starts exactly on a block boundary."""
+def _draws(config: MarketConfig) -> tuple[int, int]:
+    """(pair rows, draws per path) of ``config``: one common factor plus one
+    idiosyncratic shock per class, per pair row."""
     n_pairs = config.n_dealers * (config.n_dealers - 1) // 2
-    draws = n_pairs * (config.n_classes + 1)
-    return n_pairs, draws, -(-draws // 4) * 4
+    return n_pairs, n_pairs * (config.n_classes + 1)
 
 
 def _uniform_blocks(seed: int, config: MarketConfig, start: int, count: int, step: int):
@@ -202,20 +239,20 @@ def _uniform_blocks(seed: int, config: MarketConfig, start: int, count: int, ste
     (the last may be shorter): shape (paths, pairs, K+1).
 
     Pure function of (seed, path index): path p owns doubles
-    [p * padded_draws, p * padded_draws + draws_per_path). One Philox skips
-    ahead to path ``start`` and the blocks are drawn one after another; each
-    block is a whole number of Philox blocks, so the next one starts exactly
-    where a skip-ahead to its first path would.
+    [p * draws, (p+1) * draws) of the PCG64DXSM stream seeded with ``seed``.
+    ``advance(n)`` jumps exactly n 64-bit outputs and ``Generator.random``
+    spends one output per double, so one generator skips ahead to path
+    ``start`` and the blocks are drawn one after another, each starting
+    exactly where a skip-ahead to its first path would.
     """
-    n_pairs, draws, padded = _draws(config)
-    bg = np.random.Philox(key=seed)
-    bg.advance(start * padded // 4)
+    n_pairs, draws = _draws(config)
+    bg = np.random.PCG64DXSM(seed)
+    bg.advance(start * draws)
     gen = np.random.Generator(bg)
     for a in range(0, count, step):
         n = min(step, count - a)
-        u = gen.random(n * padded)
+        u = gen.random(n * draws)
         np.maximum(u, _MIN_UNIFORM, out=u)
-        u = u.reshape(n, padded)[:, :draws]
         yield u.reshape(n, n_pairs, config.n_classes + 1)
 
 
@@ -256,7 +293,7 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 # Uniforms are drawn and mapped to normals in sub-blocks of at most this many
 # doubles (512 KiB), so a chunk's shocks never coexist with all of its
 # uniforms and a sub-block stays in L2 cache while ndtri reads it. The
-# sub-blocks continue one Philox stream and the mapping is elementwise:
+# sub-blocks continue one PCG64DXSM stream and the mapping is elementwise:
 # results do not depend on it.
 _UNIFORM_DOUBLES = 2**16
 
@@ -265,9 +302,9 @@ def _shocks(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarr
     """Standardized class shocks for paths [start, start+count):
     (count, pairs, K): the Gaussian copula of their uniforms, with each t3
     class's marginal applied."""
-    n_pairs, _, padded = _draws(config)
+    n_pairs, draws = _draws(config)
     y = np.empty((count, n_pairs, config.n_classes))
-    step = max(1, _UNIFORM_DOUBLES // padded)
+    step = max(1, _UNIFORM_DOUBLES // draws)
     blocks = _uniform_blocks(seed, config, start, count, step)
     for a, u in zip(range(0, count, step), blocks):
         _gaussian_copula(u, config.rho, out=y[a : a + u.shape[0]])
@@ -287,8 +324,8 @@ _CHUNK_PATHS = 4096
 
 
 def _chunk_paths(config: MarketConfig) -> int:
-    """Paths per chunk of a run on ``config``: 2202 on the default market."""
-    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // _draws(config)[2]))
+    """Paths per chunk of a run on ``config``: 2207 on the default market."""
+    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // _draws(config)[1]))
 
 
 def _chunk_exposures(
@@ -526,6 +563,22 @@ class _ChunkSummary:
         self.n = total
 
 
+def _in_order(pool, fn, items, window):
+    """``fn`` over ``items`` on ``pool``, results in order, with at most
+    ``window`` calls submitted and not yet consumed: the next call is
+    submitted when the oldest result has been consumed. Unstarted calls are
+    cancelled when a call fails or the generator is closed."""
+    items = iter(items)
+    pending = deque(pool.submit(fn, item) for item in islice(items, window))
+    try:
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def simulate(
     config: MarketConfig,
     scenarios,
@@ -549,14 +602,15 @@ def simulate(
         Clearing scenarios, all evaluated on the same draws. Ratios are
         reported against the first scenario that clears nothing.
     n_paths, seed
-        Path count (>= 1000) and Philox key. Fixed (seed, n_paths, level)
+        Path count (>= 1000) and PCG64DXSM seed. Fixed (seed, n_paths, level)
         gives a bit-identical report at any ``threads``: the chunks are
         fixed by the market (``_chunk_paths``), not by the caller.
     threads
         Chunks evaluated concurrently (1 to ``dataio.MAX_THREADS``). Each
         worker reduces only its own chunk; the calling thread merges the
         chunks' ``_ChunkSummary`` (EE moments, mean-max sums), tails and
-        ``_Histogram`` counts in chunk order.
+        ``_Histogram`` counts in chunk order. At most 2 * threads chunks are
+        submitted ahead of the merge, so pending results stay bounded.
     collect_histograms
         Histogram, for each scenario but the base, the per-path and
         per-dealer exposure reductions against the base, one ``_Histogram``
@@ -610,7 +664,10 @@ def simulate(
     hists = [_Histogram(n_paths * n_dealers) for _ in compared]
     starts = range(0, n_paths, chunk)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(reduce_chunk, starts) if threads > 1 else map(reduce_chunk, starts)
+        if threads > 1:
+            results = _in_order(pool, reduce_chunk, starts, 2 * threads)
+        else:
+            results = map(reduce_chunk, starts)
         for c_sums, c_diffs, c_top in results:
             sums.merge(c_sums)
             tops.add(c_top)

@@ -562,7 +562,7 @@ def test_scenarios_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2
     assert "config error: run config not found" in err
     assert not (tmp_path / "m").exists()
-    # the Philox key is 128 bits, from a config file too
+    # a seed has at most 128 bits, from a config file too
     big_seed = tmp_path / "seed.cfg"
     big_seed.write_text(f"seed = {2**128}\n")
     code, _, err = run_cli(

@@ -63,6 +63,29 @@ def test_uniforms_are_pure_functions_of_path_index():
     assert not np.array_equal(_uniforms(98, config, 0, 16), whole)
 
 
+def test_uniforms_are_pcg64dxsm_after_exact_skip_ahead():
+    """Path p owns doubles [p * draws, (p+1) * draws) of the PCG64DXSM stream
+    of the run's seed: the blocks for paths [p, p+n) are that generator
+    after advance(p * draws), which jumps exactly p * draws doubles,
+    whatever the block size."""
+    config = make_config(np.ones((5, 3)), betas=[1.0] * 3)
+    n_pairs, draws = montecarlo._draws(config)
+    assert (n_pairs, draws) == (10, 40)
+    for seed, p, n, step in ((7, 0, 9, 4), (2**128 - 1, 13, 6, 6), (3, 10**12 + 1, 5, 2)):
+        blocks = list(montecarlo._uniform_blocks(seed, config, p, n, step))
+        assert [u.shape for u in blocks] == [
+            (min(step, n - a), n_pairs, 4) for a in range(0, n, step)
+        ]
+        bg = np.random.PCG64DXSM(seed)
+        bg.advance(p * draws)
+        ref = np.random.Generator(bg).random(n * draws)
+        got = np.concatenate([u.ravel() for u in blocks])
+        assert np.array_equal(got, np.maximum(ref, _MIN_UNIFORM))
+        if p < 100:  # the skip-ahead is the stream itself, read from path 0
+            whole = np.random.Generator(np.random.PCG64DXSM(seed)).random((p + n) * draws)
+            assert np.array_equal(ref, whole[p * draws :])
+
+
 def test_uniforms_shape_and_range():
     config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
     u = _uniforms(1, config, 0, 100)
@@ -106,6 +129,34 @@ def test_t3_ppf_extreme_tails_relative_accuracy():
     lead = np.cbrt(2.0 / (3.0 * np.pi * q))
     assert np.abs(-student_t3_unit_ppf(q) / lead - 1.0).max() < 1e-12
     assert student_t3_unit_ppf(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+
+def _bisect_t3_unit_cdf(q):
+    """x with student_t3_unit_cdf(x) = q, by 80 bisection steps on [-30, 30]."""
+    lo, hi = np.full_like(q, -30.0), np.full_like(q, 30.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = student_t3_unit_cdf(mid) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_t3_ppf_at_start_table_knots_and_midpoints():
+    """The start is linear between knots, so its error peaks between them:
+    at every knot r = cbrt(q) of the start table, every midpoint and both
+    sides of the tail-series switch, the quantile agrees with a bisection on
+    the closed-form CDF within 1e-12 relative and round-trips to 5e-16."""
+    halves = np.arange(2 * montecarlo._T3_STEPS + 1) / 2.0
+    r = montecarlo._T3_R0 + montecarlo._T3_STEP * halves
+    switch = montecarlo._T3_TAIL_Q * (1.0 + np.array([-1.0, 1.0]) * 2.0**-52)
+    q = np.concatenate([r**3, switch])
+    x = student_t3_unit_ppf(q)
+    assert np.abs(student_t3_unit_cdf(x) - q).max() < 5e-16
+    ref = _bisect_t3_unit_cdf(q)
+    median = 2 * montecarlo._T3_STEPS  # the last knot, q = 1/2 to rounding
+    assert abs(x[median]) < 1e-15 and abs(ref[median]) < 1e-15
+    rest = np.delete(np.arange(q.size), median)
+    assert np.abs(x[rest] / ref[rest] - 1.0).max() < 1e-12
 
 
 def _peak_traced_bytes(fn, *args):
@@ -222,9 +273,10 @@ def test_copula_t3_tails_finite_and_mirrored(rho):
     assert y[2] == pytest.approx(-y[3], rel=1e-12)
 
 
-# What the t3 quantile allocates besides its output: three Halley buffers of
-# _T3_BLOCK doubles, at most two block-sized temporaries while the far-tail
-# start is computed, and the block's three boolean masks (sign, far, tail).
+# A bound on what the t3 quantile allocates besides its output: its three
+# scratch rows of _T3_BLOCK doubles (one also holds the start table's index)
+# and the block's tail mask, with room for two more block-sized doubles and
+# two more masks. The start table is a fixed 32 KiB.
 _T3_SCRATCH_NBYTES = (3 + 2) * montecarlo._T3_BLOCK * 8 + 3 * montecarlo._T3_BLOCK
 
 
@@ -261,11 +313,11 @@ def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
 
 def test_chunk_calls_the_kernel_once(paper_market, monkeypatch):
     """A chunk draws its shocks and hands them to the kernel as one array,
-    which writes the whole chunk output. A default-market chunk is 2202
+    which writes the whole chunk output. A default-market chunk is 2207
     paths, so a 2000-path run is one kernel call."""
     config, scenarios, _ = paper_market
     chunk = montecarlo._chunk_paths(config)
-    assert chunk == 2202
+    assert chunk == 2207
     calls = []
     kernel = kernels.scenario_exposures
 
@@ -292,11 +344,11 @@ def test_chunk_paths_bounded(n_dealers):
     uniforms, unless it is one path."""
     config = make_config(np.ones((n_dealers, 4)), betas=[1.0] * 4)
     chunk = montecarlo._chunk_paths(config)
-    padded_draws = montecarlo._draws(config)[2]
+    draws = montecarlo._draws(config)[1]
     assert 1 <= chunk <= montecarlo._CHUNK_PATHS
-    assert chunk == 1 or chunk * padded_draws <= montecarlo._BLOCK_DOUBLES
+    assert chunk == 1 or chunk * draws <= montecarlo._BLOCK_DOUBLES
     # and no smaller than both bounds make it
-    over_block = (chunk + 1) * padded_draws > montecarlo._BLOCK_DOUBLES
+    over_block = (chunk + 1) * draws > montecarlo._BLOCK_DOUBLES
     assert chunk == montecarlo._CHUNK_PATHS or over_block
 
 
@@ -337,7 +389,7 @@ def test_shocks_bitwise_equal_one_pass_copula(rho):
     elementwise, so any sub-block seam gives the one-pass values exactly."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
-    step = montecarlo._UNIFORM_DOUBLES // montecarlo._draws(config)[2]
+    step = montecarlo._UNIFORM_DOUBLES // montecarlo._draws(config)[1]
     count = 2 * step + 7  # two full sub-blocks and a short one
     y = montecarlo._shocks(config, 4, 3, count)
     ref = copula_values(_uniforms(4, config, 3, count), rho, marginals)
@@ -695,6 +747,36 @@ def test_failed_chunk_error_reaches_caller(monkeypatch, failing_start, threads):
     assert [str(e) for e in errors] == [f"chunk at {failing_start} failed"]
 
 
+def test_threads_keep_a_bounded_window_of_chunks(monkeypatch):
+    """At threads > 1 at most 2 * threads chunks are submitted and not yet
+    merged, however many chunks the run has, and the report is the
+    one-thread report."""
+    config, scenarios = _small_market()
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 25)
+    counts = {"submitted": 0, "merged": 0}
+    ahead = []  # chunks submitted and not yet merged, at each submit
+    submit = montecarlo.ThreadPoolExecutor.submit
+    merge = montecarlo._ChunkSummary.merge
+
+    def counting_submit(pool, *args):
+        counts["submitted"] += 1
+        ahead.append(counts["submitted"] - counts["merged"])
+        return submit(pool, *args)
+
+    def counting_merge(summary, other):
+        counts["merged"] += 1
+        return merge(summary, other)
+
+    monkeypatch.setattr(montecarlo.ThreadPoolExecutor, "submit", counting_submit)
+    monkeypatch.setattr(montecarlo._ChunkSummary, "merge", counting_merge)
+    report = simulate(config, scenarios, 3000, 5, threads=2, collect_histograms=True)
+    assert len(ahead) == 3000 // 25
+    assert max(ahead) == 2 * 2
+    monkeypatch.undo()
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 25)
+    assert reports_equal(report, simulate(config, scenarios, 3000, 5, collect_histograms=True))
+
+
 def test_simulate_peak_memory_bounded_in_paths(paper_market):
     """Without a path dump, the traced peak of ``simulate`` grows with the
     path count only by its top-m tail buffer and the sorted copy of it."""
@@ -751,7 +833,7 @@ def test_simulate_rejects_negative_seed():
     config, scenarios = _small_market()
     with pytest.raises(ConfigError):
         simulate(config, scenarios, 2000, -1)
-    # the Philox key is 128 bits: its largest value runs, the next is rejected
+    # a seed has at most 128 bits: the largest runs, the next is rejected
     with pytest.raises(ConfigError, match="seed"):
         simulate(config, scenarios, 2000, 2**128)
     assert simulate(config, scenarios, 1000, 2**128 - 1).seed == 2**128 - 1
@@ -802,7 +884,7 @@ def test_chunk_seams_on_default_market(paper_market_t3, monkeypatch):
     bitwise equal at 1 and 2 threads, and the paths on both sides of a chunk
     seam and of sub-block seams match the straight-line oracle."""
     config, scenarios = paper_market_t3
-    # chunks [0, 2202), [2202, 4404) and [4404, 5000)
+    # chunks [0, 2207), [2207, 4414) and [4414, 5000)
     chunk = montecarlo._chunk_paths(config)
     assert 2 * chunk < 5000
     a = simulate(config, scenarios, 5000, 8, threads=1)

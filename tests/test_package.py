@@ -2,6 +2,7 @@
 Carlo engine load no SciPy, and the engine's names resolve on first use."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -61,16 +62,46 @@ assert engine_loaded() == ["scipy", "ccpnet.montecarlo"], engine_loaded()
 """
 
 
-def test_import_and_non_engine_api_load_no_scipy(tmp_path):
+# the t3 quantile's start table is built on first use, by a t3 run alone
+_T3_TABLE_ON_FIRST_USE = """
+import ccpnet.cli
+from ccpnet import dataio, montecarlo
+
+built = montecarlo._t3_start_table.cache_info
+assert built().currsize == 0, built()
+config, scenarios, _ = dataio.build_market(dataio.RunConfig())
+montecarlo.simulate(config, scenarios, 1000, 1)
+assert built().currsize == 0, built()
+montecarlo.student_t3_unit_ppf([0.25])
+assert built().currsize == 1, built()
+"""
+
+
+def _run_python(script, *args):
     src = str(Path(ccpnet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_WITHOUT_ENGINE), str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_import_and_non_engine_api_load_no_scipy(tmp_path):
+    proc = _run_python(_WITHOUT_ENGINE, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gaussian_run_builds_no_t3_start_table():
+    proc = _run_python(_T3_TABLE_ON_FIRST_USE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [ccpnet.__version__]
 
 
 def test_public_names_unchanged():
