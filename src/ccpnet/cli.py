@@ -161,27 +161,18 @@ def cmd_surface(args) -> int:
 
 def cmd_scenarios(args) -> int:
     rc = dataio.load_run_config(args.config) if args.config else dataio.RunConfig()
-    if args.notionals is not None:
-        rc.notionals = args.notionals
-    if args.rho is not None:
-        rc.rho = args.rho
-    rc.betas.update(_parse_kv(args.beta, "--beta"))
-    rc.w.update(_parse_kv(args.w, "--w"))
-    rc.marginals.update(_parse_kv(args.marginal, "--marginal", cast=str))
-    if args.paths is not None:
-        rc.paths = args.paths
-    if args.seed is not None:
-        rc.seed = args.seed
-    if args.mirror is not None:
-        rc.mirror_dealers = args.mirror
-    if args.out is not None:
-        rc.out_dir = args.out
-
-    dataio.check_run_args(rc.paths, rc.seed, args.threads, args.level)
+    for row in dataio.RUN_INPUTS:  # a flag wins over the config file
+        given = getattr(args, row.field)
+        if row.names:  # a patterned key's flag is its first part: --beta credit=0.02
+            for name, text in _parse_kv(given, row.flag, str).items():
+                dataio.set_input(rc, f"{row.flag[2:]}.{name}", text.strip())
+        elif given is not None:
+            dataio.set_input(rc, row.key, str(given))
+    dataio.check_run_args(rc.paths, rc.seed, args.threads, rc.level)
     dataio.check_output_path(rc.out_dir, is_dir=True)
     config, scenarios, assumptions = dataio.build_market(rc)
     validate(config).raise_if_invalid()
-    montecarlo.check_tail_buffer(len(scenarios) * config.n_dealers, rc.paths, args.level)
+    montecarlo.check_tail_buffer(len(scenarios) * config.n_dealers, rc.paths, rc.level)
     print(
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,
@@ -194,17 +185,11 @@ def cmd_scenarios(args) -> int:
         )
     with dumping as dump:
         report = montecarlo.simulate(
-            config,
-            scenarios,
-            rc.paths,
-            rc.seed,
-            threads=args.threads,
-            level=args.level,
-            collect_histograms=args.histograms,
-            dump=dump,
-            assumptions=assumptions,
+            config, scenarios, rc.paths, rc.seed, threads=args.threads, level=rc.level,
+            collect_histograms=args.histograms, dump=dump, assumptions=assumptions,
         )
-    files = dataio.write_report(report, rc.out_dir)
+    inputs = dataio.recorded_inputs(rc, config, scenarios)
+    files = dataio.write_report(dataclasses.replace(report, inputs=inputs), rc.out_dir)
     if not config.has_t_marginals():
         # the closed forms exist for all-Gaussian runs; this file depends on
         # the market only, so --paths can never change it
@@ -245,21 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ce_help = f"builtin name, equal:<K> (K <= {_MAX_EQUAL_CLASSES}), or class,exposure CSV"
 
-    p = sub.add_parser(
-        "threshold", help="minimum clearing members for a homogeneous market"
-    )
-    p.add_argument("--ce", default="bis-2010h1", help=ce_help)
-    p.add_argument("--alpha", action="append", metavar="CLASS=V")
+    spec = argparse.ArgumentParser(add_help=False)  # the homogeneous market
+    spec.add_argument("--ce", default="bis-2010h1", help=ce_help)
+    spec.add_argument("--alpha", action="append", metavar="CLASS=V")
+    spec.add_argument("--cleared", default=None, metavar="CLASS")
+    spec.add_argument("--w", type=float, default=1.0, help="clearing fraction")
+
+    help_ = "minimum clearing members for a homogeneous market"
+    p = sub.add_parser("threshold", parents=[spec], help=help_)
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--cleared", default=None, metavar="CLASS")
-    p.add_argument("--w", type=float, default=1.0, help="clearing fraction")
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("surface", help="threshold over an (alpha, rho) grid")
-    p.add_argument("--ce", default="bis-2010h1", help=ce_help)
-    p.add_argument("--alpha", action="append", metavar="CLASS=V")
-    p.add_argument("--cleared", default=None, metavar="CLASS")
-    p.add_argument("--w", type=float, default=1.0)
+    p = sub.add_parser("surface", parents=[spec], help="threshold over an (alpha, rho) grid")
     grid_help = f"N <= {_MAX_GRID_STEPS}, at most {_MAX_SURFACE_CELLS} cells in all"
     p.add_argument("--alpha-grid", required=True, metavar="LO:HI:N", help=grid_help)
     p.add_argument("--rho-grid", required=True, metavar="LO:HI:N", help=grid_help)
@@ -268,22 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenarios", help="simulate the five clearing scenarios")
     p.add_argument("--config", default=None, help="run-config file")
-    p.add_argument("--notionals", default=None, help="builtin name or CSV path")
-    p.add_argument("--beta", action="append", metavar="CLASS=V")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--w", action="append", metavar="CLASS=V")
-    p.add_argument("--marginal", action="append", metavar="CLASS=gaussian|t3")
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--threads", type=int, default=1, help=f"chunk threads, 1 to {dataio.MAX_THREADS}"
-    )
-    p.add_argument("--level", type=float, default=0.99, help="VaR/ES level")
-    p.add_argument("--out", default=None)
-    p.add_argument("--mirror", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument(
-        "--histograms", action=argparse.BooleanOptionalAction, default=True
-    )
+    defaults = dataio.RunConfig()
+    for row in dataio.RUN_INPUTS:  # each also a config key: see README
+        if row.names:
+            metavar = row.key.partition(".")[2].replace("{id}", "ID").replace("{class}", "CLASS")
+            p.add_argument(row.flag, dest=row.field, action="append", metavar=metavar + "=V")
+        elif isinstance(getattr(defaults, row.field), bool):
+            p.add_argument(row.flag, dest=row.field, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(row.flag, dest=row.field)
+    threads_help = f"chunk threads, 1 to {dataio.MAX_THREADS}"
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
+    p.add_argument("--histograms", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--dump-paths", action="store_true")
     p.set_defaults(func=cmd_scenarios)
 

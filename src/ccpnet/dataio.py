@@ -2,8 +2,8 @@
 
 Two public OCC dealer tables and the six-class gross-credit-exposure vector
 ship as built-in named datasets so the default run needs no external files.
-Report files carry their run metadata (seed, paths, assumptions) in comment
-headers and never a timestamp, so identical runs write identical bytes.
+Report files carry their run inputs (``RUN_INPUTS``) and assumptions in
+comment headers and never a timestamp, so identical runs write identical bytes.
 
 The run arguments' checks (``check_run_args``) and the report type
 (``RiskReport``) live here: ``simulate`` uses both, and so do the CLI's
@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +35,7 @@ from .market import (
     HomogeneousSpec,
     Marginal,
     MarketConfig,
-    joint_ccp,
-    no_ccp,
-    single_ccp,
-    two_ccps,
+    standard_scenarios,
 )
 
 # ---------------------------------------------------------------------------
@@ -223,15 +222,102 @@ class RunConfig:
     seed: int = 1
     mirror_dealers: bool = True
     out_dir: str = "out"
+    level: float = 0.99
 
     def beta_for(self, cls: str) -> float:
-        if cls in self.betas:
-            return self.betas[cls]
-        return DEFAULT_BETA_CDS if cls == "credit" else DEFAULT_BETA_OTHER
+        return self.betas.get(cls, DEFAULT_BETA_CDS if cls == "credit" else DEFAULT_BETA_OTHER)
 
     def w_for(self, scenario_id: str, cls: str) -> float:
         shared = self.w.get(cls, _DEFAULT_W.get(cls, 0.0))
         return self.scenario_w.get((scenario_id, cls), shared)
+
+
+@dataclass(frozen=True)
+class RunInput:
+    """One input of a scenario run. ``key`` is its config-file key and, when
+    ``recorded``, its report-header key; ``{id}`` in it stands for a scenario
+    id and ``{class}`` for a class name, the keys of its RunConfig dict.
+    ``cast`` reads the text and ``ok`` accepts the value, or ``rule`` says
+    why not. A ``path`` in a config file is relative to the file's directory."""
+
+    key: str
+    field: str
+    flag: str
+    cast: Callable = str
+    ok: Callable = lambda value: True
+    rule: str = ""
+    recorded: bool = True
+    path: bool = False
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(re.findall(r"\{(\w+)\}", self.key))
+
+    def match(self, key: str) -> dict | None:
+        """The names in ``key`` when it is one of this input's keys."""
+        rx = self.key.replace(".", r"\.").replace("{id}", "(?P<id>[^.]+)")
+        m = re.fullmatch(rx.replace("{class}", "(?P<class>.+)"), key)
+        if m and m.groupdict().get("id", _SCENARIO_IDS[0]) not in _SCENARIO_IDS:
+            raise ConfigError(f"unknown scenario id {m['id']!r}")
+        return m and m.groupdict()
+
+    def parse(self, text, **names):
+        """The value of ``text``; ConfigError for a value no run accepts."""
+        try:
+            value = self.cast(text)
+        except ValueError:
+            raise ConfigError(f"bad {self.key.format(**names)} value {text!r}") from None
+        if not self.ok(value):
+            raise ConfigError(self.rule.format(text=text, **names))
+        return value
+
+
+_FRAC = dict(cast=float, ok=lambda v: 0 <= v <= 1, rule="clearing fraction {text} outside [0, 1]")
+
+#: every run input, in report-header order; README lists them
+RUN_INPUTS = (
+    # a seed has at most 128 bits, the size of the PCG64DXSM state
+    RunInput("seed", "seed", "--seed", int, lambda v: 0 <= v < 2**128,
+             "seed must be an integer in [0, 2**128)"),
+    RunInput("paths", "paths", "--paths", int, lambda v: v >= 1000, "n_paths below the 10^3 floor"),
+    RunInput("level", "level", "--level", float, lambda v: 0 < v < 1,
+             "risk-measure level must lie in (0, 1)"),
+    RunInput("notionals", "notionals", "--notionals", path=True),
+    RunInput("mirror_dealers", "mirror_dealers", "--mirror",
+             lambda t: {"true": True, "false": False}.get(str(t).lower()),
+             lambda v: v is not None, "mirror_dealers must be true or false, got {text!r}"),
+    RunInput("rho", "rho", "--rho", float, lambda v: 0 <= v < 1, "rho must lie in [0, 1)"),
+    RunInput("beta.{class}", "betas", "--beta", float, lambda v: 0 < v < math.inf,
+             "class {class!r}: beta must be finite and > 0"),
+    RunInput("marginal.{class}", "marginals", "--marginal", str,
+             lambda v: v in {m.value for m in Marginal},
+             "marginal must be gaussian or t3, got {text!r}"),
+    RunInput("w.{class}", "w", "--w", **_FRAC, recorded=False),
+    RunInput("scenario.{id}.w.{class}", "scenario_w", "--scenario", **_FRAC),
+    RunInput("out_dir", "out_dir", "--out", recorded=False, path=True),
+)
+
+
+def _run_input(key: str) -> tuple[RunInput, dict] | None:
+    """The run input that ``key`` names, with the key's names."""
+    return next(((row, n) for row in RUN_INPUTS if (n := row.match(key)) is not None), None)
+
+
+def set_input(rc: RunConfig, key: str, text: str, base_dir: str = "") -> None:
+    """Set the run input named by config key ``key`` from its text, as both
+    the config file and the CLI flags do. A path is taken relative to
+    ``base_dir``, the config file's directory."""
+    found = _run_input(key)
+    if found is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    row, names = found
+    value = row.parse(text, **names)
+    if row.path and value and not (row.field == "notionals" and value in _NOTIONAL_BUILTINS):
+        value = os.path.join(base_dir, value)
+    if not names:
+        setattr(rc, row.field, value)
+    else:
+        getattr(rc, row.field)[tuple(names.values()) if len(names) > 1 else names["class"]] = value
 
 
 # every chunk thread holds a whole chunk's working set (about 20 MB on the
@@ -242,76 +328,37 @@ MAX_THREADS = 64
 def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
     """Raise ConfigError for a path count, seed, thread count or level that
     ``simulate`` rejects, so a caller can check them before announcing a run."""
-    if n_paths < 1000:
-        raise ConfigError("n_paths below the 10^3 floor")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("risk-measure level must lie in (0, 1)")
-    if not 0 <= seed < 2**128:  # at most 128 bits, the size of the PCG64DXSM state
-        raise ConfigError("seed must be an integer in [0, 2**128)")
+    for key, value in (("paths", n_paths), ("level", level), ("seed", seed)):
+        _run_input(key)[0].parse(value)
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     if threads > MAX_THREADS:
         raise ConfigError(f"threads must be <= {MAX_THREADS}")
 
 
-def parse_run_config(text: str, base_dir: str = ".") -> RunConfig:
-    """Parse the flat ``key = value`` config format. Unknown keys are errors."""
+def parse_run_config(text: str, base_dir: str = "") -> RunConfig:
+    """Parse the flat ``key = value`` config format, one :data:`RUN_INPUTS`
+    key a line. Unknown keys are errors."""
     rc = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, eq, value = (part.strip() for part in line.partition("="))
         try:
-            _apply_config_key(rc, key, value, base_dir)
-        except ValueError as exc:  # ConfigError included
+            if not eq:
+                raise ConfigError("expected 'key = value'")
+            set_input(rc, key, value, base_dir)
+        except ConfigError as exc:
             raise ConfigError(f"config line {lineno}: {exc}") from None
     return rc
-
-
-def _apply_config_key(rc: RunConfig, key: str, value: str, base_dir: str) -> None:
-    if key == "notionals":
-        rc.notionals = (
-            value
-            if value in _NOTIONAL_BUILTINS or os.path.isabs(value)
-            else os.path.join(base_dir, value)
-        )
-    elif key == "rho":
-        rc.rho = float(value)
-    elif key == "paths":
-        rc.paths = int(value)
-    elif key == "seed":
-        rc.seed = int(value)
-    elif key == "mirror_dealers":
-        if value.lower() not in ("true", "false"):
-            raise ConfigError(f"mirror_dealers must be true or false, got {value!r}")
-        rc.mirror_dealers = value.lower() == "true"
-    elif key == "out_dir":
-        rc.out_dir = value
-    elif key.startswith("beta."):
-        rc.betas[key[len("beta."):]] = float(value)
-    elif key.startswith("marginal."):
-        rc.marginals[key[len("marginal."):]] = value
-    elif key.startswith("scenario."):
-        parts = key.split(".")
-        if len(parts) != 4 or parts[2] != "w":
-            raise ConfigError(f"unknown config key {key!r}")
-        _, scen_id, _, cls = parts
-        if scen_id not in _SCENARIO_IDS:
-            raise ConfigError(f"unknown scenario id {scen_id!r}")
-        rc.scenario_w[(scen_id, cls)] = float(value)
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_run_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"run config not found: {path!r}")
     with open_input(path, "run config") as fh:
-        text = fh.read()
-    return parse_run_config(text, base_dir=os.path.dirname(path) or ".")
+        return parse_run_config(fh.read(), base_dir=os.path.dirname(path))
 
 
 def build_market(rc: RunConfig):
@@ -327,23 +374,16 @@ def build_market(rc: RunConfig):
             raise ConfigError(
                 f"scenario run needs a {needed!r} column, table has {table.classes}"
             )
-    for mapping, what in ((rc.betas, "beta"), (rc.marginals, "marginal"), (rc.w, "w")):
-        for cls in mapping:
-            if cls not in table.classes:
+    # a RunConfig made in code meets the rules that a config file's text does
+    for row in (row for row in RUN_INPUTS if row.names):
+        for at, value in getattr(rc, row.field).items():
+            names = dict(zip(row.names, at if isinstance(at, tuple) else (at,)))
+            if names["class"] not in table.classes:
                 raise ConfigError(
-                    f"unknown class {cls!r} in {what} settings; "
+                    f"unknown class {names['class']!r} in {row.key} settings; "
                     f"table has {table.classes}"
                 )
-    marginals = {m.value: m for m in Marginal}
-    for law in rc.marginals.values():
-        if law not in marginals:
-            raise ConfigError(f"marginal must be gaussian or t3, got {law!r}")
-    for _, cls in rc.scenario_w:
-        if cls not in table.classes:
-            raise ConfigError(
-                f"unknown class {cls!r} in scenario overrides; "
-                f"table has {table.classes}"
-            )
+            row.parse(value, **names)
     rows = list(table.rows)
     assumptions = []
     if rc.mirror_dealers:
@@ -357,7 +397,7 @@ def build_market(rc: RunConfig):
             id=k,
             name=cls,
             beta=rc.beta_for(cls),
-            marginal=marginals[rc.marginals.get(cls, "gaussian")],
+            marginal=Marginal(rc.marginals.get(cls, "gaussian")),
         )
         for k, cls in enumerate(table.classes)
     )
@@ -365,31 +405,23 @@ def build_market(rc: RunConfig):
         Dealer(id=i, name=name, notionals=vals) for i, (name, vals) in enumerate(rows)
     )
     config = MarketConfig(dealers=dealers, classes=classes, rho=rc.rho)
-    # the five standard scenarios; per-scenario overrides, when given,
-    # replace the shared fractions
+    # the five standard scenarios, each cleared fraction from the settings
     irs, cds = table.classes.index("swaps"), table.classes.index("credit")
-    w = rc.w_for
-    scenarios = (
-        no_ccp(),
-        single_ccp(irs, w("irs_ccp", "swaps"), name="irs_ccp"),
-        single_ccp(cds, w("cds_ccp", "credit"), name="cds_ccp"),
-        two_ccps([(irs, w("two_ccps", "swaps")), (cds, w("two_ccps", "credit"))]),
-        joint_ccp([(irs, w("joint_ccp", "swaps")), (cds, w("joint_ccp", "credit"))]),
+    scenarios = tuple(
+        replace(s, cleared=[
+            replace(c, fraction=rc.w_for(s.name, table.classes[c.class_id])) for c in s.cleared
+        ])
+        for s in standard_scenarios(irs, cds)
     )
     # a fraction for a class that its scenarios do not clear changes nothing,
     # and so does a shared fraction that every scenario clearing it overrides
     cleared = {s.name: {table.classes[c.class_id] for c in s.cleared} for s in scenarios}
     for cls in rc.w:
         clearing = [sid for sid, classes in cleared.items() if cls in classes]
-        if not clearing:
-            raise ConfigError(
-                f"w setting for class {cls!r} changes nothing: no scenario clears it"
-            )
         if all((sid, cls) in rc.scenario_w for sid in clearing):
-            raise ConfigError(
-                f"w setting for class {cls!r} changes nothing: every scenario "
-                f"clearing it overrides it ({', '.join(clearing)})"
-            )
+            why = f"every scenario clearing it overrides it ({', '.join(clearing)})"
+            why = why if clearing else "no scenario clears it"
+            raise ConfigError(f"w setting for class {cls!r} changes nothing: {why}")
     for scen_id, cls in rc.scenario_w:
         if cls not in cleared.get(scen_id, ()):
             raise ConfigError(
@@ -423,6 +455,7 @@ class RiskReport:
     base_index: int | None
     assumptions: tuple[str, ...] = ()
     histograms: dict | None = None   # scenario name -> (bin edges, counts)
+    inputs: dict = field(default_factory=dict)  # recorded RUN_INPUTS key -> value
 
     @property
     def total_ee(self) -> np.ndarray:
@@ -509,28 +542,42 @@ _SCENARIO_ROWS = (
     (_MAX, "mean_max", "mean_max_ratio", True),
 )
 
-#: header keys: key, RiskReport field, cast, and the lines it takes: "1"
-#: exactly one, "?" at most one, "*" any number
-_HEADER_KEYS = (
-    ("seed", "seed", int, "1"),
-    ("paths", "n_paths", int, "1"),
-    ("level", "level", float, "1"),
-    ("base_scenario", "base_index", str, "?"),  # written as the scenario's name
-    ("assumption", "assumptions", str, "*"),
-)
+#: header keys that a dump must hold, and the RiskReport fields they fill
+_REQUIRED_KEYS = {"seed": "seed", "paths": "n_paths", "level": "level"}
 
 _TAG_DIGITS = re.compile(r"\d+(\.\d+)?(e[+-]\d+)?")  # what _level_tag writes
 
 
+def recorded_inputs(rc: RunConfig, config: MarketConfig, scenarios) -> dict:
+    """The run's market as its report header records it, by RUN_INPUTS key:
+    the notional source, the mirroring, rho, each class's beta and marginal,
+    and each scenario's cleared fractions, as ``build_market`` set them."""
+    inputs = {"notionals": rc.notionals, "mirror_dealers": rc.mirror_dealers, "rho": config.rho}
+    inputs |= {f"beta.{c.name}": c.beta for c in config.classes}
+    inputs |= {f"marginal.{c.name}": c.marginal.value for c in config.classes}
+    names = [c.name for c in config.classes]
+    return inputs | {
+        f"scenario.{s.name}.w.{names[c.class_id]}": c.fraction for s in scenarios for c in s.cleared
+    }
+
+
 def _header(report: RiskReport) -> str:
+    values = {key: getattr(report, attr) for key, attr in _REQUIRED_KEYS.items()} | report.inputs
     lines = ["# ccpnet risk report\n"]
-    for key, attr, _, count in _HEADER_KEYS:
-        value = getattr(report, attr)
-        if attr == "base_index" and value is not None:
-            value = report.scenario_names[value]
-        values = value if count == "*" else () if value is None else (value,)
-        lines += [f"# {key} = {v}\n" for v in values]
+    for row in (row for row in RUN_INPUTS if row.recorded):
+        lines += [f"# {k} = {v}\n" for k, v in values.items() if row.match(k) is not None]
+    if report.base_index is not None:
+        lines.append(f"# base_scenario = {report.scenario_names[report.base_index]}\n")
+    lines += [f"# assumption = {a}\n" for a in report.assumptions]
     return "".join(lines)
+
+
+def _write_csv(path: str, head: str, rows) -> str:
+    """Write the comment lines ``head``, then ``rows`` as CSV; return ``path``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        csv.writer(fh).writerows(rows)
+    return path
 
 
 def check_output_path(path: str, is_dir: bool) -> None:
@@ -590,36 +637,20 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
 
     for m in [m for m in _MEASURES if m.ratio and has_base]:
         name = "ratios_" + (m.table or m.label).format(tag=tag)
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(head)
-            writer = csv.writer(fh)
-            writer.writerow(["dealer", *report.scenario_names])
-            ratios = getattr(report, m.ratio)
-            for n, dealer in enumerate(report.dealer_names):
-                writer.writerow([dealer, *(_fmt(r) for r in ratios[:, n])])
-            if m.total:
-                writer.writerow(["TOTAL", *(_fmt(r) for r in getattr(report, m.total))])
-        files[name] = path
+        ratios = getattr(report, m.ratio)
+        rows = [["dealer", *report.scenario_names]]
+        rows += [[d, *(_fmt(r) for r in ratios[:, n])] for n, d in enumerate(report.dealer_names)]
+        if m.total:
+            rows.append(["TOTAL", *(_fmt(r) for r in getattr(report, m.total))])
+        files[name] = _write_csv(os.path.join(out_dir, f"{name}.csv"), head, rows)
 
-    path = os.path.join(out_dir, "mean_max.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(head)
-        writer = csv.writer(fh)
-        ratio = ["ratio_to_base"] if has_base else []
-        writer.writerow(["scenario", "mean_max_millions", *ratio])
-        for s, scen in enumerate(report.scenario_names):
-            ratio = [_fmt(report.mean_max_ratio[s])] if has_base else []
-            writer.writerow([scen, _fmt(report.mean_max[s]), *ratio])
-    files["mean_max"] = path
-
-    path = os.path.join(out_dir, "report.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(head)
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        writer.writerows(row for row, _ in _dump_rows(report))
-    files["dump"] = path
+    rows = [["scenario", "mean_max_millions", *(["ratio_to_base"] if has_base else [])]]
+    for s, scen in enumerate(report.scenario_names):
+        ratio = [_fmt(report.mean_max_ratio[s])] if has_base else []
+        rows.append([scen, _fmt(report.mean_max[s]), *ratio])
+    files["mean_max"] = _write_csv(os.path.join(out_dir, "mean_max.csv"), head, rows)
+    rows = itertools.chain([_COLUMNS], (row for row, _ in _dump_rows(report)))
+    files["dump"] = _write_csv(os.path.join(out_dir, "report.csv"), head, rows)
 
     if report.histograms:
         path = os.path.join(out_dir, "histograms.csv")
@@ -631,16 +662,17 @@ def write_report(report: RiskReport, out_dir: str) -> dict[str, str]:
 def load_report(path: str) -> RiskReport:
     """Rebuild a RiskReport from a dump written by :func:`write_report`.
 
-    The lines before the column header are the header, and its unknown keys
-    (the ``# backend`` of older dumps) are skipped; every later line is a
-    data row. Tail labels are read whatever level digits they carry (older
-    dumps say ``var99`` at any level). A dump that lacks or repeats a row or
-    a single-valued header key, names an unknown measure, or holds a header
-    value that no run accepts or a value that no run writes (one not finite
-    and >= 0, an exceedance count above the path count, or an ES below its
-    VaR) is a configuration error naming the file and line. So is a cell
-    that the loaded values derive (a ``ratio_to_base``, the ``__total__``
-    value, a ``std_error`` outside the EE rows) holding any text but what
+    The lines before the column header are the header: a recorded run-input
+    key is read by its RUN_INPUTS rule (0.2.0 dumps hold only seed, paths
+    and level), and other keys (the ``# backend`` of older dumps) are skipped.
+    Tail labels are read whatever level digits they carry (older dumps say
+    ``var99`` at any level). A dump that lacks or repeats a row or a header
+    key, names an unknown measure, or holds a header value that no run
+    accepts or a value that no run writes (one not finite and >= 0, an
+    exceedance count above the path count, or an ES below its VaR) is a
+    configuration error naming the file and line. So is a cell that the
+    loaded values derive (a ``ratio_to_base``, the ``__total__`` value, a
+    ``std_error`` outside the EE rows) holding any text but what
     ``write_report`` writes for them."""
     if not os.path.isfile(path):
         raise ConfigError(f"report dump not found: {path!r}")
@@ -684,30 +716,29 @@ def load_report(path: str) -> RiskReport:
     if not dealer_names:
         raise ConfigError(f"{path}: no dealer rows")
 
-    fields = {}
-    for key, attr, cast, count in _HEADER_KEYS:
-        lines = header.get(key, [])
-        if count == "1" and not lines:
+    assumptions = tuple(text for _, text in header.pop("assumption", []))
+    fields = {"assumptions": assumptions, "base_index": None, "inputs": {}}
+    for key, lines in header.items():
+        lineno, text = lines[0]
+        try:
+            found = _run_input(key)
+            if not (found and found[0].recorded or key == "base_scenario"):
+                continue  # an unknown key, like the ``# backend`` of older dumps
+            if len(lines) > 1:
+                lineno = lines[1][0]
+                raise ConfigError(f"repeated '# {key}' header")
+            if found:
+                fields["inputs"][key] = found[0].parse(text, **found[1])
+            elif text not in scenario_names:
+                raise ConfigError(f"{key} {text!r} names no scenario in the dump")
+            else:
+                fields["base_index"] = scenario_names.index(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for key, attr in _REQUIRED_KEYS.items():
+        if key not in fields["inputs"]:
             raise ConfigError(f"{path}: missing '# {key} = ...' header")
-        if count != "*" and len(lines) > 1:
-            raise ConfigError(f"{path}:{lines[1][0]}: repeated '# {key}' header")
-        vals = []
-        for lineno, v in lines:
-            try:
-                vals.append(cast(v))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad {key} value {v!r}") from None
-        if attr == "base_index" and vals:
-            if vals[-1] not in scenario_names:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} {v!r} names no scenario in the dump"
-                )
-            vals = [scenario_names.index(vals[-1])]
-        fields[attr] = tuple(vals) if count == "*" else vals[-1] if vals else None
-    try:
-        check_run_args(fields["n_paths"], fields["seed"], 1, fields["level"])
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        fields[attr] = fields["inputs"].pop(key)
 
     def number(text: str, lineno: int, cast=float, most=math.inf):
         # every value a run writes is finite and >= 0 (exposures are
@@ -774,40 +805,31 @@ def write_analytic_ee(config, scenarios, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     results = [analytic.scenario_expected_exposures(config, s) for s in scenarios]
     base = next((r for r, s in zip(results, scenarios) if s.clears_nothing), None)
-    path = os.path.join(out_dir, "analytic_ee.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("# ccpnet closed-form expected exposures (millions USD)\n")
-        writer = csv.writer(fh)
-        writer.writerow(["dealer", "scenario", "ee_millions", "ratio_to_base"])
-        for res, scen in zip(results, scenarios):
-            for n, dealer in enumerate(d.name for d in config.dealers):
-                value = res.per_dealer[n] * MILLIONS_PER_BILLION
-                row = [dealer, scen.name, _fmt(value)]
-                if base is not None and base.per_dealer[n] > 0:
-                    row.append(_fmt(res.per_dealer[n] / base.per_dealer[n]))
-                else:
-                    row.append("")
-                writer.writerow(row)
-            total_row = ["__total__", scen.name, _fmt(res.total * MILLIONS_PER_BILLION)]
-            has_ratio = base is not None and base.total > 0
-            total_row.append(_fmt(res.total / base.total) if has_ratio else "")
-            writer.writerow(total_row)
-    return path
+    rows = [["dealer", "scenario", "ee_millions", "ratio_to_base"]]
+    for res, scen in zip(results, scenarios):
+        for n, dealer in enumerate(d.name for d in config.dealers):
+            value = res.per_dealer[n] * MILLIONS_PER_BILLION
+            has_ratio = base is not None and base.per_dealer[n] > 0
+            ratio = _fmt(res.per_dealer[n] / base.per_dealer[n]) if has_ratio else ""
+            rows.append([dealer, scen.name, _fmt(value), ratio])
+        has_ratio = base is not None and base.total > 0
+        ratio = _fmt(res.total / base.total) if has_ratio else ""
+        rows.append(["__total__", scen.name, _fmt(res.total * MILLIONS_PER_BILLION), ratio])
+    head = "# ccpnet closed-form expected exposures (millions USD)\n"
+    return _write_csv(os.path.join(out_dir, "analytic_ee.csv"), head, rows)
 
 
 def write_histograms(report: RiskReport, path: str) -> None:
     """Exposure-reduction histogram data, one row per bin."""
     if not report.histograms:
         raise ValueError("report carries no histogram data")
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(report))
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "bin_left", "bin_right", "count"])
-        for scen, (edges, counts) in report.histograms.items():
-            for b in range(len(counts)):
-                writer.writerow(
-                    [scen, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])]
-                )
+    rows = (
+        [scen, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])]
+        for scen, (edges, counts) in report.histograms.items()
+        for b in range(len(counts))
+    )
+    head = [["scenario", "bin_left", "bin_right", "count"]]
+    _write_csv(path, _header(report), itertools.chain(head, rows))
 
 
 class PathDump:

@@ -215,6 +215,7 @@ def reports_equal(a, b) -> bool:
         and a.level == b.level
         and a.base_index == b.base_index
         and a.assumptions == b.assumptions
+        and a.inputs == b.inputs
         and np.array_equal(a.ee, b.ee)
         and np.array_equal(a.ee_se, b.ee_se)
         and np.array_equal(a.var, b.var)

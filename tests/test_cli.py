@@ -380,6 +380,83 @@ def test_scenarios_config_file_with_flag_overrides(capsys, tmp_path):
     assert "# seed = 6" in text  # flag overrides config file
 
 
+# one line per run input: a config line, the flags that give the same
+# value, and the flags that give another
+_INPUT_SAMPLES = [
+    ("seed = 7", ["--seed", "7"], ["--seed", "8"]),
+    ("paths = 2000", ["--paths", "2000"], ["--paths", "3000"]),
+    ("level = 0.975", ["--level", "0.975"], ["--level", "0.95"]),
+    ("notionals = occ-2010q4", ["--notionals", "occ-2010q4"], ["--notionals", "occ-2009q1"]),
+    ("mirror_dealers = false", ["--no-mirror"], ["--mirror"]),
+    ("rho = 0.1", ["--rho", "0.1"], ["--rho", "0.2"]),
+    ("beta.credit = 0.02", ["--beta", "credit=0.02"], ["--beta", "credit=0.03"]),
+    ("marginal.credit = t3", ["--marginal", "credit=t3"], ["--marginal", "credit=gaussian"]),
+    ("w.swaps = 0.8", ["--w", "swaps=0.8"], ["--w", "swaps=0.7"]),
+    (
+        "scenario.irs_ccp.w.swaps = 0.8",
+        ["--scenario", "irs_ccp.w.swaps=0.8"], ["--scenario", "irs_ccp.w.swaps=0.7"],
+    ),
+    ("out_dir = {tmp}/a", ["--out", "{tmp}/a"], ["--out", "{tmp}/b"]),
+]
+
+
+def _run_config(monkeypatch, capsys, argv):
+    """The RunConfig that ``scenarios`` builds its market from."""
+    seen = []
+
+    def stop(rc):
+        seen.append(rc)
+        raise dataio.ConfigError("stopped before the market is built")
+
+    monkeypatch.setattr(dataio, "build_market", stop)
+    _, _, err = run_cli(capsys, "scenarios", *argv)
+    assert seen, err
+    return seen[0]
+
+
+def test_flags_and_config_keys_set_the_same_inputs(monkeypatch, capsys, tmp_path):
+    """Every run input has a config key and a flag that set the same
+    RunConfig, and a flag wins over the config file."""
+    cfg = tmp_path / "run.cfg"
+    for line, same, other in _INPUT_SAMPLES:
+        cfg.write_text(line.format(tmp=tmp_path) + "\n")
+        same, other = ([a.format(tmp=tmp_path) for a in f] for f in (same, other))
+        from_file = _run_config(monkeypatch, capsys, ["--config", str(cfg)])
+        assert from_file == _run_config(monkeypatch, capsys, same) != dataio.RunConfig(), line
+        assert _run_config(monkeypatch, capsys, ["--config", str(cfg), *other]) == (
+            _run_config(monkeypatch, capsys, other)
+        ), line
+    # the samples cover the table, one line per row
+    keys = [line.split(" = ")[0] for line, _, _ in _INPUT_SAMPLES]
+    rows = [next(r.key for r in dataio.RUN_INPUTS if r.match(k) is not None) for k in keys]
+    assert rows == [r.key for r in dataio.RUN_INPUTS]
+
+
+def test_config_paths_are_relative_to_the_config_file(capsys, tmp_path, monkeypatch):
+    """notionals and out_dir in a config file are read from the file's
+    directory, wherever the command runs; flags are read from the working
+    directory."""
+    conf = tmp_path / "conf"
+    (conf / "tables").mkdir(parents=True)
+    (conf / "tables" / "t.csv").write_text(
+        "dealer,forwards,options,swaps,credit\nA,1,1,5,2\nB,2,1,3,1\n"
+    )
+    (conf / "run.cfg").write_text("notionals = tables/t.csv\nout_dir = sub/out\npaths = 1000\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, out, err = run_cli(capsys, "scenarios", "--config", str(conf / "run.cfg"))
+    assert code == 0, err
+    dump = conf / "sub" / "out" / "report.csv"
+    assert parse_kv(out)["file_dump"] == [str(dump)]
+    assert f"# notionals = {conf / 'tables' / 't.csv'}\n" in dump.read_text()
+    assert not (elsewhere / "sub").exists()
+    (elsewhere / "t.csv").write_text((conf / "tables" / "t.csv").read_text())
+    argv = ["--config", str(conf / "run.cfg"), "--notionals", "t.csv", "--out", "flagged"]
+    assert run_cli(capsys, "scenarios", *argv)[0] == 0
+    assert "# notionals = t.csv\n" in (elsewhere / "flagged" / "report.csv").read_text()
+
+
 def test_scenarios_notionals_flag_replaces_missing_config_table(capsys, tmp_path):
     """A config whose notional table is missing exits 2 before the run is
     announced, unless --notionals names another table."""
@@ -665,6 +742,59 @@ def test_report_rerenders_tables(capsys, tmp_path):
     assert a == b
 
 
+def test_scenarios_header_records_run_inputs(capsys, tmp_path):
+    """The header names every run input of the market, load_report reads
+    them back, and ``report`` re-renders the dump to the same bytes."""
+    argv = _scen_args(
+        tmp_path, "run", "--rho", "0.1", "--beta", "credit=0.02", "--w", "swaps=0.8",
+        "--marginal", "credit=t3",
+    )
+    assert run_cli(capsys, *argv)[0] == 0
+    dump = tmp_path / "run" / "report.csv"
+    head = [line for line in dump.read_text().splitlines() if line.startswith("#")]
+    assert head == [
+        "# ccpnet risk report", "# seed = 5", "# paths = 1000", "# level = 0.99",
+        "# notionals = occ-2009q1", "# mirror_dealers = True", "# rho = 0.1",
+        *(f"# beta.{c} = 0.0039" for c in ("forwards", "options", "swaps")),
+        "# beta.credit = 0.02",
+        *(f"# marginal.{c} = gaussian" for c in ("forwards", "options", "swaps")),
+        "# marginal.credit = t3",
+        "# scenario.irs_ccp.w.swaps = 0.8", "# scenario.cds_ccp.w.credit = 0.85",
+        "# scenario.two_ccps.w.swaps = 0.8", "# scenario.two_ccps.w.credit = 0.85",
+        "# scenario.joint_ccp.w.swaps = 0.8", "# scenario.joint_ccp.w.credit = 0.85",
+        "# base_scenario = no_ccp",
+        "# assumption = mirrored dealers: each dealer paired with an identically sized "
+        "European twin (one-to-one interpretation)",
+    ]
+    report = dataio.load_report(str(dump))
+    assert report.inputs["rho"] == 0.1 and report.inputs["beta.credit"] == 0.02
+    assert report.inputs["marginal.credit"] == "t3"
+    assert report.inputs["scenario.joint_ccp.w.swaps"] == 0.8
+    assert report.inputs["mirror_dealers"] is True
+    code, _, _ = run_cli(capsys, "report", "--dump", str(dump), "--out", str(tmp_path / "again"))
+    assert code == 0
+    # every file but the histograms, which a dump does not hold
+    assert len(os.listdir(tmp_path / "again")) == 5
+    for name in os.listdir(tmp_path / "again"):
+        assert (tmp_path / "again" / name).read_bytes() == (
+            tmp_path / "run" / name
+        ).read_bytes(), name
+
+
+def test_report_loads_dump_without_run_inputs(capsys, tmp_path):
+    """A 0.2.0 dump records no run inputs but seed, paths and level. It
+    loads with none, and re-renders with the same header."""
+    dump = tmp_path / "report.csv"
+    dump.write_text(_DUMP)
+    report = dataio.load_report(str(dump))
+    assert report.inputs == {} and (report.seed, report.n_paths) == (5, 1000)
+    code, _, _ = run_cli(capsys, "report", "--dump", str(dump), "--out", str(tmp_path / "out"))
+    assert code == 0
+    # header lines end in \n, the csv module ends each row in \r\n
+    again = (tmp_path / "out" / "report.csv").read_bytes().replace(b"\r\n", b"\n")
+    assert again == _DUMP.encode()
+
+
 def test_report_keeps_dealer_named_like_a_comment(capsys, tmp_path):
     """Only the lines before the dump's column header are its header: a
     dealer row that starts with '#' is data."""
@@ -728,7 +858,7 @@ __max__,no_ccp,mean_max,2.5,1.0,
             "{dump}:11: repeated ee row for 'A' in scenario 'no_ccp'",
         ),
         ("__total__", "A,no_ccp,vol,1.0,,\n__total__", "{dump}:11: unknown measure 'vol'"),
-        ("# level = 0.99", "# level = nan", "{dump}: risk-measure level must lie in (0, 1)"),
+        ("# level = 0.99", "# level = nan", "{dump}:4: risk-measure level must lie in (0, 1)"),
         ("# seed = 5\n", "# seed = 2\n# seed = 7\n", "{dump}:3: repeated '# seed' header"),
         (
             "# base_scenario = no_ccp\n",
@@ -747,13 +877,22 @@ __max__,no_ccp,mean_max,2.5,1.0,
         ("var99,4.0,1.0,\n", "var99,4.0,1.0,oops\n", "{dump}:8: std_error 'oops' does not match"),
         ("_exceedances,10,,", "_exceedances,10,zzz,", "{dump}:10: ratio_to_base 'zzz' does not"),
         ("es99,5.0", "es99,1.0", "{dump}:9: ES 1.0 is below VaR 4.0"),
+        ("# level = 0.99\n", "# level = 0.99\n# rho = 1.5\n", "{dump}:5: rho must lie in [0, 1)"),
+        (
+            "# level = 0.99\n", "# level = 0.99\n# beta.swaps = 0.01\n# beta.swaps = 0.01\n",
+            "{dump}:6: repeated '# beta.swaps' header",
+        ),
+        (
+            "# level = 0.99\n", "# level = 0.99\n# scenario.super_ccp.w.swaps = 0.5\n",
+            "{dump}:5: unknown scenario id 'super_ccp'",
+        ),
     ],
     ids=[
         "no_paths", "bad_paths", "short_row", "bad_value", "empty_value", "bad_base",
         "undecodable", "missing_cell", "duplicate_row", "unknown_measure", "bad_level",
         "repeated_seed", "repeated_base", "nan_value", "negative_se", "negative_count",
         "count_above_paths", "bad_ratio", "bad_total", "derived_se", "count_ratio",
-        "es_below_var",
+        "es_below_var", "bad_rho", "repeated_input", "unknown_scenario_id",
     ],
 )
 def test_report_malformed_dump_exits_2(capsys, tmp_path, old, new, message):

@@ -190,10 +190,25 @@ def test_parse_run_config_bad_values():
         parse_run_config("rho")
 
 
+def test_parse_run_config_paths_relative_to_base_dir():
+    """A config file's notional table and output directory are read from
+    its directory; absolute paths and built-in table names stay as given."""
+    rc = parse_run_config("notionals = t.csv\nout_dir = sub/out", base_dir="conf")
+    assert rc.notionals == os.path.join("conf", "t.csv")
+    assert rc.out_dir == os.path.join("conf", "sub", "out")
+    rc = parse_run_config("notionals = occ-2010q4\nout_dir = /abs/out", base_dir="conf")
+    assert (rc.notionals, rc.out_dir) == ("occ-2010q4", "/abs/out")
+    assert parse_run_config("out_dir = out").out_dir == "out"
+
+
 def test_build_market_rejects_missing_table_and_unknown_marginal():
-    """A config names its notional table and marginal laws as text; the
-    market build checks them, so a flag can still replace either first."""
-    rc = parse_run_config("notionals = /missing/file.csv\nmarginal.credit = cauchy")
+    """The market build checks that the notional table exists, so a flag can
+    still replace a config's missing table. A marginal law is checked where
+    its text is read, and again by the build for a RunConfig made in code."""
+    rc = parse_run_config("notionals = /missing/file.csv")
+    with pytest.raises(ConfigError, match="config line 1: marginal must be gaussian or t3"):
+        parse_run_config("marginal.credit = cauchy")
+    rc.marginals["credit"] = "cauchy"
     with pytest.raises(ConfigError, match="notional table not found: '/missing/file.csv'"):
         build_market(rc)
     rc.notionals = "occ-2009q1"
@@ -332,6 +347,17 @@ def test_ratio_table_reference_cell(tmp_path):
     assert cell == pytest.approx(0.72, abs=0.02)
     total = next(r for r in rows if r[0] == "TOTAL")
     assert float(total[header.index("irs_ccp")]) == pytest.approx(0.74, abs=0.02)
+
+
+def test_report_round_trips_recorded_inputs(small_report, tmp_path):
+    rc = RunConfig(paths=2000, seed=13, mirror_dealers=False, rho=0.1, w={"swaps": 0.8})
+    config, scenarios, _ = build_market(rc)
+    inputs = dataio.recorded_inputs(rc, config, scenarios)
+    assert inputs["rho"] == 0.1 and inputs["mirror_dealers"] is False
+    assert inputs["scenario.irs_ccp.w.swaps"] == inputs["scenario.joint_ccp.w.swaps"] == 0.8
+    report = dataclasses.replace(small_report, inputs=inputs)
+    loaded = load_report(write_report(report, str(tmp_path / "out"))["dump"])
+    assert reports_equal(report, loaded) and list(loaded.inputs) == list(inputs)
 
 
 def test_report_base_column_is_exactly_one(small_report, tmp_path):

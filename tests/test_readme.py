@@ -1,5 +1,6 @@
 """The README matches the code: its library snippet runs as written against
-the current API, and its report.csv bullet lists the report schema."""
+the current API, its report.csv bullet lists the report schema, and its
+run-input table lists the run inputs."""
 
 import re
 from pathlib import Path
@@ -39,3 +40,26 @@ def test_readme_dump_rows_match_report_schema():
     ]
     rows = [(dealer, label) for dealer, label, _, _ in dataio._SCENARIO_ROWS]
     assert [match.group(3, 4), match.group(5, 6)] == rows
+
+
+def test_readme_run_inputs_match_the_table():
+    """README's run-input table lists every config key, its flag and
+    whether the header records it, in the order of ``dataio.RUN_INPUTS``."""
+    match = re.search(
+        r"\| Config key \| Flag \| Accepts \| In the header \|\n\|[-|]+\|\n(.*?)\n\n",
+        README.read_text(),
+        re.S,
+    )
+    assert match, "README has no run-input table"
+    rows = [
+        re.fullmatch(r"\| `([^`]+)` \| `(--[\w-]+).*\| (yes|no) \|", line).groups()
+        for line in match[1].splitlines()
+    ]
+    assert rows == [
+        (
+            row.key.replace("{", "<").replace("}", ">"),
+            row.flag,
+            "yes" if row.recorded else "no",
+        )
+        for row in dataio.RUN_INPUTS
+    ]
