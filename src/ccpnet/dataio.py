@@ -282,7 +282,11 @@ RUN_INPUTS = (
     RunInput("paths", "paths", "--paths", int, lambda v: v >= 1000, "n_paths below the 10^3 floor"),
     RunInput("level", "level", "--level", float, lambda v: 0 < v < 1,
              "risk-measure level must lie in (0, 1)"),
-    RunInput("notionals", "notionals", "--notionals", path=True),
+    # the report header holds it as one stripped line
+    RunInput("notionals", "notionals", "--notionals", str,
+             lambda v: v == v.strip() and len(v.splitlines()) <= 1,
+             "notionals must be one line without leading or trailing white space, "
+             "got {text!r}", path=True),
     RunInput("mirror_dealers", "mirror_dealers", "--mirror",
              lambda t: {"true": True, "false": False}.get(str(t).lower()),
              lambda v: v is not None, "mirror_dealers must be true or false, got {text!r}"),
@@ -320,8 +324,9 @@ def set_input(rc: RunConfig, key: str, text: str, base_dir: str = "") -> None:
         getattr(rc, row.field)[tuple(names.values()) if len(names) > 1 else names["class"]] = value
 
 
-# every chunk thread holds a whole chunk's working set (about 20 MB on the
-# default market), so the thread count is bounded before any thread starts
+# every chunk thread holds a chunk's working set (on the default market about
+# 5 MB when every class is Gaussian and about 18 MB with a t3 class), so the
+# thread count is bounded before any thread starts
 MAX_THREADS = 64
 
 
@@ -368,13 +373,14 @@ def build_market(rc: RunConfig):
     twin, doubling the member count while preserving size heterogeneity; the
     interpretation is flagged in the returned assumptions.
     """
+    # a RunConfig made in code meets the rules that a config file's text does
+    _run_input("notionals")[0].parse(rc.notionals)
     table = load_notionals(rc.notionals)
     for needed in ("swaps", "credit"):
         if needed not in table.classes:
             raise ConfigError(
                 f"scenario run needs a {needed!r} column, table has {table.classes}"
             )
-    # a RunConfig made in code meets the rules that a config file's text does
     for row in (row for row in RUN_INPUTS if row.names):
         for at, value in getattr(rc, row.field).items():
             names = dict(zip(row.names, at if isinstance(at, tuple) else (at,)))

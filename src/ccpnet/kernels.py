@@ -4,7 +4,8 @@ Given one chunk of standardized pair shocks, computes every dealer's realized
 net exposure under every clearing scenario. Everything that depends only on
 the pair layout and the scenarios (gather index, coefficients, CCP groups) is
 a ``Plan``, built once per run by ``plan``. The caller sizes the chunks and
-makes one call per chunk (``montecarlo._chunk_exposures``).
+makes one call per chunk (``montecarlo._chunk_exposures``), which hands
+over the chunk's shocks as a stream of blocks.
 
 Each pair row feeds two directed rows: the ``+`` direction, owned by
 ``pair_i``, and the ``-`` direction, owned by ``pair_j``. The plan orders
@@ -12,13 +13,14 @@ the directed rows by owner, so each dealer owns one contiguous run: its
 ``+`` rows, then its ``-`` rows, each in pair order. Every dealer owns as
 many directed rows as every other.
 
-The chunk is walked in sub-blocks of paths. Per sub-block, one gather puts
-each directed row's (classes, paths) shocks in that order, and one stacked
-matmul applies each directed row's fixed (rows, classes) coefficient matrix
-to them: the rows are the distinct bilateral remainders 1-w and one unit row
-per class that some CCP clears, scaled by the direction's signed pair scale.
-Bilateral rows take their positive part; one reduction over each dealer's
-run then sums its counterparties left to right. The cleared rows sum to net
+Each block is walked in sub-blocks of at most ``block_paths(plan)`` paths.
+Per sub-block, one gather puts each directed row's (classes, paths) shocks
+in that order, and one stacked matmul applies each directed row's fixed
+(rows, classes) coefficient matrix to them: the rows are the distinct
+bilateral remainders 1-w and one unit row per class that some CCP clears,
+scaled by the direction's signed pair scale. Bilateral rows take their
+positive part; one reduction over each dealer's run then sums its
+counterparties left to right. The cleared rows sum to net
 positions, and every CCP group is max(w . net, 0).
 
 Every exposure is computed path by path in the same order whatever the chunk
@@ -42,8 +44,8 @@ DEFAULT_BACKEND = "numpy"
 # terms and the exposures. That is about 4,880 doubles per path on the
 # default market, so a sub-block holds 53 paths. It fits a core's L2 cache,
 # is reused by every sub-block of a chunk and is freed when the kernel
-# returns, so it never coexists with the sampling temporaries of the next
-# chunk.
+# returns. It also sizes the blocks that the sampler draws (``block_paths``);
+# no bit depends on it.
 _SCRATCH_DOUBLES = 2**18
 
 
@@ -139,21 +141,31 @@ def plan(
     )
 
 
+def _per_path(plan: Plan) -> int:
+    return sum(math.prod(shape) for shape in plan.shapes)
+
+
+def block_paths(plan: Plan) -> int:
+    """Paths per sub-block under ``plan``: as many as ``_SCRATCH_DOUBLES``
+    of scratch hold, at least one."""
+    return max(1, _SCRATCH_DOUBLES // _per_path(plan))
+
+
 def scenario_exposures(
-    y: np.ndarray,                  # (paths, pairs, classes) standardized shocks
+    blocks,           # (paths, pairs, classes) standardized shock blocks
     plan: Plan,
-    out: np.ndarray | None = None,  # (paths, scenarios, dealers) destination
+    out: np.ndarray,  # (paths, scenarios, dealers) destination
 ) -> np.ndarray:
-    """Return the realized exposures of ``y`` under ``plan``, shape (paths,
-    scenarios, dealers), written to ``out`` when it is given."""
-    n_paths, n_bilateral, n_dealers = y.shape[0], plan.n_bilateral, plan.n_dealers
-    if out is None:
-        out = np.empty((n_paths, plan.n_scenarios, n_dealers))
-    per_path = sum(math.prod(shape) for shape in plan.shapes)
-    step = max(1, _SCRATCH_DOUBLES // per_path)
+    """Write the realized exposures of the shock ``blocks`` under ``plan``
+    to ``out`` and return it. The blocks cover out's paths in order; each is
+    read only before the next is pulled, so the caller may draw every block
+    into one buffer. A path's bits do not depend on how the paths are split
+    into blocks."""
+    n_paths, n_bilateral, n_dealers = out.shape[0], plan.n_bilateral, plan.n_dealers
+    per_path, step = _per_path(plan), block_paths(plan)
     scratch = np.empty(max(2, min(step, n_paths)) * per_path)
-    for a in range(0, n_paths, step):
-        sub = y[a : a + step]
+    at = 0
+    for sub in (y[a : a + step] for y in blocks for a in range(0, y.shape[0], step)):
         width = sub.shape[0]
         # BLAS rounds a one-column product differently, so a lone path is
         # evaluated as two copies of itself
@@ -171,5 +183,8 @@ def scenario_exposures(
         np.take(total, plan.shared, axis=1, out=exposure, mode="clip")
         for g, s in enumerate(plan.group_scenario):
             exposure[:, s] += ccp[:, g]
-        np.copyto(out[a : a + width], exposure[..., :width].transpose(2, 1, 0))
+        np.copyto(out[at : at + width], exposure[..., :width].transpose(2, 1, 0))
+        at += width
+    if at != n_paths:
+        raise ValueError(f"shock blocks hold {at} of the {n_paths} paths of out")
     return out

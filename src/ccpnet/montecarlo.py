@@ -19,9 +19,14 @@ histograms low-variance.
 The chunk is the one unit of sampling, kernel evaluation, threading and
 reduction. Its size comes from the market alone (``_chunk_paths``): at most
 ``_CHUNK_PATHS`` paths of at most ``_BLOCK_DOUBLES`` uniforms in all. A
-worker draws its chunk's shocks in one call and hands them to the kernel in
-one call, which writes the chunk's (paths, scenarios, dealers) exposures. A
-worker's working set is one chunk's shocks, exposures and kernel scratch.
+worker makes one kernel call per chunk, which writes the chunk's (paths,
+scenarios, dealers) exposures. On a Gaussian market the kernel pulls the
+chunk's shocks one kernel sub-block at a time, each drawn into one reused
+buffer just before it is evaluated (``_shock_stream``), so a worker's
+working set is its chunk's exposures, one block's uniforms and shocks and
+the kernel scratch. The t3 quantile runs once over a chunk's whole column,
+so a market with a t3 class draws the chunk's shocks first and hands them
+over as one block (``_shocks``).
 
 Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
@@ -236,7 +241,8 @@ def _draws(config: MarketConfig) -> tuple[int, int]:
 
 def _uniform_blocks(seed: int, config: MarketConfig, start: int, count: int, step: int):
     """Uniform blocks for paths [start, start+count), ``step`` paths each
-    (the last may be shorter): shape (paths, pairs, K+1).
+    (the last may be shorter): shape (paths, pairs, K+1). Every block is
+    drawn into one buffer, so a block holds until the next is drawn.
 
     Pure function of (seed, path index): path p owns doubles
     [p * draws, (p+1) * draws) of the PCG64DXSM stream seeded with ``seed``.
@@ -249,9 +255,10 @@ def _uniform_blocks(seed: int, config: MarketConfig, start: int, count: int, ste
     bg = np.random.PCG64DXSM(seed)
     bg.advance(start * draws)
     gen = np.random.Generator(bg)
+    buf = np.empty(min(step, count) * draws)
     for a in range(0, count, step):
         n = min(step, count - a)
-        u = gen.random(n * draws)
+        u = gen.random(out=buf[: n * draws])
         np.maximum(u, _MIN_UNIFORM, out=u)
         yield u.reshape(n, n_pairs, config.n_classes + 1)
 
@@ -290,25 +297,30 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
     return y
 
 
-# Uniforms are drawn and mapped to normals in sub-blocks of at most this many
-# doubles (512 KiB), so a chunk's shocks never coexist with all of its
-# uniforms and a sub-block stays in L2 cache while ndtri reads it. The
-# sub-blocks continue one PCG64DXSM stream and the mapping is elementwise:
-# results do not depend on it.
-_UNIFORM_DOUBLES = 2**16
-
-
-def _shocks(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarray:
+def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int) -> np.ndarray:
     """Standardized class shocks for paths [start, start+count):
     (count, pairs, K): the Gaussian copula of their uniforms, with each t3
-    class's marginal applied."""
-    n_pairs, draws = _draws(config)
+    class's marginal applied. Uniforms are drawn and mapped in blocks of
+    ``step`` paths that continue one PCG64DXSM stream, and the mapping is
+    elementwise, so no value depends on ``step``."""
+    n_pairs, _ = _draws(config)
     y = np.empty((count, n_pairs, config.n_classes))
-    step = max(1, _UNIFORM_DOUBLES // draws)
     blocks = _uniform_blocks(seed, config, start, count, step)
     for a, u in zip(range(0, count, step), blocks):
         _gaussian_copula(u, config.rho, out=y[a : a + u.shape[0]])
+    u = blocks = None  # free the uniform buffer before a t3 column is copied
     return _apply_marginals(y, config.marginals())
+
+
+def _shock_stream(config: MarketConfig, seed: int, start: int, count: int, step: int):
+    """The Gaussian copula shocks of paths [start, start+count) in blocks of
+    ``step`` paths (the last may be shorter), each (paths, pairs, K) and
+    drawn into one buffer when it is pulled, so a block holds until the next
+    is pulled. No marginal is applied."""
+    n_pairs, _ = _draws(config)
+    y = np.empty((min(step, count), n_pairs, config.n_classes))
+    for u in _uniform_blocks(seed, config, start, count, step):
+        yield _gaussian_copula(u, config.rho, out=y[: u.shape[0]])
 
 
 # A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
@@ -331,11 +343,17 @@ def _chunk_paths(config: MarketConfig) -> int:
 def _chunk_exposures(
     config: MarketConfig, plan: kernels.Plan, seed: int, start: int, count: int
 ) -> np.ndarray:
-    """Realized exposures (count, scenarios, dealers) for one chunk of paths:
-    its shocks, drawn just before the kernel evaluates them and freed when
-    it returns."""
+    """Realized exposures (count, scenarios, dealers) for one chunk of paths,
+    from one kernel call. On a Gaussian market the kernel pulls the shocks
+    block by block; with a t3 class they are drawn first and handed over as
+    one block, since the t3 quantile runs once over the chunk's column."""
     out = np.empty((count, plan.n_scenarios, plan.n_dealers))
-    return kernels.scenario_exposures(_shocks(config, seed, start, count), plan, out=out)
+    step = kernels.block_paths(plan)
+    if config.has_t_marginals():
+        blocks = [_shocks(config, seed, start, count, step)]
+    else:
+        blocks = _shock_stream(config, seed, start, count, step)
+    return kernels.scenario_exposures(blocks, plan, out=out)
 
 
 # ---------------------------------------------------------------------------

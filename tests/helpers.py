@@ -122,7 +122,7 @@ def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.
     (millions USD), built from the shocks the simulation kernel consumes for
     the same seed and path indices.
     """
-    y = montecarlo._shocks(config, seed, start, count)
+    y = montecarlo._shocks(config, seed, start, count, count)
     n, k = config.n_dealers, config.n_classes
     ii, jj = np.triu_indices(n, k=1)
     x = np.zeros((count, n, n, k))

@@ -457,6 +457,36 @@ def test_config_paths_are_relative_to_the_config_file(capsys, tmp_path, monkeypa
     assert "# notionals = t.csv\n" in (elsewhere / "flagged" / "report.csv").read_text()
 
 
+@pytest.mark.parametrize("name", ["t.csv ", " t.csv", "t\n.csv", "t.csv\n", "t\r.csv"])
+def test_notionals_that_the_header_cannot_hold_exit_2(capsys, tmp_path, monkeypatch, name):
+    """The header records notionals as one stripped line, so a path with
+    leading or trailing white space or a line break would not round-trip:
+    it exits 2 as a flag, and build_market refuses it in a RunConfig."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text("dealer,forwards,options,swaps,credit\nA,1,1,5,2\nB,2,1,3,1\n")
+    code, _, err = run_cli(capsys, "scenarios", "--notionals", name, "--paths", "1000")
+    assert code == 2
+    assert f"notionals must be one line without leading or trailing white space, got {name!r}" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(dataio.ConfigError, match="notionals must be one line"):
+        dataio.build_market(dataio.RunConfig(notionals=name))
+
+
+def test_notionals_rule_holds_in_config_files_and_dumps(capsys, tmp_path, monkeypatch):
+    """The same rule reads a dump's header, and a config file's notionals
+    once its directory is joined to them."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / " conf").mkdir()
+    (tmp_path / " conf" / "run.cfg").write_text("notionals = t.csv\npaths = 1000\n")
+    code, _, err = run_cli(capsys, "scenarios", "--config", " conf/run.cfg")
+    assert code == 2 and "notionals must be one line" in err and "' conf/t.csv'" in err
+    dump = tmp_path / "report.csv"
+    # \x0b ends a line to str.splitlines, not to a file read
+    dump.write_text(_DUMP.replace("# level = 0.99\n", "# level = 0.99\n# notionals = a\x0bb\n"))
+    code, _, err = run_cli(capsys, "report", "--dump", str(dump), "--out", str(tmp_path / "o"))
+    assert code == 2 and f"{dump}:5: notionals must be one line" in err
+
+
 def test_scenarios_notionals_flag_replaces_missing_config_table(capsys, tmp_path):
     """A config whose notional table is missing exits 2 before the run is
     announced, unless --notionals names another table."""

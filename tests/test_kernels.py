@@ -81,10 +81,16 @@ def _random_problem(
     return y, s_plus, s_minus, ii.astype(np.intp), jj.astype(np.intp), scenarios, n_dealers
 
 
+def _exposures(y, plan):
+    """The kernel on the shocks ``y`` handed over as one block."""
+    out = np.empty((y.shape[0], plan.n_scenarios, plan.n_dealers))
+    return kernels.scenario_exposures([y], plan, out)
+
+
 def test_no_ccp_only_and_empty_groups():
     y, sp, sm, pi, pj, *_, n = _random_problem(7)
     assert no_ccp().ccp_groups(3) == []
-    out = kernels.scenario_exposures(y, kernels.plan(sp, sm, pi, pj, [no_ccp()], n))
+    out = _exposures(y, kernels.plan(sp, sm, pi, pj, [no_ccp()], n))
     assert out.shape == (y.shape[0], 1, n)
     assert (out >= 0).all()
 
@@ -92,13 +98,13 @@ def test_no_ccp_only_and_empty_groups():
 def test_zero_fraction_scenario_bitwise_equals_base():
     y, sp, sm, pi, pj, *_, n = _random_problem(11)
     scens = [no_ccp(), single_ccp(1, 0.0, name="idle_ccp")]
-    out = kernels.scenario_exposures(y, kernels.plan(sp, sm, pi, pj, scens, n))
+    out = _exposures(y, kernels.plan(sp, sm, pi, pj, scens, n))
     assert np.array_equal(out[:, 0, :], out[:, 1, :])
 
 
 def test_zero_weight_group_adds_exactly_nothing():
     y, *args = _random_problem(13, scenarios=ZERO_GROUP)
-    out = kernels.scenario_exposures(y, kernels.plan(*args))
+    out = _exposures(y, kernels.plan(*args))
     assert np.array_equal(out[:, 1, :], out[:, 2, :])
 
 
@@ -131,7 +137,7 @@ def test_kernel_matches_straight_line_oracle(kwargs):
     scenarios = kwargs.get("scenarios", STANDARD)
     y, sp, sm, pi, pj, _, n = _random_problem(3, n_paths=8, **{"n_dealers": 4, **kwargs})
     k = y.shape[2]
-    out = kernels.scenario_exposures(y, kernels.plan(sp, sm, pi, pj, scenarios, n))
+    out = _exposures(y, kernels.plan(sp, sm, pi, pj, scenarios, n))
     assert out.shape == (y.shape[0], len(scenarios), n)
     for c in range(y.shape[0]):
         x = np.zeros((n, n, k))
@@ -146,25 +152,42 @@ def test_kernel_matches_straight_line_oracle(kwargs):
 def test_out_is_filled_and_returned():
     y, *args = _random_problem(17, n_paths=30)
     plan = kernels.plan(*args)
-    whole = kernels.scenario_exposures(y, plan)
+    whole = _exposures(y, plan)
     out = np.full((40, *whole.shape[1:]), np.nan)
-    result = kernels.scenario_exposures(y, plan, out=out[5:35])
+    result = kernels.scenario_exposures([y], plan, out=out[5:35])
     assert result.base is out
     assert np.array_equal(out[5:35], whole)
     assert np.isnan(out[:5]).all() and np.isnan(out[35:]).all()
 
 
+def test_blocks_must_cover_out():
+    """The blocks cover out's paths exactly: too few or too many is an
+    error, not a partly written or overrun output."""
+    y, *args = _random_problem(17, n_paths=30)
+    plan = kernels.plan(*args)
+    out = np.empty((30, plan.n_scenarios, plan.n_dealers))
+    with pytest.raises(ValueError, match="hold 20 of the 30 paths"):
+        kernels.scenario_exposures([y[:20]], plan, out)
+    with pytest.raises(ValueError):
+        kernels.scenario_exposures([y, y[:1]], plan, out)
+
+
 def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
     """Each path rounds alike whatever the block and sub-block widths, a
-    lone path included."""
+    lone path included, and whether the blocks come in one call or in
+    several."""
     y, *args = _random_problem(19, n_paths=301, n_dealers=7)
     plan = kernels.plan(*args)
-    whole = kernels.scenario_exposures(y, plan)
+    whole = _exposures(y, plan)
+    out = np.empty_like(whole)
     for cuts in ([1, 2, 300], [150], [7, 100, 299]):
-        split = [kernels.scenario_exposures(block, plan) for block in np.split(y, cuts)]
+        split = [_exposures(block, plan) for block in np.split(y, cuts)]
         assert np.array_equal(np.concatenate(split), whole)
+        kernels.scenario_exposures(np.split(y, cuts), plan, out)
+        assert np.array_equal(out, whole)
     monkeypatch.setattr(kernels, "_SCRATCH_DOUBLES", 1)  # one path per sub-block
-    assert np.array_equal(kernels.scenario_exposures(y, plan), whole)
+    assert kernels.block_paths(plan) == 1
+    assert np.array_equal(_exposures(y, plan), whole)
 
 
 def test_plan_is_read_only_and_reused():
@@ -174,8 +197,8 @@ def test_plan_is_read_only_and_reused():
     plan = kernels.plan(*args)
     arrays = [plan.shared, plan.ccp_w, plan.gather, plan.coef]
     copies = [a.copy() for a in arrays]
-    first = kernels.scenario_exposures(y, plan)
-    assert np.array_equal(kernels.scenario_exposures(y, plan), first)
+    first = _exposures(y, plan)
+    assert np.array_equal(_exposures(y, plan), first)
     for a, before in zip(arrays, copies):
         assert not a.flags.writeable
         assert np.array_equal(a, before)

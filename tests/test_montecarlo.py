@@ -72,7 +72,8 @@ def test_uniforms_are_pcg64dxsm_after_exact_skip_ahead():
     n_pairs, draws = montecarlo._draws(config)
     assert (n_pairs, draws) == (10, 40)
     for seed, p, n, step in ((7, 0, 9, 4), (2**128 - 1, 13, 6, 6), (3, 10**12 + 1, 5, 2)):
-        blocks = list(montecarlo._uniform_blocks(seed, config, p, n, step))
+        # each block is drawn into one buffer, so it is copied out
+        blocks = [u.copy() for u in montecarlo._uniform_blocks(seed, config, p, n, step)]
         assert [u.shape for u in blocks] == [
             (min(step, n - a), n_pairs, 4) for a in range(0, n, step)
         ]
@@ -292,17 +293,43 @@ def test_copula_peak_memory_with_t3_class():
     assert peak <= out_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
 
 
+def _plan_nbytes(plan):
+    return sum(a.nbytes for a in (plan.shared, plan.ccp_w, plan.gather, plan.coef))
+
+
+def test_gaussian_chunk_peak_memory_is_output_plus_one_block(paper_market):
+    """On a Gaussian market the kernel pulls the shocks block by block, so a
+    chunk holds its (paths, scenarios, dealers) output, one block's uniforms
+    and shocks, the kernel scratch and the plan that the traced call builds,
+    besides the two buffers of ``np.getbufsize()`` doubles that a ufunc on a
+    strided view iterates through (the kernel's positive part): never the
+    chunk's shocks."""
+    config, scenarios, _ = paper_market
+    chunk = montecarlo._chunk_paths(config)
+    plan = montecarlo._plan(config, scenarios)
+    step = kernels.block_paths(plan)
+    n_pairs, draws = montecarlo._draws(config)
+    block_nbytes = step * (draws + n_pairs * config.n_classes) * 8
+    out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
+    ufunc_nbytes = 2 * np.getbufsize() * 8
+    bound = out_nbytes + block_nbytes + kernels._SCRATCH_DOUBLES * 8 + _plan_nbytes(plan)
+    bound += ufunc_nbytes
+    assert bound < chunk * n_pairs * config.n_classes * 8  # below the chunk's shocks
+    peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
+    assert peak <= bound
+
+
 def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
     """One chunk of the default t3 market holds its (paths, scenarios,
-    dealers) output plus its shocks, one sub-block of uniforms while they
-    are mapped to normals, then the t3 class's column and the quantile's
-    scratch. The sub-block and the column never coexist, so their sum also
+    dealers) output plus its shocks, one block of uniforms while they are
+    mapped to normals, then the t3 class's column and the quantile's
+    scratch. The block and the column never coexist, so their sum also
     covers the kernel plan that the traced call builds."""
     config, scenarios = paper_market_t3
     chunk = montecarlo._chunk_paths(config)
-    n_pairs = montecarlo._draws(config)[0]
+    n_pairs, draws = montecarlo._draws(config)
     shocks_nbytes = chunk * n_pairs * config.n_classes * 8
-    uniform_nbytes = montecarlo._UNIFORM_DOUBLES * 8
+    uniform_nbytes = kernels.block_paths(montecarlo._plan(config, scenarios)) * draws * 8
     column_nbytes = chunk * n_pairs * 8
     out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
     peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
@@ -311,31 +338,52 @@ def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
     )
 
 
-def test_chunk_calls_the_kernel_once(paper_market, monkeypatch):
-    """A chunk draws its shocks and hands them to the kernel as one array,
-    which writes the whole chunk output. A default-market chunk is 2207
-    paths, so a 2000-path run is one kernel call."""
+def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch):
+    """A chunk makes one kernel call, which writes the whole chunk output.
+    Its shock blocks cover the chunk's paths in order: on a Gaussian market
+    none is larger than the kernel's block, and a t3 chunk arrives as one
+    block. A default-market chunk is 2207 paths, so a 2000-path run is one
+    kernel call."""
     config, scenarios, _ = paper_market
     chunk = montecarlo._chunk_paths(config)
     assert chunk == 2207
+    step = kernels.block_paths(montecarlo._plan(config, scenarios))
+    assert step == 53
     calls = []
     kernel = kernels.scenario_exposures
 
-    def recording_kernel(y, *args, out):
-        calls.append((y, out))
-        return kernel(y, *args, out=out)
+    def recording_kernel(blocks, *args, out):
+        seen = []  # each block is copied as the kernel reads it
+        calls.append((seen, out))
+        return kernel((seen.append(y.copy()) or y for y in blocks), *args, out=out)
 
     monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
-    e = exposures_for_paths(config, scenarios, 2, 0, chunk)
-    assert e.shape == (chunk, len(scenarios), config.n_dealers)
-    [(y, out)] = calls
-    n_pairs = montecarlo._draws(config)[0]
-    assert type(y) is np.ndarray and y.shape == (chunk, n_pairs, config.n_classes)
-    assert out is e
-    calls.clear()
+    for market, gaussian in ((config, True), (paper_market_t3[0], False)):
+        e = exposures_for_paths(market, scenarios, 2, 0, chunk)
+        assert e.shape == (chunk, len(scenarios), market.n_dealers)
+        [(blocks, out)] = calls
+        assert out is e
+        assert np.array_equal(
+            np.concatenate(blocks), montecarlo._shocks(market, 2, 0, chunk, step)
+        )
+        sizes = [y.shape[0] for y in blocks]
+        assert max(sizes) <= step if gaussian else sizes == [chunk]
+        calls.clear()
     simulate(config, scenarios, 2000, 3)
-    [(y, out)] = calls
-    assert y.shape[0] == out.shape[0] == 2000
+    [(blocks, out)] = calls
+    assert sum(y.shape[0] for y in blocks) == out.shape[0] == 2000
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_shock_stream_joins_to_shocks(rho):
+    """The streamed blocks of a Gaussian chunk, joined in order, are its
+    chunk-wide shocks bit for bit, a last block of one path included."""
+    config, scenarios, _ = dataio.build_market(dataio.RunConfig(rho=rho))
+    step = kernels.block_paths(montecarlo._plan(config, scenarios))
+    count = 2 * step + 1
+    blocks = [y.copy() for y in montecarlo._shock_stream(config, 6, 5, count, step)]
+    assert [y.shape[0] for y in blocks] == [step, step, 1]
+    assert np.array_equal(np.concatenate(blocks), montecarlo._shocks(config, 6, 5, count, step))
 
 
 @pytest.mark.parametrize("n_dealers", [3, 20, 60])
@@ -385,13 +433,13 @@ def test_simulate_builds_one_kernel_plan(monkeypatch):
 
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_shocks_bitwise_equal_one_pass_copula(rho):
-    """Shocks are mapped from their uniforms in sub-blocks; the mapping is
-    elementwise, so any sub-block seam gives the one-pass values exactly."""
+    """Shocks are mapped from their uniforms in blocks; the mapping is
+    elementwise, so any block seam gives the one-pass values exactly."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
-    step = montecarlo._UNIFORM_DOUBLES // montecarlo._draws(config)[1]
-    count = 2 * step + 7  # two full sub-blocks and a short one
-    y = montecarlo._shocks(config, 4, 3, count)
+    step = 11
+    count = 2 * step + 7  # two full blocks and a short one
+    y = montecarlo._shocks(config, 4, 3, count, step)
     ref = copula_values(_uniforms(4, config, 3, count), rho, marginals)
     assert np.array_equal(y, ref)
 
@@ -402,15 +450,15 @@ def test_shocks_depend_on_market_only_through_sampling_law():
     another rho or marginal other shocks."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     base = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.2, marginals=marginals)
-    y = montecarlo._shocks(base, 7, 11, 50)
+    y = montecarlo._shocks(base, 7, 11, 50, 16)
     other_book = make_config(
         np.arange(1.0, 11.0).reshape(5, 2), betas=[0.3, 2.0], rho=0.2, marginals=marginals
     )
-    assert np.array_equal(montecarlo._shocks(other_book, 7, 11, 50), y)
+    assert np.array_equal(montecarlo._shocks(other_book, 7, 11, 50, 16), y)
     other_rho = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.3, marginals=marginals)
-    assert not np.array_equal(montecarlo._shocks(other_rho, 7, 11, 50), y)
+    assert not np.array_equal(montecarlo._shocks(other_rho, 7, 11, 50, 16), y)
     gaussian = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.2)
-    assert not np.array_equal(montecarlo._shocks(gaussian, 7, 11, 50), y)
+    assert not np.array_equal(montecarlo._shocks(gaussian, 7, 11, 50, 16), y)
 
 
 def test_sample_pair_exposures_scales_and_antisymmetry():
@@ -449,7 +497,7 @@ def test_evaluate_scenario_zero_draw_is_zero():
     ii, jj = np.triu_indices(3, k=1)
     scales = np.ones((3, 2))
     plan = kernels.plan(scales, scales, ii, jj, scenarios, 3)
-    e = kernels.scenario_exposures(np.zeros((1, 3, 2)), plan)
+    e = kernels.scenario_exposures([np.zeros((1, 3, 2))], plan, np.empty((1, len(scenarios), 3)))
     assert np.array_equal(e, np.zeros((1, len(scenarios), 3)))
 
 
@@ -466,7 +514,7 @@ def test_evaluate_scenario_hand_values():
     # explicit layout: one unit-scale row per ordered pair, no reverse scale
     ii, jj = np.nonzero(~np.eye(3, dtype=bool))
     plan = kernels.plan(np.ones((6, 2)), np.zeros((6, 2)), ii, jj, [scen], 3)
-    e = kernels.scenario_exposures(x[ii, jj][None], plan)[0, 0]
+    e = kernels.scenario_exposures([x[ii, jj][None]], plan, np.empty((1, 1, 3)))[0, 0]
     ref = oracle_exposures(x, [scen])["full_clearing"]
     for i in range(3):
         assert e[i] == pytest.approx(ref[i], rel=1e-15)
