@@ -22,7 +22,7 @@ import numpy as np
 # module and then times a command times no import, and a tracer that wraps
 # the functions of already-imported ccpnet modules finds the engine's
 from . import analytic, dataio, montecarlo
-from .market import ConfigError, HomogeneousSpec, validate
+from .market import ConfigError, HomogeneousSpec
 
 # equal:<K> builds K-long tuples, so K is bounded before they exist
 _MAX_EQUAL_CLASSES = 10**6
@@ -82,6 +82,8 @@ def _load_ce_file(path: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
 
 
 def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
+    """The ``--ce`` market at ``rho``: alphas 1 but where ``--alpha`` sets
+    them, and ``--cleared`` cleared, else a builtin's own or the last class."""
     source = args.ce
     if source.startswith("equal:"):
         try:
@@ -90,39 +92,30 @@ def _homogeneous_spec(args, rho: float) -> HomogeneousSpec:
             raise ConfigError(f"equal:<K> needs an integer, got {source!r}") from None
         if not 1 <= k <= _MAX_EQUAL_CLASSES:
             raise ConfigError(f"equal:<K> needs 1 <= K <= {_MAX_EQUAL_CLASSES}")
-        spec = HomogeneousSpec(
-            credit_exposures=(1.0,) * k,
-            alphas=(1.0,) * k,
-            rho=rho,
-            cleared_class=k - 1,
-            class_names=tuple(f"class{i + 1}" for i in range(k)),
-        )
+        names, values = tuple(f"class{i + 1}" for i in range(k)), (1.0,) * k
+        cleared = k - 1
     elif os.path.isdir(source):
         raise ConfigError(f"credit-exposure file is a directory: {source!r}")
     elif os.path.isfile(source):
         names, values = _load_ce_file(source)
-        spec = HomogeneousSpec(
-            credit_exposures=values,
-            alphas=(1.0,) * len(values),
-            rho=rho,
-            cleared_class=len(values) - 1,
-            class_names=names,
-        )
+        cleared = len(values) - 1
     else:
-        spec = dataclasses.replace(dataio.builtin_credit_exposures(source), rho=rho)
-    alphas = list(spec.alphas)
+        builtin = dataio.builtin_credit_exposures(source)
+        names, values = builtin.class_names, builtin.credit_exposures
+        cleared = builtin.cleared_class
+    alphas = [1.0] * len(values)
     for name, value in _parse_kv(args.alpha, "--alpha").items():
-        if name not in spec.class_names:
-            raise ConfigError(
-                f"unknown class {name!r}; available: {list(spec.class_names)}"
-            )
-        alphas[spec.class_names.index(name)] = value
-    cleared = spec.cleared_class
+        if name not in names:
+            raise ConfigError(f"unknown class {name!r}; available: {list(names)}")
+        alphas[names.index(name)] = value
     if args.cleared is not None:
-        if args.cleared not in spec.class_names:
+        if args.cleared not in names:
             raise ConfigError(f"unknown cleared class {args.cleared!r}")
-        cleared = spec.class_names.index(args.cleared)
-    return dataclasses.replace(spec, alphas=tuple(alphas), cleared_class=cleared)
+        cleared = names.index(args.cleared)
+    return HomogeneousSpec(
+        credit_exposures=values, alphas=tuple(alphas), rho=rho, cleared_class=cleared,
+        class_names=names,
+    )
 
 
 def cmd_threshold(args) -> int:
@@ -168,11 +161,9 @@ def cmd_scenarios(args) -> int:
                 dataio.set_input(rc, f"{row.flag[2:]}.{name}", text.strip())
         elif given is not None:
             dataio.set_input(rc, row.key, str(given))
-    dataio.check_run_args(rc.paths, rc.seed, args.threads, rc.level)
     dataio.check_output_path(rc.out_dir, is_dir=True)
     config, scenarios, assumptions = dataio.build_market(rc)
-    validate(config).raise_if_invalid()
-    montecarlo.check_tail_buffer(len(scenarios) * config.n_dealers, rc.paths, rc.level)
+    montecarlo.check_run(config, scenarios, rc.paths, rc.seed, args.threads, rc.level)
     print(
         f"running {len(scenarios)} scenarios, paths={rc.paths}, seed={rc.seed}",
         file=sys.stderr,
@@ -186,10 +177,11 @@ def cmd_scenarios(args) -> int:
     with dumping as dump:
         report = montecarlo.simulate(
             config, scenarios, rc.paths, rc.seed, threads=args.threads, level=rc.level,
-            collect_histograms=args.histograms, dump=dump, assumptions=assumptions,
+            collect_histograms=args.histograms, dump=dump,
         )
     inputs = dataio.recorded_inputs(rc, config, scenarios)
-    files = dataio.write_report(dataclasses.replace(report, inputs=inputs), rc.out_dir)
+    report = dataclasses.replace(report, inputs=inputs, assumptions=assumptions)
+    files = dataio.write_report(report, rc.out_dir)
     if not config.has_t_marginals():
         # the closed forms exist for all-Gaussian runs; this file depends on
         # the market only, so --paths can never change it
@@ -259,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(row.flag, dest=row.field, action=argparse.BooleanOptionalAction)
         else:
             p.add_argument(row.flag, dest=row.field)
-    threads_help = f"chunk threads, 1 to {dataio.MAX_THREADS}"
+    threads_help = f"chunk threads, 1 to {montecarlo.MAX_THREADS}"
     p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--histograms", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--dump-paths", action="store_true")

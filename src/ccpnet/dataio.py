@@ -5,11 +5,11 @@ ship as built-in named datasets so the default run needs no external files.
 Report files carry their run inputs (``RUN_INPUTS``) and assumptions in
 comment headers and never a timestamp, so identical runs write identical bytes.
 
-The run arguments' checks (``check_run_args``) and the report type
-(``RiskReport``) live here: ``simulate`` uses both, and so do the CLI's
-early checks and ``load_report``. This module imports nothing from the
-Monte Carlo engine, so building a market and writing or loading a report
-do not load SciPy.
+The run inputs' rules (``RUN_INPUTS``) and the report type (``RiskReport``)
+live here: ``montecarlo.check_run`` applies the rules for paths, level and
+seed, ``simulate`` returns the report and ``load_report`` rebuilds it. This
+module imports nothing from the Monte Carlo engine, so building a market and
+writing or loading a report do not load SciPy.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def _parse_notionals(fh, source: str) -> NotionalTable:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_SCENARIO_IDS = ("no_ccp", "irs_ccp", "cds_ccp", "two_ccps", "joint_ccp")
+_SCENARIO_IDS = tuple(s.name for s in standard_scenarios())
 
 
 # shared clearing fraction of each class that no setting overrides
@@ -322,23 +322,6 @@ def set_input(rc: RunConfig, key: str, text: str, base_dir: str = "") -> None:
         setattr(rc, row.field, value)
     else:
         getattr(rc, row.field)[tuple(names.values()) if len(names) > 1 else names["class"]] = value
-
-
-# every chunk thread holds a chunk's working set (on the default market about
-# 5 MB when every class is Gaussian and about 18 MB with a t3 class), so the
-# thread count is bounded before any thread starts
-MAX_THREADS = 64
-
-
-def check_run_args(n_paths: int, seed: int, threads: int, level: float) -> None:
-    """Raise ConfigError for a path count, seed, thread count or level that
-    ``simulate`` rejects, so a caller can check them before announcing a run."""
-    for key, value in (("paths", n_paths), ("level", level), ("seed", seed)):
-        _run_input(key)[0].parse(value)
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if threads > MAX_THREADS:
-        raise ConfigError(f"threads must be <= {MAX_THREADS}")
 
 
 def parse_run_config(text: str, base_dir: str = "") -> RunConfig:

@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
-from .dataio import RiskReport, check_run_args
+from .dataio import RUN_INPUTS, RiskReport
 from .market import (
     MILLIONS_PER_BILLION,
     ConfigError,
@@ -392,16 +392,37 @@ def _tail_size(n: int, level: float) -> int:
     return n - int(math.floor((n - 1) * level))
 
 
+# every chunk thread holds a chunk's working set (on the default market about
+# 5 MB when every class is Gaussian and about 18 MB with a t3 class), so the
+# thread count is bounded before any thread starts
+MAX_THREADS = 64
 # Bound on a run's tail buffer (``_TopRows``) in doubles, 8 GiB: a path count
 # whose buffer would be larger is rejected before any work starts.
 MAX_TAIL_DOUBLES = 2**30
 
 
-def check_tail_buffer(n_cells: int, n_paths: int, level: float) -> None:
-    """Raise ConfigError when a run's tail buffer, at most n_cells * (3m - 1)
-    doubles for m = ``_tail_size(n_paths, level)`` and ``n_cells``
-    (scenario, dealer) cells, would exceed ``MAX_TAIL_DOUBLES``."""
-    doubles = n_cells * (3 * _tail_size(n_paths, level) - 1)
+def check_run(
+    config: MarketConfig, scenarios, n_paths: int, seed: int, threads: int, level: float
+) -> None:
+    """Raise ConfigError unless ``simulate`` accepts this run. In order: a
+    valid market, one or more uniquely named scenarios, the ``RUN_INPUTS``
+    rules for paths, level and seed, 1 <= threads <= ``MAX_THREADS``, and a
+    tail buffer, (3m - 1) doubles per (scenario, dealer) cell for
+    m = ``_tail_size(n_paths, level)``, of at most ``MAX_TAIL_DOUBLES``."""
+    validate(config).raise_if_invalid()
+    names = [s.name for s in scenarios]
+    if not names:
+        raise ConfigError("at least one scenario required")
+    if len(set(names)) != len(names):
+        raise ConfigError("scenario names must be unique")
+    rules = {row.key: row for row in RUN_INPUTS}
+    for key, value in (("paths", n_paths), ("level", level), ("seed", seed)):
+        rules[key].parse(value)
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if threads > MAX_THREADS:
+        raise ConfigError(f"threads must be <= {MAX_THREADS}")
+    doubles = len(names) * config.n_dealers * (3 * _tail_size(n_paths, level) - 1)
     if doubles > MAX_TAIL_DOUBLES:
         raise ConfigError(
             f"n_paths={n_paths} at level {level} needs a VaR/ES tail buffer of "
@@ -607,7 +628,6 @@ def simulate(
     level: float = 0.99,
     collect_histograms: bool = False,
     dump=None,
-    assumptions: tuple[str, ...] = (),
 ) -> RiskReport:
     """Estimate EE, VaR, ES and mean-max for every scenario in one pass.
 
@@ -624,7 +644,7 @@ def simulate(
         gives a bit-identical report at any ``threads``: the chunks are
         fixed by the market (``_chunk_paths``), not by the caller.
     threads
-        Chunks evaluated concurrently (1 to ``dataio.MAX_THREADS``). Each
+        Chunks evaluated concurrently (1 to ``MAX_THREADS``). Each
         worker reduces only its own chunk; the calling thread merges the
         chunks' ``_ChunkSummary`` (EE moments, mean-max sums), tails and
         ``_Histogram`` counts in chunk order. At most 2 * threads chunks are
@@ -643,15 +663,8 @@ def simulate(
         Memory does not grow with ``n_paths`` beyond the tail buffer of at
         most about 3 (1 - level) * n_paths values per cell.
     """
-    validate(config).raise_if_invalid()
     scenarios = tuple(scenarios)
-    if not scenarios:
-        raise ConfigError("at least one scenario required")
-    names = [s.name for s in scenarios]
-    if len(set(names)) != len(names):
-        raise ConfigError("scenario names must be unique")
-    check_run_args(n_paths, seed, threads, level)
-    check_tail_buffer(len(scenarios) * config.n_dealers, n_paths, level)
+    check_run(config, scenarios, n_paths, seed, threads, level)
 
     plan = _plan(config, scenarios)
     n_scen, n_dealers = len(scenarios), config.n_dealers
@@ -711,7 +724,7 @@ def simulate(
 
     return RiskReport(
         dealer_names=tuple(d.name for d in config.dealers),
-        scenario_names=tuple(names),
+        scenario_names=tuple(s.name for s in scenarios),
         n_paths=n_paths,
         seed=seed,
         level=level,
@@ -722,6 +735,5 @@ def simulate(
         es_exceedances=exceed,
         mean_max=sums.max_sum / n_paths,
         base_index=base_index,
-        assumptions=tuple(assumptions),
         histograms=histograms,
     )

@@ -6,6 +6,7 @@ credit marginals at rho 0 and 0.1), all on the bundled 2009 dealer table
 with mirrored European twins.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -71,14 +72,8 @@ def paper_runs():
             seed=SEED,
         )
         config, scenarios, assumptions = build_market(rc)
-        report = simulate(
-            config,
-            scenarios,
-            rc.paths,
-            rc.seed,
-            threads=2,
-            assumptions=assumptions,
-        )
+        report = simulate(config, scenarios, rc.paths, rc.seed, threads=2)
+        report = dataclasses.replace(report, assumptions=assumptions)
         runs[label] = (config, scenarios, report)
     runs["elapsed"] = time.perf_counter() - t0
     return runs

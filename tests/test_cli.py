@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,9 @@ def test_threshold_ce_file_errors(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert run_cli(capsys, "threshold", "--ce", str(empty))[0] == 2
+    bad.write_text("class,exposure\ncredit,abc\n")
+    code, _, err = run_cli(capsys, "threshold", "--ce", str(bad))
+    assert code == 2 and f"{bad}:2: non-numeric exposure" in err
 
 
 def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
@@ -136,6 +140,13 @@ def test_threshold_bad_inputs_exit_2(capsys, tmp_path):
     assert run_cli(capsys, "threshold", "--ce", "equal:100000000000")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit=nan")[0] == 2
     assert run_cli(capsys, "threshold", "--alpha", "credit=inf")[0] == 2
+    for extra, message in [
+        (("--w", "1.5"), "clearing fraction 1.5 outside [0, 1]"),
+        (("--rho", "1.5"), "rho must lie in [0, 1)"),
+        (("--alpha", "credit=abc"), "bad value in --alpha 'credit=abc'"),
+    ]:
+        code, _, err = run_cli(capsys, "threshold", *extra)
+        assert code == 2 and message in err, extra
     code, _, err = run_cli(capsys, "threshold", "--ce", str(tmp_path))
     assert code == 2
     assert "is a directory" in err
@@ -221,6 +232,7 @@ def test_surface_monotone_and_corner(capsys, tmp_path):
 def test_surface_bad_grid_exits_2(capsys, tmp_path):
     for alpha_grid, rho_grid in [
         ("1:3", "0:0.2:5"),
+        ("a:b:3", "0:0.2:5"),
         ("nan:1:2", "0:0.2:5"),
         ("1:3:2", "0:nan:2"),
         ("1:inf:3", "0:0.2:5"),
@@ -740,7 +752,7 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_python_m_ccpnet():
+def test_python_m_ccpnet(capsys, monkeypatch):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -756,6 +768,12 @@ def test_python_m_ccpnet():
     assert ok.returncode == 0
     assert ok.stdout.splitlines()[0] == "n_star=461"
     assert run("threshold", "--bogus").returncode == 2
+    # the same module in this process exits with main's code
+    monkeypatch.setattr(sys, "argv", ["ccpnet", "threshold", "--ce", "bis-2010h1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ccpnet", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "n_star=461"
 
 
 def test_report_rerenders_tables(capsys, tmp_path):
@@ -888,6 +906,8 @@ __max__,no_ccp,mean_max,2.5,1.0,
             "{dump}:11: repeated ee row for 'A' in scenario 'no_ccp'",
         ),
         ("__total__", "A,no_ccp,vol,1.0,,\n__total__", "{dump}:11: unknown measure 'vol'"),
+        (_DUMP[_DUMP.index("dealer,scenario"):], "", "{dump}: empty report dump"),
+        (_DUMP[_DUMP.index("A,"):_DUMP.index("__total__")], "", "{dump}: no dealer rows"),
         ("# level = 0.99", "# level = nan", "{dump}:4: risk-measure level must lie in (0, 1)"),
         ("# seed = 5\n", "# seed = 2\n# seed = 7\n", "{dump}:3: repeated '# seed' header"),
         (
@@ -919,7 +939,8 @@ __max__,no_ccp,mean_max,2.5,1.0,
     ],
     ids=[
         "no_paths", "bad_paths", "short_row", "bad_value", "empty_value", "bad_base",
-        "undecodable", "missing_cell", "duplicate_row", "unknown_measure", "bad_level",
+        "undecodable", "missing_cell", "duplicate_row", "unknown_measure", "header_only",
+        "totals_only", "bad_level",
         "repeated_seed", "repeated_base", "nan_value", "negative_se", "negative_count",
         "count_above_paths", "bad_ratio", "bad_total", "derived_se", "count_ratio",
         "es_below_var", "bad_rho", "repeated_input", "unknown_scenario_id",

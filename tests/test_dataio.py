@@ -117,6 +117,9 @@ def test_load_notionals_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError, match="empty"):
         load_notionals(str(path))
+    path.write_text("dealer,swaps\n")
+    with pytest.raises(ConfigError, match="empty.csv: no dealer rows"):
+        load_notionals(str(path))
 
 
 def test_load_notionals_missing_file():
@@ -128,6 +131,9 @@ def test_load_notionals_requires_dealer_column(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("name,swaps\nAlpha,1\n")
     with pytest.raises(ConfigError, match="dealer"):
+        load_notionals(str(path))
+    path.write_text("dealer\nAlpha\n")
+    with pytest.raises(ConfigError, match="hdr.csv: no asset-class columns"):
         load_notionals(str(path))
 
 
@@ -312,14 +318,8 @@ def small_report():
     config, scenarios, assumptions = build_market(
         RunConfig(paths=2000, seed=13, mirror_dealers=False)
     )
-    return montecarlo.simulate(
-        config,
-        scenarios,
-        2000,
-        13,
-        collect_histograms=True,
-        assumptions=assumptions,
-    )
+    report = montecarlo.simulate(config, scenarios, 2000, 13, collect_histograms=True)
+    return dataclasses.replace(report, assumptions=assumptions)
 
 
 def test_report_files_and_round_trip(small_report, tmp_path):
@@ -335,9 +335,8 @@ def test_ratio_table_reference_cell(tmp_path):
     """On the default mirrored market the written EE ratio table shows the
     largest dealer's swaps-CCP cell near the reference 0.72."""
     config, scenarios, assumptions = build_market(RunConfig())
-    report = montecarlo.simulate(
-        config, scenarios, 20_000, 101, threads=2, assumptions=assumptions
-    )
+    report = montecarlo.simulate(config, scenarios, 20_000, 101, threads=2)
+    report = dataclasses.replace(report, assumptions=assumptions)
     files = write_report(report, str(tmp_path / "ref"))
     with open(files["ratios_expected_exposure"]) as fh:
         rows = [line.strip().split(",") for line in fh if not line.startswith("#")]
@@ -526,6 +525,8 @@ def test_write_report_golden_bytes(tmp_path):
         ), name
 
     plain = dataclasses.replace(report, base_index=None, histograms=None)
+    with pytest.raises(ValueError, match="no no-CCP base scenario"):
+        plain.ee_ratio
     files = write_report(plain, str(tmp_path / "plain"))
     assert sorted(os.path.basename(p) for p in files.values()) == [
         "mean_max.csv", "report.csv"

@@ -82,6 +82,29 @@ def test_validate_rejects_reserved_dealer_and_repeated_class_names():
     )
 
 
+def test_validate_rejects_no_class_and_short_notionals():
+    assert validate(make_config([[], []], betas=[])).violations == ("K >= 1 required",)
+    config = make_config(np.ones((2, 2)), betas=[1.0, 1.0])
+    short = (config.dealers[0], Dealer(1, "dealer1", (1.0,)))
+    assert validate(MarketConfig(short, config.classes)).violations == (
+        "dealer 'dealer1': notionals length 1 != K=2",
+    )
+
+
+@pytest.mark.parametrize(
+    "ce,alphas,cleared,message",
+    [
+        ((1.0, 2.0), (1.0,), 0, "equal length"),
+        ((), (), 0, "at least one asset class"),
+        ((1.0, 2.0), (1.0, 1.0), 2, "cleared_class out of range"),
+        ((1.0, 2.0), (1.0, 1.0), -1, "cleared_class out of range"),
+    ],
+)
+def test_homogeneous_spec_rejects_bad_shape(ce, alphas, cleared, message):
+    with pytest.raises(ConfigError, match=message):
+        HomogeneousSpec(ce, alphas, 0.0, cleared)
+
+
 def test_homogeneous_spec_rejects_repeated_class_names():
     with pytest.raises(ConfigError, match=r"repeated: \['credit'\]"):
         HomogeneousSpec((1.0, 2.0), (1.0, 1.0), 0.0, 1, class_names=("credit", "credit"))

@@ -719,17 +719,18 @@ def test_simulate_rejects_path_floor_and_bad_inputs():
             simulate(bad_rho, scenarios, 2000, 1)
     with pytest.raises(ConfigError):
         simulate(config, scenarios, 2000, 1, level=1.0)
-    for threads in (0, -2, dataio.MAX_THREADS + 1):
+    for threads in (0, -2, montecarlo.MAX_THREADS + 1):
         with pytest.raises(ConfigError, match="threads"):
             simulate(config, scenarios, 2000, 1, threads=threads)
     # the tail buffer is bounded before it is allocated; the default market's
     # 100 cells fit at 10^6 paths and at 10^8 paths at level 0.99
     with pytest.raises(ConfigError, match="tail buffer"):
         simulate(config, scenarios, 10**13, 1)
+    paper, paper_scenarios, _ = dataio.build_market(dataio.RunConfig())
     for n_paths in (10**6, 10**8):
-        montecarlo.check_tail_buffer(100, n_paths, 0.99)
+        montecarlo.check_run(paper, paper_scenarios, n_paths, 1, 1, 0.99)
     with pytest.raises(ConfigError, match="tail buffer"):
-        montecarlo.check_tail_buffer(100, 10**13, 0.99)
+        montecarlo.check_run(paper, paper_scenarios, 10**13, 1, 1, 0.99)
 
 
 def test_simulate_deterministic_across_threads_and_reruns(monkeypatch):
@@ -1180,7 +1181,10 @@ def test_write_path_dump(tmp_path, monkeypatch):
             simulate(config, scenarios, 1000, 8, dump=dump)
     with pytest.raises(RuntimeError, match="missing paths"):
         with dataio.open_path_dump(str(out), 1000, len(scenarios), config.n_dealers) as dump:
-            dump.write(0, exposures_for_paths(config, scenarios, 8, 0, 999))
+            rows = exposures_for_paths(config, scenarios, 8, 0, 999)
+            with pytest.raises(ValueError, match="float64 paths of shape"):
+                dump.write(0, rows.astype(np.float32))
+            dump.write(0, rows)
     assert list(tmp_path.iterdir()) == []
 
 
