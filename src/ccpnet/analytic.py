@@ -316,7 +316,7 @@ def write_surface(path, alpha_grid, rho_grid, surface: np.ndarray) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     alphas = np.asarray(alpha_grid, dtype=float).tolist()
     rhos = [repr(rho) for rho in np.asarray(rho_grid, dtype=float).tolist()]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("alpha,rho,n_star\n")
         for alpha, row in zip(alphas, np.asarray(surface).tolist()):
             prefix = f"{alpha!r},"

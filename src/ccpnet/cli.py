@@ -188,6 +188,11 @@ def cmd_scenarios(args) -> int:
         files["analytic_ee"] = dataio.write_analytic_ee(config, scenarios, rc.out_dir)
     if args.dump_paths:
         files["paths"] = dump_path
+    # an earlier run's optional files would otherwise pass for this run's
+    for name in ("analytic_ee.csv", "histograms.csv", "paths.npy"):
+        path = os.path.join(rc.out_dir, name)
+        if path not in files.values() and os.path.isfile(path):
+            os.remove(path)
     for s, name in enumerate(report.scenario_names):
         line = (
             f"scenario={name} total_ee={report.total_ee[s]:.6g} "

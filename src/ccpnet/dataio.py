@@ -137,10 +137,11 @@ def builtin_credit_exposures(name: str = "bis-2010h1") -> HomogeneousSpec:
 
 @contextlib.contextmanager
 def open_input(path: str, what: str, newline: str | None = None):
-    """Open an input text file for reading; bytes that do not decode are a
+    """Open an input text file for reading as UTF-8, skipping the byte-order
+    mark that spreadsheets write first; bytes that do not decode are a
     configuration error naming the file, wherever the reading hits them."""
     try:
-        with open(path, newline=newline) as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} is not {exc.encoding} text: {path!r}") from None
@@ -453,10 +454,7 @@ class RiskReport:
     def _ratio(self, values: np.ndarray) -> np.ndarray:
         if self.base_index is None:
             raise ValueError("report has no no-CCP base scenario")
-        base = values[self.base_index]
-        return np.divide(
-            values, base, out=np.full_like(values, np.nan), where=base != 0
-        )
+        return _ratio_or_nan(values, values[self.base_index])
 
     @property
     def ee_ratio(self) -> np.ndarray:
@@ -482,6 +480,11 @@ class RiskReport:
     def low_confidence(self) -> np.ndarray:
         """ES cells whose tail holds fewer than 100 samples."""
         return self.es_exceedances < 100
+
+
+def _ratio_or_nan(values: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """values / base, nan wherever base is 0: the rule of every ratio written."""
+    return np.divide(values, base, out=np.full_like(values, np.nan), where=base != 0)
 
 
 def _fmt(v) -> str:
@@ -563,7 +566,7 @@ def _header(report: RiskReport) -> str:
 
 def _write_csv(path: str, head: str, rows) -> str:
     """Write the comment lines ``head``, then ``rows`` as CSV; return ``path``."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(head)
         csv.writer(fh).writerows(rows)
     return path
@@ -793,17 +796,14 @@ def write_analytic_ee(config, scenarios, out_dir: str) -> str:
     """
     os.makedirs(out_dir, exist_ok=True)
     results = [analytic.scenario_expected_exposures(config, s) for s in scenarios]
-    base = next((r for r, s in zip(results, scenarios) if s.clears_nothing), None)
+    base = next((s for s, scen in enumerate(scenarios) if scen.clears_nothing), None)
+    ee = np.array([np.append(r.per_dealer, r.total) for r in results])  # dealers, then total
+    ratios = None if base is None else _ratio_or_nan(ee, ee[base])
     rows = [["dealer", "scenario", "ee_millions", "ratio_to_base"]]
-    for res, scen in zip(results, scenarios):
-        for n, dealer in enumerate(d.name for d in config.dealers):
-            value = res.per_dealer[n] * MILLIONS_PER_BILLION
-            has_ratio = base is not None and base.per_dealer[n] > 0
-            ratio = _fmt(res.per_dealer[n] / base.per_dealer[n]) if has_ratio else ""
-            rows.append([dealer, scen.name, _fmt(value), ratio])
-        has_ratio = base is not None and base.total > 0
-        ratio = _fmt(res.total / base.total) if has_ratio else ""
-        rows.append(["__total__", scen.name, _fmt(res.total * MILLIONS_PER_BILLION), ratio])
+    for s, scen in enumerate(scenarios):
+        for n, name in enumerate([d.name for d in config.dealers] + ["__total__"]):
+            ratio = "" if ratios is None else _fmt(ratios[s, n])
+            rows.append([name, scen.name, _fmt(ee[s, n] * MILLIONS_PER_BILLION), ratio])
     head = "# ccpnet closed-form expected exposures (millions USD)\n"
     return _write_csv(os.path.join(out_dir, "analytic_ee.csv"), head, rows)
 

@@ -20,13 +20,13 @@ The chunk is the one unit of sampling, kernel evaluation, threading and
 reduction. Its size comes from the market alone (``_chunk_paths``): at most
 ``_CHUNK_PATHS`` paths of at most ``_BLOCK_DOUBLES`` uniforms in all. A
 worker makes one kernel call per chunk, which writes the chunk's (paths,
-scenarios, dealers) exposures. On a Gaussian market the kernel pulls the
-chunk's shocks one kernel sub-block at a time, each drawn into one reused
-buffer just before it is evaluated (``_shock_stream``), so a worker's
-working set is its chunk's exposures, one block's uniforms and shocks and
-the kernel scratch. The t3 quantile runs once over a chunk's whole column,
-so a market with a t3 class draws the chunk's shocks first and hands them
-over as one block (``_shocks``).
+scenarios, dealers) exposures, and pulls the chunk's shocks from one
+generator (``_shocks``) as it evaluates them. On a Gaussian market each
+block is drawn into one reused buffer just before it is evaluated, so a
+worker's working set is its chunk's exposures, one block's uniforms and
+shocks and the kernel scratch. The t3 quantile runs once over a chunk's
+whole column, so with a t3 class the generator draws the chunk's shocks
+first and yields them as one block.
 
 Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
@@ -297,30 +297,27 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
     return y
 
 
-def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int) -> np.ndarray:
-    """Standardized class shocks for paths [start, start+count):
-    (count, pairs, K): the Gaussian copula of their uniforms, with each t3
-    class's marginal applied. Uniforms are drawn and mapped in blocks of
-    ``step`` paths that continue one PCG64DXSM stream, and the mapping is
-    elementwise, so no value depends on ``step``."""
+def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):
+    """Standardized class shocks for paths [start, start+count), in blocks
+    (paths, pairs, K) that cover them in order: the Gaussian copula of their
+    uniforms, drawn and mapped ``step`` paths at a time from one PCG64DXSM
+    stream, with each t3 class's marginal applied. The mapping is
+    elementwise, so no value depends on ``step``. A Gaussian market yields
+    each block into one buffer, so a block holds until the next is pulled;
+    with a t3 class, whose quantile runs once over the whole column, the one
+    block is all ``count`` paths."""
     n_pairs, _ = _draws(config)
-    y = np.empty((count, n_pairs, config.n_classes))
     blocks = _uniform_blocks(seed, config, start, count, step)
+    if not config.has_t_marginals():
+        y = np.empty((min(step, count), n_pairs, config.n_classes))
+        for u in blocks:
+            yield _gaussian_copula(u, config.rho, out=y[: u.shape[0]])
+        return
+    y = np.empty((count, n_pairs, config.n_classes))
     for a, u in zip(range(0, count, step), blocks):
         _gaussian_copula(u, config.rho, out=y[a : a + u.shape[0]])
     u = blocks = None  # free the uniform buffer before a t3 column is copied
-    return _apply_marginals(y, config.marginals())
-
-
-def _shock_stream(config: MarketConfig, seed: int, start: int, count: int, step: int):
-    """The Gaussian copula shocks of paths [start, start+count) in blocks of
-    ``step`` paths (the last may be shorter), each (paths, pairs, K) and
-    drawn into one buffer when it is pulled, so a block holds until the next
-    is pulled. No marginal is applied."""
-    n_pairs, _ = _draws(config)
-    y = np.empty((min(step, count), n_pairs, config.n_classes))
-    for u in _uniform_blocks(seed, config, start, count, step):
-        yield _gaussian_copula(u, config.rho, out=y[: u.shape[0]])
+    yield _apply_marginals(y, config.marginals())
 
 
 # A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
@@ -344,15 +341,10 @@ def _chunk_exposures(
     config: MarketConfig, plan: kernels.Plan, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Realized exposures (count, scenarios, dealers) for one chunk of paths,
-    from one kernel call. On a Gaussian market the kernel pulls the shocks
-    block by block; with a t3 class they are drawn first and handed over as
-    one block, since the t3 quantile runs once over the chunk's column."""
+    from one kernel call, which pulls the chunk's shock blocks (``_shocks``)
+    as it evaluates them."""
     out = np.empty((count, plan.n_scenarios, plan.n_dealers))
-    step = kernels.block_paths(plan)
-    if config.has_t_marginals():
-        blocks = [_shocks(config, seed, start, count, step)]
-    else:
-        blocks = _shock_stream(config, seed, start, count, step)
+    blocks = _shocks(config, seed, start, count, kernels.block_paths(plan))
     return kernels.scenario_exposures(blocks, plan, out=out)
 
 

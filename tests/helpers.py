@@ -115,6 +115,15 @@ def copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
     return montecarlo._apply_marginals(montecarlo._gaussian_copula(u, rho), marginals)
 
 
+def joined_shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):
+    """The shocks of paths [start, start+count) as one (count, pairs, K)
+    array: the blocks of ``montecarlo._shocks``, each copied when it is
+    pulled (a Gaussian market draws every block into one buffer), joined in
+    order."""
+    blocks = montecarlo._shocks(config, seed, start, count, step)
+    return np.concatenate([y.copy() for y in blocks])
+
+
 def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.ndarray:
     """Position matrices for paths [start, start+count): (count, N, N, K).
 
@@ -122,7 +131,7 @@ def sample_draws(config: MarketConfig, seed: int, start: int, count: int) -> np.
     (millions USD), built from the shocks the simulation kernel consumes for
     the same seed and path indices.
     """
-    y = montecarlo._shocks(config, seed, start, count, count)
+    y = joined_shocks(config, seed, start, count, count)
     n, k = config.n_dealers, config.n_classes
     ii, jj = np.triu_indices(n, k=1)
     x = np.zeros((count, n, n, k))

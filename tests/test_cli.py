@@ -726,16 +726,55 @@ def test_scenarios_duplicate_dealer_names_exit_2(capsys, tmp_path, rows):
 
 def test_scenarios_market_without_positions(capsys, tmp_path):
     """A market whose notionals are all zero has no exposure: the run exits
-    0, and its closed-form totals carry no ratio, like its dealers' rows."""
+    0, and its closed-form totals carry a nan ratio, like its dealers' rows."""
     table = tmp_path / "zero.csv"
     table.write_text("dealer,forwards,options,swaps,credit\nA,0,0,0,0\nB,0,0,0,0\n")
     argv = _scen_args(tmp_path, "zero", "--notionals", str(table), "--no-mirror")
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
     rows = (tmp_path / "zero" / "analytic_ee.csv").read_text().splitlines()[2:]
-    assert len(rows) == 15 and all(row.endswith(",0,") for row in rows)
+    assert len(rows) == 15 and all(row.endswith(",0,nan") for row in rows)
     report = dataio.load_report(str(tmp_path / "zero" / "report.csv"))
     assert not report.ee.any() and not report.mean_max.any()
+
+
+def test_undefined_ratios_are_nan_in_every_table(capsys, tmp_path):
+    """A dealer whose base EE is zero has an undefined ratio to base: nan in
+    the closed-form table as in the Monte Carlo ratio tables and dump."""
+    table = tmp_path / "one_zero.csv"
+    table.write_text(
+        "dealer,forwards,options,swaps,credit\nA,9,8,50,7\nB,1,5,20,3\nZ,0,0,0,0\n"
+    )
+    argv = _scen_args(tmp_path, "z", "--notionals", str(table), "--no-mirror")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rows = (tmp_path / "z" / "analytic_ee.csv").read_text().splitlines()[2:]
+    zero = [row.split(",") for row in rows if row.startswith("Z,")]
+    assert len(zero) == 5 and all(row[2:] == ["0", "nan"] for row in zero)
+    assert all(not row.endswith(",") for row in rows)
+    table_rows = (tmp_path / "z" / "ratios_expected_exposure.csv").read_text().splitlines()
+    assert [row for row in table_rows if row.startswith("Z,")] == ["Z" + ",nan" * 5]
+    report = dataio.load_report(str(tmp_path / "z" / "report.csv"))
+    assert np.isnan(report.ee_ratio[:, 2]).all()
+
+
+def test_scenarios_removes_stale_optional_files(capsys, tmp_path):
+    """A run into a directory that holds an earlier run leaves there exactly
+    the files that it reports: an optional file that it does not write (the
+    closed-form table, histograms, a path dump) is removed, so none of the
+    earlier run's passes for its own."""
+    out = tmp_path / "st"
+    for extra, optional in (
+        (["--seed", "1", "--dump-paths"], {"analytic_ee", "histograms", "paths"}),
+        (["--seed", "2", "--marginal", "credit=t3"], {"histograms"}),
+        (["--seed", "3", "--no-histograms"], {"analytic_ee"}),
+    ):
+        argv = ["scenarios", "--paths", "1000", "--out", str(out), *extra]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        files = {k[5:]: v[0] for k, v in parse_kv(stdout).items() if k.startswith("file_")}
+        assert {"analytic_ee", "histograms", "paths"} & files.keys() == optional, extra
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(f) for f in files.values())
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -861,6 +900,42 @@ def test_report_keeps_dealer_named_like_a_comment(capsys, tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (
             tmp_path / "orig" / name
         ).read_bytes(), name
+
+
+# per reader, an input file's text and the command that reads it as in.csv
+_READER_RUNS = {
+    "ce": (
+        "class,exposure\ncommodity,457\nequity,706\nfx,2524\nrates,17533\n"
+        "credit,1666\nother,1788\n",
+        ["threshold", "--ce", "in.csv", "--cleared", "credit"],
+    ),
+    "notionals": (
+        "dealer,forwards,options,swaps,credit\nAlpha,100,50,2000,300\nBeta,200,80,1500,100\n",
+        ["scenarios", "--paths", "1000", "--notionals", "in.csv", "--out", "out"],
+    ),
+    "config": ("paths = 1000\nseed = 6\n", ["scenarios", "--config", "in.csv", "--out", "out"]),
+    "dump": (None, ["report", "--dump", "in.csv", "--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READER_RUNS))
+def test_inputs_read_the_same_after_a_byte_order_mark(capsys, tmp_path, monkeypatch, reader):
+    """Spreadsheets save "CSV UTF-8" with a byte-order mark first. Every
+    reader skips it: a command gives the same output and files for an input
+    with the mark as for one without."""
+    text, argv = _READER_RUNS[reader]
+    runs = []
+    for bom in ("", "\ufeff"):
+        run_dir = tmp_path / ("with_bom" if bom else "without_bom")
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        Path("in.csv").write_text(bom + (text or _DUMP), encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        files = {p.name: p.read_bytes() for p in Path().glob("out/*")}
+        assert bool(files) == (argv[0] != "threshold")
+        runs.append((out, err, files))
+    assert runs[0] == runs[1]
 
 
 def test_report_missing_dump_exits(capsys, tmp_path):

@@ -40,6 +40,7 @@ from helpers import (
     copula_values,
     ee_zscores,
     exposures_for_paths,
+    joined_shocks,
     make_config,
     oracle_exposures,
     quad_tail_stats,
@@ -364,7 +365,7 @@ def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch)
         [(blocks, out)] = calls
         assert out is e
         assert np.array_equal(
-            np.concatenate(blocks), montecarlo._shocks(market, 2, 0, chunk, step)
+            np.concatenate(blocks), joined_shocks(market, 2, 0, chunk, step)
         )
         sizes = [y.shape[0] for y in blocks]
         assert max(sizes) <= step if gaussian else sizes == [chunk]
@@ -374,16 +375,24 @@ def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch)
     assert sum(y.shape[0] for y in blocks) == out.shape[0] == 2000
 
 
+@pytest.mark.parametrize("marginal", ["gaussian", "t3"])
+@pytest.mark.parametrize("step", [1, 53, "count"])
 @pytest.mark.parametrize("rho", [0.0, 0.1])
-def test_shock_stream_joins_to_shocks(rho):
-    """The streamed blocks of a Gaussian chunk, joined in order, are its
-    chunk-wide shocks bit for bit, a last block of one path included."""
-    config, scenarios, _ = dataio.build_market(dataio.RunConfig(rho=rho))
-    step = kernels.block_paths(montecarlo._plan(config, scenarios))
-    count = 2 * step + 1
-    blocks = [y.copy() for y in montecarlo._shock_stream(config, 6, 5, count, step)]
-    assert [y.shape[0] for y in blocks] == [step, step, 1]
-    assert np.array_equal(np.concatenate(blocks), montecarlo._shocks(config, 6, 5, count, step))
+def test_shock_blocks_join_to_one_pass_copula(rho, step, marginal):
+    """A chunk's shock blocks, joined in order, are the one-pass copula of
+    its uniforms bit for bit, a last block of one path included. No block of
+    a Gaussian chunk is larger than ``step``, and a t3 chunk arrives as one
+    block."""
+    rc = dataio.RunConfig(rho=rho, marginals={"credit": marginal})
+    config, _, _ = dataio.build_market(rc)
+    count = 2 * 53 + 1
+    step = count if step == "count" else step
+    blocks = [y.copy() for y in montecarlo._shocks(config, 6, 5, count, step)]
+    ref = copula_values(_uniforms(6, config, 5, count), rho, config.marginals())
+    assert np.array_equal(np.concatenate(blocks), ref)
+    sizes = [y.shape[0] for y in blocks]  # a Gaussian block is at most step paths
+    gaussian = [min(step, count - a) for a in range(0, count, step)]
+    assert sizes == (gaussian if marginal == "gaussian" else [count])
 
 
 @pytest.mark.parametrize("n_dealers", [3, 20, 60])
@@ -439,7 +448,7 @@ def test_shocks_bitwise_equal_one_pass_copula(rho):
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
     step = 11
     count = 2 * step + 7  # two full blocks and a short one
-    y = montecarlo._shocks(config, 4, 3, count, step)
+    y = joined_shocks(config, 4, 3, count, step)
     ref = copula_values(_uniforms(4, config, 3, count), rho, marginals)
     assert np.array_equal(y, ref)
 
@@ -450,15 +459,15 @@ def test_shocks_depend_on_market_only_through_sampling_law():
     another rho or marginal other shocks."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     base = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.2, marginals=marginals)
-    y = montecarlo._shocks(base, 7, 11, 50, 16)
+    y = joined_shocks(base, 7, 11, 50, 16)
     other_book = make_config(
         np.arange(1.0, 11.0).reshape(5, 2), betas=[0.3, 2.0], rho=0.2, marginals=marginals
     )
-    assert np.array_equal(montecarlo._shocks(other_book, 7, 11, 50, 16), y)
+    assert np.array_equal(joined_shocks(other_book, 7, 11, 50, 16), y)
     other_rho = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.3, marginals=marginals)
-    assert not np.array_equal(montecarlo._shocks(other_rho, 7, 11, 50, 16), y)
+    assert not np.array_equal(joined_shocks(other_rho, 7, 11, 50, 16), y)
     gaussian = make_config(np.ones((5, 2)), betas=[1.0, 1.0], rho=0.2)
-    assert not np.array_equal(montecarlo._shocks(gaussian, 7, 11, 50, 16), y)
+    assert not np.array_equal(joined_shocks(gaussian, 7, 11, 50, 16), y)
 
 
 def test_sample_pair_exposures_scales_and_antisymmetry():

@@ -1,6 +1,8 @@
 """The package surface: ``import ccpnet`` and everything outside the Monte
-Carlo engine load no SciPy, and the engine's names resolve on first use."""
+Carlo engine load no SciPy, the engine's names resolve on first use, and
+every text file the package opens names its encoding."""
 
+import ast
 import os
 import re
 import subprocess
@@ -118,3 +120,33 @@ def test_public_names_unchanged():
     assert empirical_quantile is ccpnet.montecarlo.empirical_quantile
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ccpnet.no_such_name  # noqa: B018
+
+
+def _text_opens_without_encoding(source: str) -> list[int]:
+    """Lines of ``source`` that call ``open`` in text mode (no mode, or a
+    mode without "b") and pass no ``encoding=``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and "encoding" not in keywords:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_text_files_are_opened_with_an_encoding():
+    """Reports are written as UTF-8 and inputs read as UTF-8 after an
+    optional byte-order mark, whatever the locale: no text-mode ``open`` in
+    the package leaves the encoding to it."""
+    probe = 'open(a)\nopen(a, "w")\nopen(a, mode="rb")\nopen(a, encoding="utf-8")\n'
+    assert _text_opens_without_encoding(probe) == [1, 2]
+    package = Path(ccpnet.__file__).resolve().parent
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        for line in _text_opens_without_encoding(path.read_text(encoding="utf-8"))
+    }
+    assert not found, found
