@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fnmatch
 import math
 import os
 import sys
@@ -188,10 +189,16 @@ def cmd_scenarios(args) -> int:
         files["analytic_ee"] = dataio.write_analytic_ee(config, scenarios, rc.out_dir)
     if args.dump_paths:
         files["paths"] = dump_path
-    # an earlier run's optional files would otherwise pass for this run's
-    for name in ("analytic_ee.csv", "histograms.csv", "paths.npy"):
+    # an earlier run's optional files, and its tables at another level,
+    # would otherwise pass for this run's
+    stale = ("analytic_ee.csv", "histograms.csv", "paths.npy", "ratios_var*.csv", "ratios_es*.csv")
+    for name in os.listdir(rc.out_dir):
         path = os.path.join(rc.out_dir, name)
-        if path not in files.values() and os.path.isfile(path):
+        if (
+            any(fnmatch.fnmatchcase(name, pattern) for pattern in stale)
+            and path not in files.values()
+            and os.path.isfile(path)
+        ):
             os.remove(path)
     for s, name in enumerate(report.scenario_names):
         line = (

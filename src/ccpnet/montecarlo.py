@@ -1,16 +1,22 @@
 """Copula-based exposure sampling and risk-measure estimation.
 
-Sampling is skip-ahead: the uniform feeding (path, pair, class) is a pure
-function of (seed, path, pair, class). Path p owns a fixed run of numpy's
-PCG64DXSM stream, which ``advance`` reaches exactly (``_uniform_blocks``).
-Workers therefore cannot influence results; a report is bit-identical for a
-fixed (seed, n_paths, level) at any thread count.
+Sampling is a pure function of (seed, path): paths [64 g, 64 g + 64) draw
+standard normals from stream g, numpy's PCG64DXSM seeded with ``seed`` and
+moved by an exact ``advance(g << 64)``, in path order (``_normal_blocks``).
+The normals come from ``Generator.standard_normal`` (the ziggurat of
+Marsaglia and Tsang 2000), which spends a varying number of outputs per
+normal, so a run that starts inside a stream draws and discards the
+stream's earlier paths. Workers, chunks and blocks therefore cannot
+influence results; a report is bit-identical for a fixed (seed, n_paths,
+level) at any thread count.
 
 A run's whole state is its ``MarketConfig``, which alone fixes the sampling
 law (rho and the per-class marginals), and one ``kernels.Plan`` (``_plan``).
 Each path draws one pair row per unordered dealer pair i<j, in
-``np.triu_indices`` order: K+1 uniforms, a common factor and one shock per
-class (``_draws``). A pair row's shocks feed both sides of that pair's trade.
+``np.triu_indices`` order: K independent normals at rho = 0, and at rho > 0
+K+1, a common factor and one per class, which ``_correlate`` mixes into K
+equicorrelated ones. A t3 class then goes through the normal CDF and the t3
+quantile. A pair row's shocks feed both sides of that pair's trade.
 
 All clearing scenarios are evaluated on the same draws (common random
 numbers), which is what makes scenario differences and the exposure-reduction
@@ -18,15 +24,15 @@ histograms low-variance.
 
 The chunk is the one unit of sampling, kernel evaluation, threading and
 reduction. Its size comes from the market alone (``_chunk_paths``): at most
-``_CHUNK_PATHS`` paths of at most ``_BLOCK_DOUBLES`` uniforms in all. A
+``_CHUNK_PATHS`` paths of at most ``_BLOCK_DOUBLES`` draws in all. A
 worker makes one kernel call per chunk, which writes the chunk's (paths,
 scenarios, dealers) exposures, and pulls the chunk's shocks from one
 generator (``_shocks``) as it evaluates them. On a Gaussian market each
 block is drawn into one reused buffer just before it is evaluated, so a
-worker's working set is its chunk's exposures, one block's uniforms and
-shocks and the kernel scratch. The t3 quantile runs once over a chunk's
-whole column, so with a t3 class the generator draws the chunk's shocks
-first and yields them as one block.
+worker's working set is its chunk's exposures, one block of shocks (at
+rho > 0 also that block's normals) and the kernel scratch. The t3
+quantile runs once over a chunk's whole column, so with a t3 class the
+generator draws the chunk's shocks first and yields them as one block.
 
 Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
@@ -51,7 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from . import kernels
 from .dataio import RUN_INPUTS, RiskReport
@@ -63,11 +69,6 @@ from .market import (
     pair_scales,
     validate,
 )
-
-# smallest uniform we map through ndtri; anything below only occurs with
-# probability 2^-53 per draw and would otherwise produce -inf
-_MIN_UNIFORM = 2.0 ** -53
-
 
 # ---------------------------------------------------------------------------
 # Normalized t3 marginal
@@ -233,48 +234,64 @@ def _plan(config: MarketConfig, scenarios) -> kernels.Plan:
 
 
 def _draws(config: MarketConfig) -> tuple[int, int]:
-    """(pair rows, draws per path) of ``config``: one common factor plus one
-    idiosyncratic shock per class, per pair row."""
+    """(pair rows, K+1 draws per pair row): a common factor and one shock
+    per class. That is a path's draws at rho > 0; at rho = 0 it takes one
+    fewer per pair row, but the chunk is sized by K+1 either way."""
     n_pairs = config.n_dealers * (config.n_dealers - 1) // 2
     return n_pairs, n_pairs * (config.n_classes + 1)
 
 
-def _uniform_blocks(seed: int, config: MarketConfig, start: int, count: int, step: int):
-    """Uniform blocks for paths [start, start+count), ``step`` paths each
-    (the last may be shorter): shape (paths, pairs, K+1). Every block is
+# Paths [64 g, 64 g + 64) draw their normals from stream g. Like the chunk
+# bounds it fixes report bits: it decides which normals each path gets.
+_STREAM_PATHS = 64
+
+
+def _normal_blocks(seed: int, config: MarketConfig, start: int, count: int, step: int):
+    """Standard normal blocks for paths [start, start+count), ``step`` paths
+    each (the last may be shorter): shape (paths, pairs, W), with W = K at
+    rho = 0 and W = K+1, the common factor first, at rho > 0. Every block is
     drawn into one buffer, so a block holds until the next is drawn.
 
-    Pure function of (seed, path index): path p owns doubles
-    [p * draws, (p+1) * draws) of the PCG64DXSM stream seeded with ``seed``.
-    ``advance(n)`` jumps exactly n 64-bit outputs and ``Generator.random``
-    spends one output per double, so one generator skips ahead to path
-    ``start`` and the blocks are drawn one after another, each starting
-    exactly where a skip-ahead to its first path would.
+    Pure function of (seed, path index): paths [64 g, 64 g + 64) form stream
+    g, the PCG64DXSM generator seeded with ``seed`` after ``advance(g <<
+    64)``, and each of them in turn takes its pairs * W normals from
+    ``Generator.standard_normal`` (numpy's ziggurat), by pair row and then
+    by coordinate. A ziggurat normal spends a varying number of outputs, so
+    a path inside a stream is reached by drawing and discarding the
+    stream's earlier paths (at most 63). A default-market stream spends
+    about 6 * 10^4 of the 2^64 outputs between streams, so streams do not
+    overlap.
     """
-    n_pairs, draws = _draws(config)
+    n_pairs, _ = _draws(config)
+    width = config.n_classes + (1 if config.rho > 0.0 else 0)
+    per_path = n_pairs * width
     bg = np.random.PCG64DXSM(seed)
-    bg.advance(start * draws)
+    seeded = bg.state
     gen = np.random.Generator(bg)
-    buf = np.empty(min(step, count) * draws)
-    for a in range(0, count, step):
-        n = min(step, count - a)
-        u = gen.random(out=buf[: n * draws])
-        np.maximum(u, _MIN_UNIFORM, out=u)
-        yield u.reshape(n, n_pairs, config.n_classes + 1)
+    buf = np.empty(min(step, count) * per_path)
+    for a in range(start, start + count, step):
+        b = min(a + step, start + count)
+        p = a
+        while p < b:  # one run of paths per stream
+            g, offset = divmod(p, _STREAM_PATHS)
+            if offset == 0 or p == start:
+                bg.state = seeded
+                bg.advance(g << 64)
+                skip = offset * per_path
+                for i in range(0, skip, buf.size):
+                    gen.standard_normal(out=buf[: min(buf.size, skip - i)])
+            stop = min(b, (g + 1) * _STREAM_PATHS)
+            gen.standard_normal(out=buf[(p - a) * per_path : (stop - a) * per_path])
+            p = stop
+        yield buf[: (b - a) * per_path].reshape(b - a, n_pairs, width)
 
 
-def _gaussian_copula(u: np.ndarray, rho: float, out=None) -> np.ndarray:
-    """Equicorrelated standard normals (..., K) from uniforms (..., K+1),
+def _correlate(z: np.ndarray, rho: float, out=None) -> np.ndarray:
+    """Equicorrelated standard normals (..., K) from independent ones
+    (..., K+1), the common factor first: sqrt(1-rho) z_k + sqrt(rho) z_0,
     written to ``out`` when it is given."""
-    # Bit-identical to sqrt(rho) * z[..., :1] + sqrt(1-rho) * z[..., 1:]:
-    # addition commutes, and at rho = 0 that sum is 0.0 * z0 + 1.0 * z == z
-    # for finite z, so the common factor needs no ndtri at all.
-    y = ndtri(u[..., 1:], out=out)
-    if rho > 0.0:
-        y *= math.sqrt(1.0 - rho)
-        common = ndtri(u[..., :1])
-        common *= math.sqrt(rho)
-        y += common
+    y = np.multiply(z[..., 1:], math.sqrt(1.0 - rho), out=out)
+    y += z[..., :1] * math.sqrt(rho)
     return y
 
 
@@ -299,30 +316,38 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 
 def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):
     """Standardized class shocks for paths [start, start+count), in blocks
-    (paths, pairs, K) that cover them in order: the Gaussian copula of their
-    uniforms, drawn and mapped ``step`` paths at a time from one PCG64DXSM
-    stream, with each t3 class's marginal applied. The mapping is
+    (paths, pairs, K) that cover them in order: their normals
+    (``_normal_blocks``), drawn ``step`` paths at a time, correlated at
+    rho > 0 and with each t3 class's marginal applied. The mapping is
     elementwise, so no value depends on ``step``. A Gaussian market yields
     each block into one buffer, so a block holds until the next is pulled;
     with a t3 class, whose quantile runs once over the whole column, the one
     block is all ``count`` paths."""
     n_pairs, _ = _draws(config)
-    blocks = _uniform_blocks(seed, config, start, count, step)
+    normals = functools.partial(_normal_blocks, seed, config, start, count)
+    rho, shape = config.rho, (n_pairs, config.n_classes)
     if not config.has_t_marginals():
-        y = np.empty((min(step, count), n_pairs, config.n_classes))
-        for u in blocks:
-            yield _gaussian_copula(u, config.rho, out=y[: u.shape[0]])
+        if rho == 0.0:  # the normals are the shocks
+            yield from normals(step)
+            return
+        y = np.empty((min(step, count), *shape))
+        for z in normals(step):
+            yield _correlate(z, rho, out=y[: z.shape[0]])
         return
-    y = np.empty((count, n_pairs, config.n_classes))
-    for a, u in zip(range(0, count, step), blocks):
-        _gaussian_copula(u, config.rho, out=y[a : a + u.shape[0]])
-    u = blocks = None  # free the uniform buffer before a t3 column is copied
+    if rho == 0.0:
+        (y,) = normals(count)
+    else:
+        y = np.empty((count, *shape))
+        for a, z in zip(range(0, count, step), normals(step)):
+            _correlate(z, rho, out=y[a : a + z.shape[0]])
+        z = None  # free the normal buffer before a t3 column is copied
     yield _apply_marginals(y, config.marginals())
 
 
 # A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
-# uniforms (or one path), so a worker's working set is bounded on any market
-# and a small market still splits into chunks for threads. The chunk
+# draws, counted as K+1 per pair row at any rho (or one path), so a worker's
+# working set is bounded on any market and a small market still splits into
+# chunks for threads. The chunk
 # regroups the EE sums and fixes the histogram grid: like _MAX_BINS, both
 # constants fix report bits.
 # 2**21 keeps a 2000-path run of the default market in one chunk, where the

@@ -103,16 +103,19 @@ def student_t3_unit_cdf(x):
     return 0.5 + (np.arctan(v) + v / (1.0 + v * v)) / np.pi
 
 
-def _uniforms(seed: int, config: MarketConfig, start: int, count: int) -> np.ndarray:
-    """Uniform block for paths [start, start+count): shape (count, pairs, K+1)."""
-    (u,) = montecarlo._uniform_blocks(seed, config, start, count, count)
-    return u
+def _normals(seed: int, config: MarketConfig, start: int, count: int) -> np.ndarray:
+    """Normals for paths [start, start+count) as one block: shape
+    (count, pairs, W), W = K at rho = 0 and K+1 at rho > 0."""
+    (z,) = montecarlo._normal_blocks(seed, config, start, count, count)
+    return z
 
 
-def copula_values(u: np.ndarray, rho: float, marginals) -> np.ndarray:
-    """Standardized class shocks (..., K) from uniforms (..., K+1) in one
-    pass: the engine's Gaussian copula, then its t3 marginals."""
-    return montecarlo._apply_marginals(montecarlo._gaussian_copula(u, rho), marginals)
+def copula_values(z: np.ndarray, rho: float, marginals) -> np.ndarray:
+    """Standardized class shocks (..., K) from normals (..., W) in one pass:
+    the normals themselves at rho = 0 (W = K), the engine's factor split of
+    (..., K+1) at rho > 0, then its t3 marginals."""
+    y = z.copy() if rho == 0.0 else montecarlo._correlate(z, rho)
+    return montecarlo._apply_marginals(y, marginals)
 
 
 def joined_shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):

@@ -761,13 +761,17 @@ def test_undefined_ratios_are_nan_in_every_table(capsys, tmp_path):
 def test_scenarios_removes_stale_optional_files(capsys, tmp_path):
     """A run into a directory that holds an earlier run leaves there exactly
     the files that it reports: an optional file that it does not write (the
-    closed-form table, histograms, a path dump) is removed, so none of the
-    earlier run's passes for its own."""
+    closed-form table, histograms, a path dump) or a VaR or ES ratio table
+    at another level is removed, so none of the earlier run's passes for
+    its own."""
     out = tmp_path / "st"
     for extra, optional in (
         (["--seed", "1", "--dump-paths"], {"analytic_ee", "histograms", "paths"}),
         (["--seed", "2", "--marginal", "credit=t3"], {"histograms"}),
         (["--seed", "3", "--no-histograms"], {"analytic_ee"}),
+        # the next run's VaR and ES tables are tagged 99, not 95
+        (["--seed", "4", "--level", "0.95"], {"analytic_ee", "histograms"}),
+        (["--seed", "5"], {"analytic_ee", "histograms"}),
     ):
         argv = ["scenarios", "--paths", "1000", "--out", str(out), *extra]
         code, stdout, err = run_cli(capsys, *argv)

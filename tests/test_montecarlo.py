@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri, stdtrit
+from scipy.special import stdtrit
 
 from ccpnet import analytic, dataio, kernels, montecarlo
 from ccpnet.market import (
@@ -27,14 +27,13 @@ from ccpnet.market import (
     two_ccps,
 )
 from ccpnet.montecarlo import (
-    _MIN_UNIFORM,
     empirical_quantile,
     freedman_diaconis_edges,
     simulate,
     student_t3_unit_ppf,
 )
 from helpers import (
-    _uniforms,
+    _normals,
     check_path_dump,
     check_pathwise,
     copula_values,
@@ -55,44 +54,66 @@ from helpers import (
 # ---------------------------------------------------------------------------
 
 
-def test_uniforms_are_pure_functions_of_path_index():
-    config = make_config(np.ones((4, 3)), betas=[1.0] * 3)
-    whole = _uniforms(99, config, 0, 16)
-    assert np.array_equal(_uniforms(99, config, 5, 4), whole[5:9])
-    assert np.array_equal(_uniforms(99, config, 15, 1), whole[15:16])
-    # different seeds decouple
-    assert not np.array_equal(_uniforms(98, config, 0, 16), whole)
-
-
-def test_uniforms_are_pcg64dxsm_after_exact_skip_ahead():
-    """Path p owns doubles [p * draws, (p+1) * draws) of the PCG64DXSM stream
-    of the run's seed: the blocks for paths [p, p+n) are that generator
-    after advance(p * draws), which jumps exactly p * draws doubles,
-    whatever the block size."""
-    config = make_config(np.ones((5, 3)), betas=[1.0] * 3)
-    n_pairs, draws = montecarlo._draws(config)
-    assert (n_pairs, draws) == (10, 40)
-    for seed, p, n, step in ((7, 0, 9, 4), (2**128 - 1, 13, 6, 6), (3, 10**12 + 1, 5, 2)):
-        # each block is drawn into one buffer, so it is copied out
-        blocks = [u.copy() for u in montecarlo._uniform_blocks(seed, config, p, n, step)]
-        assert [u.shape for u in blocks] == [
-            (min(step, n - a), n_pairs, 4) for a in range(0, n, step)
-        ]
+def _stream_reference(seed, per_path, start, count):
+    """The normals of paths [start, start+count), built straight from the
+    stream layout: paths [64 g, 64 g + 64) read stream g, which is
+    PCG64DXSM(seed) after advance(g << 64), per_path normals each in path
+    order."""
+    rows = []
+    for g in range(start // 64, (start + count - 1) // 64 + 1):
         bg = np.random.PCG64DXSM(seed)
-        bg.advance(p * draws)
-        ref = np.random.Generator(bg).random(n * draws)
-        got = np.concatenate([u.ravel() for u in blocks])
-        assert np.array_equal(got, np.maximum(ref, _MIN_UNIFORM))
-        if p < 100:  # the skip-ahead is the stream itself, read from path 0
-            whole = np.random.Generator(np.random.PCG64DXSM(seed)).random((p + n) * draws)
-            assert np.array_equal(ref, whole[p * draws :])
+        bg.advance(g << 64)
+        stream = np.random.Generator(bg).standard_normal(64 * per_path).reshape(64, -1)
+        lo, hi = max(start, 64 * g), min(start + count, 64 * g + 64)
+        rows.append(stream[lo - 64 * g : hi - 64 * g])
+    return np.concatenate(rows)
 
 
-def test_uniforms_shape_and_range():
-    config = make_config(np.ones((3, 2)), betas=[1.0, 1.0])
-    u = _uniforms(1, config, 0, 100)
-    assert u.shape == (100, 3, 3)  # 3 unordered pairs, K+1 coordinates
-    assert (u > 0).all() and (u < 1).all()
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_normals_are_pcg64dxsm_streams_of_64_paths(rho):
+    """Paths [64 g, 64 g + 64) draw their normals from PCG64DXSM(seed) after
+    advance(g << 64), each path its pairs * W in turn (W = K at rho = 0,
+    K+1 at rho > 0), whatever the block size: from a run's first path, from
+    inside a stream and across stream seams, at the largest seed and far
+    out in the path index."""
+    config = make_config(np.ones((5, 3)), betas=[1.0] * 3, rho=rho)
+    n_pairs = montecarlo._draws(config)[0]
+    width = 3 + (rho > 0.0)
+    assert n_pairs == 10
+    for seed, p, n, step in (
+        (7, 0, 9, 4),  # one stream, from its first path
+        (7, 50, 100, 11),  # starts mid-stream, crosses two seams
+        (2**128 - 1, 13, 60, 53),  # mid-stream to the next stream
+        (3, 10**12 + 1, 70, 1),  # 1 path per block across a seam
+    ):
+        # each block is drawn into one buffer, so it is copied out
+        blocks = [z.copy() for z in montecarlo._normal_blocks(seed, config, p, n, step)]
+        assert [z.shape for z in blocks] == [
+            (min(step, n - a), n_pairs, width) for a in range(0, n, step)
+        ]
+        got = np.concatenate(blocks).reshape(n, -1)
+        assert np.array_equal(got, _stream_reference(seed, n_pairs * width, p, n))
+
+
+def test_normals_are_pure_functions_of_path_index():
+    config = make_config(np.ones((4, 3)), betas=[1.0] * 3)
+    whole = _normals(99, config, 0, 200)
+    assert whole.shape == (200, 6, 3)  # 6 unordered pairs, K coordinates at rho = 0
+    for start, count in ((5, 4), (63, 2), (64, 1), (100, 100), (199, 1)):
+        assert np.array_equal(_normals(99, config, start, count), whole[start : start + count])
+    # different seeds decouple
+    assert not np.array_equal(_normals(98, config, 0, 200), whole)
+
+
+def test_normals_shape_and_moments():
+    config = make_config(np.ones((3, 2)), betas=[1.0, 1.0], rho=0.2)
+    z = _normals(1, config, 0, 20_000)
+    assert z.shape == (20_000, 3, 3)  # 3 unordered pairs, K+1 coordinates at rho > 0
+    assert np.isfinite(z).all()
+    # 180,000 normals: mean within 4 SE (0.0094) of 0, variance within 4 SE
+    # (0.013) of 1
+    assert abs(z.mean()) < 0.0094
+    assert abs(z.var() - 1.0) < 0.013
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +243,10 @@ def test_t3_marginal_unit_variance_by_sampling():
 
 
 def test_copula_independent_classes_uncorrelated():
-    rng = np.random.Generator(np.random.Philox(key=5))
-    u = rng.random((100_000, 1, 3))
-    y = copula_values(u, 0.0, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
+    """At rho = 0 a pair row's class shocks are the engine's independent
+    standard normals."""
+    config = make_config(np.ones((2, 2)), betas=[1.0, 1.0])  # one pair row
+    y = joined_shocks(config, 5, 0, 100_000, 100_000)[:, 0, :]
     corr = np.corrcoef(y.T)
     assert abs(corr[0, 1]) < 0.01
     assert y[:, 0].std() == pytest.approx(1.0, abs=0.02)
@@ -232,43 +254,50 @@ def test_copula_independent_classes_uncorrelated():
 
 def test_copula_recovers_linear_correlation():
     rng = np.random.Generator(np.random.Philox(key=6))
-    u = rng.random((1_000_000, 1, 3))
-    y = copula_values(u, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
+    z = rng.standard_normal((1_000_000, 1, 3))
+    y = copula_values(z, 0.1, (Marginal.GAUSSIAN, Marginal.GAUSSIAN))[:, 0, :]
     corr = np.corrcoef(y.T)
     assert corr[0, 1] == pytest.approx(0.1, abs=0.01)
+
+
+# Normals of the largest magnitude the ziggurat returns: its tail draw is
+# r - log1p(-u) / r with r = 3.654 and u <= 1 - 2^-53, so at most about 13.7.
+_EDGE_NORMAL = 13.7
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_copula_bitwise_equals_factor_split(rho):
     """The copula's arithmetic is exactly the equicorrelation factor split
-    sqrt(rho) * common + sqrt(1-rho) * idiosyncratic, edge uniforms included."""
+    sqrt(rho) * common + sqrt(1-rho) * idiosyncratic, edge normals included;
+    at rho = 0 no common factor is drawn and the shocks are the normals."""
     rng = np.random.Generator(np.random.Philox(key=8))
-    u = rng.random((500, 3, 4))
-    u[0, 0, :] = _MIN_UNIFORM
-    u[1, 1, :] = 0.5
-    u[2, 2, :] = np.nextafter(1.0, 0.0)
-    u[3, 0, :] = [_MIN_UNIFORM, 0.5, np.nextafter(1.0, 0.0), 0.5]
-    u[3, 1, :] = [0.5, _MIN_UNIFORM, 0.5, np.nextafter(1.0, 0.0)]
-    before = u.copy()
-    y = copula_values(u, rho, (Marginal.GAUSSIAN,) * 3)
-    z = ndtri(u)
+    z = rng.standard_normal((500, 3, 4))
+    hi, lo = _EDGE_NORMAL, -_EDGE_NORMAL
+    z[0, 0, :] = lo
+    z[1, 1, :] = 0.0
+    z[2, 2, :] = hi
+    z[3, 0, :] = [lo, 0.0, hi, 0.0]
+    z[3, 1, :] = [0.0, lo, 0.0, hi]
+    before = z.copy()
+    y = copula_values(z if rho > 0.0 else z[..., 1:], rho, (Marginal.GAUSSIAN,) * 3)
     ref = math.sqrt(rho) * z[..., :1] + math.sqrt(1.0 - rho) * z[..., 1:]
     assert np.isfinite(ref).all()
     assert np.array_equal(y, ref)
     assert np.array_equal(np.signbit(y), np.signbit(ref))
-    assert np.array_equal(u, before)  # the caller's uniforms are not overwritten
+    assert np.array_equal(z, before)  # the caller's normals are not overwritten
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_copula_t3_tails_finite_and_mirrored(rho):
-    """Mirrored uniforms give mirrored t3 shocks, at the extremes too: the
+    """Mirrored normals give mirrored t3 shocks, at the extremes too: the
     upper tail must not round to a CDF of 1.0 and an infinite quantile."""
-    hi, lo = np.nextafter(1.0, 0.0), _MIN_UNIFORM
-    u = np.full((4, 1, 4), 0.5)
-    u[0], u[1] = hi, lo  # common factor and every class at the extreme
-    u[2, 0, 1], u[3, 0, 1] = hi, lo  # the t3 class alone
+    hi, lo = _EDGE_NORMAL, -_EDGE_NORMAL
+    t3 = 1 if rho > 0.0 else 0  # the t3 class's column, after any common factor
+    z = np.zeros((4, 1, t3 + 3))
+    z[0], z[1] = hi, lo  # common factor and every class at the extreme
+    z[2, 0, t3], z[3, 0, t3] = hi, lo  # the t3 class alone
     marginals = (Marginal.STUDENT_T3, Marginal.GAUSSIAN, Marginal.GAUSSIAN)
-    y = copula_values(u, rho, marginals)[:, 0, 0]
+    y = copula_values(z, rho, marginals)[:, 0, 0]
     assert np.isfinite(y).all()
     assert y[0] > 0 and y[2] > 0
     assert y[0] == pytest.approx(-y[1], rel=1e-12)
@@ -286,11 +315,11 @@ def test_copula_peak_memory_with_t3_class():
     """The copula's output, plus one class column (the common factor's
     normals, then the t3 class's contiguous copy, which its quantile
     overwrites in place), plus the quantile's scratch."""
-    u = np.random.Generator(np.random.Philox(key=9)).random((4096, 190, 5))
+    z = np.random.Generator(np.random.Philox(key=9)).standard_normal((4096, 190, 5))
     marginals = (Marginal.STUDENT_T3,) + (Marginal.GAUSSIAN,) * 3
-    out_nbytes = u[..., 1:].size * 8
-    column_nbytes = u[..., 0].size * 8
-    peak = _peak_traced_bytes(copula_values, u, 0.1, marginals)
+    out_nbytes = z[..., 1:].size * 8
+    column_nbytes = z[..., 0].size * 8
+    peak = _peak_traced_bytes(copula_values, z, 0.1, marginals)
     assert peak <= out_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
 
 
@@ -300,8 +329,9 @@ def _plan_nbytes(plan):
 
 def test_gaussian_chunk_peak_memory_is_output_plus_one_block(paper_market):
     """On a Gaussian market the kernel pulls the shocks block by block, so a
-    chunk holds its (paths, scenarios, dealers) output, one block's uniforms
-    and shocks, the kernel scratch and the plan that the traced call builds,
+    chunk holds its (paths, scenarios, dealers) output, one block of shocks
+    (at rho = 0 the normals are drawn straight into it, so there is no
+    second buffer), the kernel scratch and the plan that the traced call builds,
     besides the two buffers of ``np.getbufsize()`` doubles that a ufunc on a
     strided view iterates through (the kernel's positive part): never the
     chunk's shocks."""
@@ -309,8 +339,9 @@ def test_gaussian_chunk_peak_memory_is_output_plus_one_block(paper_market):
     chunk = montecarlo._chunk_paths(config)
     plan = montecarlo._plan(config, scenarios)
     step = kernels.block_paths(plan)
-    n_pairs, draws = montecarlo._draws(config)
-    block_nbytes = step * (draws + n_pairs * config.n_classes) * 8
+    n_pairs = montecarlo._draws(config)[0]
+    assert config.rho == 0.0
+    block_nbytes = step * n_pairs * config.n_classes * 8
     out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
     ufunc_nbytes = 2 * np.getbufsize() * 8
     bound = out_nbytes + block_nbytes + kernels._SCRATCH_DOUBLES * 8 + _plan_nbytes(plan)
@@ -322,20 +353,20 @@ def test_gaussian_chunk_peak_memory_is_output_plus_one_block(paper_market):
 
 def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
     """One chunk of the default t3 market holds its (paths, scenarios,
-    dealers) output plus its shocks, one block of uniforms while they are
-    mapped to normals, then the t3 class's column and the quantile's
+    dealers) output plus its shocks, one block of normals while they are
+    correlated, then the t3 class's column and the quantile's
     scratch. The block and the column never coexist, so their sum also
     covers the kernel plan that the traced call builds."""
     config, scenarios = paper_market_t3
     chunk = montecarlo._chunk_paths(config)
     n_pairs, draws = montecarlo._draws(config)
     shocks_nbytes = chunk * n_pairs * config.n_classes * 8
-    uniform_nbytes = kernels.block_paths(montecarlo._plan(config, scenarios)) * draws * 8
+    normal_nbytes = kernels.block_paths(montecarlo._plan(config, scenarios)) * draws * 8
     column_nbytes = chunk * n_pairs * 8
     out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
     peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
     assert peak <= (
-        out_nbytes + shocks_nbytes + uniform_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
+        out_nbytes + shocks_nbytes + normal_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
     )
 
 
@@ -380,7 +411,7 @@ def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch)
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_shock_blocks_join_to_one_pass_copula(rho, step, marginal):
     """A chunk's shock blocks, joined in order, are the one-pass copula of
-    its uniforms bit for bit, a last block of one path included. No block of
+    its normals bit for bit, a last block of one path included. No block of
     a Gaussian chunk is larger than ``step``, and a t3 chunk arrives as one
     block."""
     rc = dataio.RunConfig(rho=rho, marginals={"credit": marginal})
@@ -388,7 +419,7 @@ def test_shock_blocks_join_to_one_pass_copula(rho, step, marginal):
     count = 2 * 53 + 1
     step = count if step == "count" else step
     blocks = [y.copy() for y in montecarlo._shocks(config, 6, 5, count, step)]
-    ref = copula_values(_uniforms(6, config, 5, count), rho, config.marginals())
+    ref = copula_values(_normals(6, config, 5, count), rho, config.marginals())
     assert np.array_equal(np.concatenate(blocks), ref)
     sizes = [y.shape[0] for y in blocks]  # a Gaussian block is at most step paths
     gaussian = [min(step, count - a) for a in range(0, count, step)]
@@ -398,7 +429,7 @@ def test_shock_blocks_join_to_one_pass_copula(rho, step, marginal):
 @pytest.mark.parametrize("n_dealers", [3, 20, 60])
 def test_chunk_paths_bounded(n_dealers):
     """A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
-    uniforms, unless it is one path."""
+    draws (K+1 per pair row), unless it is one path."""
     config = make_config(np.ones((n_dealers, 4)), betas=[1.0] * 4)
     chunk = montecarlo._chunk_paths(config)
     draws = montecarlo._draws(config)[1]
@@ -442,14 +473,14 @@ def test_simulate_builds_one_kernel_plan(monkeypatch):
 
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_shocks_bitwise_equal_one_pass_copula(rho):
-    """Shocks are mapped from their uniforms in blocks; the mapping is
+    """Shocks are mapped from their normals in blocks; the mapping is
     elementwise, so any block seam gives the one-pass values exactly."""
     marginals = [Marginal.STUDENT_T3, Marginal.GAUSSIAN]
     config = make_config(np.ones((30, 2)), betas=[1.0, 1.0], rho=rho, marginals=marginals)
     step = 11
     count = 2 * step + 7  # two full blocks and a short one
     y = joined_shocks(config, 4, 3, count, step)
-    ref = copula_values(_uniforms(4, config, 3, count), rho, marginals)
+    ref = copula_values(_normals(4, config, 3, count), rho, marginals)
     assert np.array_equal(y, ref)
 
 
@@ -474,7 +505,7 @@ def test_sample_pair_exposures_scales_and_antisymmetry():
     """Both directions of a pair are one standardized draw, each under its
     owner's pair scale, the reverse direction negated."""
     config = make_config([[10.0, 2.0], [4.0, 3.0], [6.0, 5.0]], betas=[0.5, 1.0])
-    y = copula_values(_uniforms(9, config, 0, 1000), config.rho, config.marginals())
+    y = copula_values(_normals(9, config, 0, 1000), config.rho, config.marginals())
     x = sample_draws(config, seed=9, start=0, count=1000)
     # one row per unordered pair, owned by the lower index
     for p, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
