@@ -2,11 +2,11 @@
 one or two asset classes trades multilateral netting against the bilateral
 cross-class netting it displaces.
 
-``import ccpnet`` loads the closed forms, the member-threshold model, the
-market types and report input and output, none of which needs SciPy. The
-Monte Carlo engine (``simulate``, ``empirical_quantile``,
-``student_t3_unit_ppf``, and the ``montecarlo`` and ``kernels`` modules)
-and SciPy load on the first use of one of those names.
+The package needs numpy alone; no module imports SciPy. ``import ccpnet``
+loads the closed forms, the member-threshold model, the market types and
+report input and output. The Monte Carlo engine (``simulate``,
+``empirical_quantile``, ``student_t3_unit_ppf``, and the ``montecarlo`` and
+``kernels`` modules) loads on the first use of one of those names.
 """
 
 from importlib import import_module as _import_module
@@ -49,7 +49,7 @@ from .market import (
     validate,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _ENGINE_NAMES = ("empirical_quantile", "simulate", "student_t3_unit_ppf")
 _ENGINE_MODULES = ("kernels", "montecarlo")

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-# montecarlo, and SciPy with it, is imported here rather than on first use
+# montecarlo is imported here rather than on first use
 # as ``import ccpnet`` does, for two reasons: a caller that imports this
 # module and then times a command times no import, and a tracer that wraps
 # the functions of already-imported ccpnet modules finds the engine's

@@ -9,7 +9,7 @@ The run inputs' rules (``RUN_INPUTS``) and the report type (``RiskReport``)
 live here: ``montecarlo.check_run`` applies the rules for paths, level and
 seed, ``simulate`` returns the report and ``load_report`` rebuilds it. This
 module imports nothing from the Monte Carlo engine, so building a market and
-writing or loading a report do not load SciPy.
+writing or loading a report do not load it.
 """
 
 from __future__ import annotations

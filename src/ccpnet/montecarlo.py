@@ -15,8 +15,9 @@ law (rho and the per-class marginals), and one ``kernels.Plan`` (``_plan``).
 Each path draws one pair row per unordered dealer pair i<j, in
 ``np.triu_indices`` order: K independent normals at rho = 0, and at rho > 0
 K+1, a common factor and one per class, which ``_correlate`` mixes into K
-equicorrelated ones. A t3 class then goes through the normal CDF and the t3
-quantile. A pair row's shocks feed both sides of that pair's trade.
+equicorrelated ones. A t3 class then maps each normal score y to the t3
+quantile of Phi(y), read off one table in |y| (``_t3_from_normal``). A pair
+row's shocks feed both sides of that pair's trade.
 
 All clearing scenarios are evaluated on the same draws (common random
 numbers), which is what makes scenario differences and the exposure-reduction
@@ -30,9 +31,9 @@ scenarios, dealers) exposures, and pulls the chunk's shocks from one
 generator (``_shocks``) as it evaluates them. On a Gaussian market each
 block is drawn into one reused buffer just before it is evaluated, so a
 worker's working set is its chunk's exposures, one block of shocks (at
-rho > 0 also that block's normals) and the kernel scratch. The t3
-quantile runs once over a chunk's whole column, so with a t3 class the
-generator draws the chunk's shocks first and yields them as one block.
+rho > 0 also that block's normals) and the kernel scratch. The t3 map
+runs once over a chunk's whole column, so with a t3 class the generator
+draws the chunk's shocks first and yields them as one block.
 
 Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
@@ -57,7 +58,6 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import kernels
 from .dataio import RUN_INPUTS, RiskReport
@@ -210,6 +210,82 @@ def student_t3_unit_ppf(u, out=None):
     return out
 
 
+# The t3 shock of a normal score y is sign(y) |x(|y|)| with x(a) =
+# F^-1(Phi(-a)) <= 0, read off a cubic Hermite table of _T3_MAP_STEPS even
+# steps in a over [0, _T3_A_TAIL]; above it Phi(-a) < _T3_TAIL_Q and x comes
+# from the tail series.
+_T3_MAP_STEPS = 4096
+_T3_A_TAIL = 3.7190164854556804  # -Phi^-1(_T3_TAIL_Q), to double precision
+_T3_MAP_STEP = _T3_A_TAIL / _T3_MAP_STEPS
+
+
+@functools.cache
+def _t3_map_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c0, c1, c2, c3) of the _T3_MAP_STEPS segments of x(a) =
+    F^-1(Phi(-a)): at a = (k + s) _T3_MAP_STEP, 0 <= s <= 1, x is about
+    c0 + s (c1 + s (c2 + s c3)) with the coefficients of segment k.
+
+    Each segment is the cubic Hermite interpolant of x's values and exact
+    slopes at its two knots. The values come from one ``student_t3_unit_ppf``
+    call at q = erfc(a / sqrt 2) / 2 (x = 0 exactly at a = 0, so that x / a
+    keeps its digits near the median), the slopes from dx/da = -phi(a) /
+    f(x), with f(x) = 2 / (pi (1 + x^2)^2) the t3 density. Built on first
+    use, so a run without a t3 class never builds it; ``simulate`` builds it
+    before its workers start.
+    """
+    a = _T3_MAP_STEP * np.arange(_T3_MAP_STEPS + 1)
+    x = student_t3_unit_ppf([0.5 * math.erfc(v / math.sqrt(2.0)) for v in a.tolist()])
+    x[0] = 0.0
+    # the slopes times the step: -exp(-a^2 / 2) (1 + x^2)^2 sqrt(pi / 8) h
+    d = (1.0 + x * x) ** 2 * np.exp(-0.5 * a * a)
+    d *= -math.sqrt(math.pi / 8.0) * _T3_MAP_STEP
+    dx = np.diff(x)
+    d0, d1 = d[:-1], d[1:]
+    return x[:-1], d0, 3.0 * dx - 2.0 * d0 - d1, d0 + d1 - 2.0 * dx
+
+
+def _t3_from_normal(v: np.ndarray) -> np.ndarray:
+    """Overwrite ``v``, a C-contiguous float64 array of magnitudes a = |y|
+    of normal scores, with x(a) = F^-1(Phi(-a)) <= 0, the unit t3 quantile
+    of their lower-tail probability, and return it.
+
+    a <= _T3_A_TAIL reads the table (``_t3_map_table``) in _T3_BLOCK blocks
+    with three scratch rows. Above it, about 2 values in 10^4, x comes from
+    the tail series (``_t3_tail_magnitude``) at q = erfc(a / sqrt 2) / 2,
+    in one call for the whole array: the series costs mostly its numpy
+    calls. Against a 40-digit inversion the relative error is at most about
+    3e-13, the knots' own, and x / a keeps it as a -> 0.
+    """
+    flat = v.reshape(-1)
+    c0, c1, c2, c3 = _t3_map_table()
+    scratch = np.empty((3, min(_T3_BLOCK, flat.size)))
+    tails, a_tails = [], []
+    for start in range(0, flat.size, _T3_BLOCK):
+        x = flat[start : start + _T3_BLOCK]
+        s, c, k = scratch[:, : x.size]
+        k = k.view(np.intp)  # the segment index shares a scratch row
+        tail = np.flatnonzero(x > _T3_A_TAIL)
+        tails.append(tail + start)
+        a_tails.append(x[tail])
+        np.minimum(x, _T3_A_TAIL, out=s)  # the tail is overwritten below
+        s *= _T3_MAP_STEPS / _T3_A_TAIL
+        np.copyto(k, s, casting="unsafe")  # truncates
+        np.minimum(k, _T3_MAP_STEPS - 1, out=k)  # a = _T3_A_TAIL: s = 1
+        s -= k
+        np.take(c3, k, out=x, mode="clip")
+        x *= s
+        for coef in (c2, c1):
+            np.take(coef, k, out=c, mode="clip")
+            x += c
+            x *= s
+        np.take(c0, k, out=c, mode="clip")
+        x += c
+    a_tail = np.concatenate(a_tails).tolist()
+    q = np.array([0.5 * math.erfc(a / math.sqrt(2.0)) for a in a_tail])
+    flat[np.concatenate(tails)] = -_t3_tail_magnitude(q)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Pair rows and sampling
 # ---------------------------------------------------------------------------
@@ -298,19 +374,18 @@ def _correlate(z: np.ndarray, rho: float, out=None) -> np.ndarray:
 def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
     """Replace the Gaussian coordinates of t3 classes by t3 ones, in place.
 
-    The copula pushes a t3 class through the normal CDF, then the t3
-    quantile. The quantile takes the tail probability Phi(-|y|) and gets the
-    sign of y back, so both tails resolve as far as the lower one: Phi(y)
-    itself rounds to 1.0 for y above about 8.3. Each t3 class costs one
-    contiguous copy of its column, which the quantile overwrites in place.
+    The copula maps a t3 class's normal score y to F^-1(Phi(y)), computed as
+    sign(y) |x(|y|)| (``_t3_from_normal``). The map reads the lower tail
+    only, so both tails resolve as far as the lower one, and Phi(y), which
+    rounds to 1.0 for y above about 8.3, is never formed. Each t3 class
+    costs one contiguous copy of its column, which the map overwrites in
+    place.
     """
     for k, marginal in enumerate(marginals):
         if marginal is Marginal.STUDENT_T3:
             col = y[..., k]
-            p = np.abs(col, order="C")
-            np.negative(p, out=p)
-            ndtr(p, out=p)
-            np.copysign(student_t3_unit_ppf(p, out=p), col, out=col)
+            x = np.abs(col, order="C")
+            np.copysign(_t3_from_normal(x), col, out=col)
     return y
 
 
@@ -321,7 +396,7 @@ def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):
     rho > 0 and with each t3 class's marginal applied. The mapping is
     elementwise, so no value depends on ``step``. A Gaussian market yields
     each block into one buffer, so a block holds until the next is pulled;
-    with a t3 class, whose quantile runs once over the whole column, the one
+    with a t3 class, whose map runs once over the whole column, the one
     block is all ``count`` paths."""
     n_pairs, _ = _draws(config)
     normals = functools.partial(_normal_blocks, seed, config, start, count)
@@ -351,8 +426,7 @@ def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):
 # regroups the EE sums and fixes the histogram grid: like _MAX_BINS, both
 # constants fix report bits.
 # 2**21 keeps a 2000-path run of the default market in one chunk, where the
-# benchmark self-test (perfbench/selftest.py) counts one kernel call and one
-# t3 quantile call.
+# benchmark self-test (perfbench/selftest.py) counts one kernel call.
 _BLOCK_DOUBLES = 2**21
 _CHUNK_PATHS = 4096
 
@@ -711,6 +785,8 @@ def simulate(
     tops = _TopRows((n_scen, n_dealers), m, min(m, chunk))
     hists = [_Histogram(n_paths * n_dealers) for _ in compared]
     starts = range(0, n_paths, chunk)
+    if config.has_t_marginals():
+        _t3_map_table()  # built here, so that no two workers both build it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         if threads > 1:
             results = _in_order(pool, reduce_chunk, starts, 2 * threads)

@@ -304,6 +304,74 @@ def test_copula_t3_tails_finite_and_mirrored(rho):
     assert y[2] == pytest.approx(-y[3], rel=1e-12)
 
 
+def _t3_of_normal(a):
+    """The t3 map x(a) = F^-1(Phi(-a)) of the magnitudes ``a``, as the copula
+    computes it, on a copy."""
+    return montecarlo._t3_from_normal(np.array(a, dtype=float))
+
+
+def _erfc_tail(a):
+    """Phi(-a) = erfc(a / sqrt 2) / 2, the q the map's knots are built from."""
+    return np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in np.ravel(a)])
+
+
+def test_t3_map_tail_switch_is_where_phi_crosses_tail_q():
+    a_tail = montecarlo._T3_A_TAIL
+    above = math.nextafter(a_tail, math.inf)
+    assert _erfc_tail(a_tail)[0] >= montecarlo._T3_TAIL_Q > _erfc_tail(above)[0]
+
+
+def test_t3_map_at_knots_midpoints_and_tail_switch():
+    """The map is a cubic between knots, so its error peaks between them: at
+    every knot, every midpoint and both sides of the tail switch it agrees
+    with a bisection on the closed-form CDF at q = erfc(a / sqrt 2) / 2
+    within 1e-12 relative, and it is exactly 0 at a = 0."""
+    halves = np.arange(2 * montecarlo._T3_MAP_STEPS + 1) / 2.0
+    a_tail = montecarlo._T3_A_TAIL
+    switch = [math.nextafter(a_tail, 0.0), a_tail, math.nextafter(a_tail, math.inf)]
+    a = np.concatenate([montecarlo._T3_MAP_STEP * halves, switch, [4.0]])
+    x = _t3_of_normal(a)
+    assert x[0] == 0.0 and not np.signbit(x[0])
+    ref = _bisect_t3_unit_cdf(_erfc_tail(a[1:]))
+    assert np.abs(x[1:] / ref - 1.0).max() < 1e-12
+
+
+def test_t3_map_relative_accuracy_near_the_median():
+    """x(a) tends to -a sqrt(pi / 8), -a phi(0) / f(0), and keeps every
+    digit as a -> 0, where Phi(-a) rounds to 1/2: the map never forms it."""
+    a = np.logspace(-300, -8, 293)
+    x = _t3_of_normal(a)
+    assert np.abs(x / (-a * math.sqrt(math.pi / 8.0)) - 1.0).max() < 1e-12
+
+
+def test_t3_map_zero_signs_and_infinite_tails():
+    """y = +-0 keeps its sign, and a score whose tail probability underflows
+    to q = 0 maps to an infinite shock of its own sign."""
+    y = np.array([0.0, -0.0, 40.0, -40.0, math.inf, -math.inf]).reshape(-1, 1, 1)
+    got = montecarlo._apply_marginals(y, (Marginal.STUDENT_T3,))[:, 0, 0]
+    assert _erfc_tail(40.0)[0] == 0.0
+    assert got.tolist() == [0.0, -0.0, math.inf, -math.inf, math.inf, -math.inf]
+    assert np.signbit(got).tolist() == [False, True, False, True, False, True]
+
+
+def test_t3_map_bitwise_equal_across_blocks():
+    """The map is elementwise: the whole array, with _T3_BLOCK seams and a
+    short last block, gets the bits of pieces mapped apart, tail values at
+    the seams included."""
+    block = montecarlo._T3_BLOCK
+    n = 3 * block + 5  # a short last block
+    a = np.abs(np.random.Generator(np.random.Philox(key=13)).standard_normal(n))
+    a[block - 2 : block + 2] = [5.0, montecarlo._T3_A_TAIL, 0.0, 9.0]  # a seam
+    a[-3:] = [4.5, 1e-12, 38.0]
+    assert (a > montecarlo._T3_A_TAIL).sum() > 10
+    whole = _t3_of_normal(a)
+    cuts = [0, 7, block + 1, 2 * block - 3, 2 * block + 40, n]
+    pieces = np.concatenate([_t3_of_normal(a[i:j]) for i, j in zip(cuts, cuts[1:])])
+    assert np.array_equal(whole.view(np.uint64), pieces.view(np.uint64))
+    one_by_one = np.concatenate([_t3_of_normal(a[i : i + 1]) for i in range(block - 3, block + 3)])
+    assert np.array_equal(whole[block - 3 : block + 3], one_by_one)
+
+
 # A bound on what the t3 quantile allocates besides its output: its three
 # scratch rows of _T3_BLOCK doubles (one also holds the start table's index)
 # and the block's tail mask, with room for two more block-sized doubles and

@@ -1,6 +1,7 @@
-"""The package surface: ``import ccpnet`` and everything outside the Monte
-Carlo engine load no SciPy, the engine's names resolve on first use, and
-every text file the package opens names its encoding."""
+"""The package surface: no module of the package imports SciPy, ``import
+ccpnet`` and everything outside the Monte Carlo engine load no engine, the
+engine's names resolve on first use, and every text file the package opens
+names its encoding."""
 
 import ast
 import os
@@ -60,22 +61,48 @@ assert (loaded.ee == report.ee).all()
 assert engine_loaded() == [], engine_loaded()
 
 assert ccpnet.simulate is sys.modules["ccpnet.montecarlo"].simulate
-assert engine_loaded() == ["scipy", "ccpnet.montecarlo"], engine_loaded()
+assert engine_loaded() == ["ccpnet.montecarlo"], engine_loaded()
 """
 
 
-# the t3 quantile's start table is built on first use, by a t3 run alone
-_T3_TABLE_ON_FIRST_USE = """
+# the t3 quantile's start table and the t3 copula's map table are built on
+# first use, by a t3 run alone
+_T3_TABLES_ON_FIRST_USE = """
 import ccpnet.cli
 from ccpnet import dataio, montecarlo
 
-built = montecarlo._t3_start_table.cache_info
-assert built().currsize == 0, built()
+
+def built():
+    tables = (montecarlo._t3_start_table, montecarlo._t3_map_table)
+    return [table.cache_info().currsize for table in tables]
+
+
+assert built() == [0, 0], built()
 config, scenarios, _ = dataio.build_market(dataio.RunConfig())
 montecarlo.simulate(config, scenarios, 1000, 1)
-assert built().currsize == 0, built()
+assert built() == [0, 0], built()
 montecarlo.student_t3_unit_ppf([0.25])
-assert built().currsize == 1, built()
+assert built() == [1, 0], built()
+config, scenarios, _ = dataio.build_market(dataio.RunConfig(marginals={"credit": "t3"}))
+montecarlo.simulate(config, scenarios, 1000, 1)
+assert built() == [1, 1], built()
+"""
+
+# the ccpnet command runs a t3 Monte Carlo run and a surface without SciPy
+_CLI_WITHOUT_SCIPY = """
+import sys
+
+from ccpnet import cli
+
+out = sys.argv[1]
+assert cli.main([
+    "scenarios", "--marginal", "credit=t3", "--rho", "0.1", "--paths", "1000",
+    "--seed", "1", "--out", out,
+]) == 0
+assert cli.main([
+    "surface", "--alpha-grid", "1:3:3", "--rho-grid", "0:0.2:3", "--out", out + "/s.csv",
+]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
@@ -96,7 +123,12 @@ def test_import_and_non_engine_api_load_no_scipy(tmp_path):
 
 
 def test_gaussian_run_builds_no_t3_start_table():
-    proc = _run_python(_T3_TABLE_ON_FIRST_USE)
+    proc = _run_python(_T3_TABLES_ON_FIRST_USE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    proc = _run_python(_CLI_WITHOUT_SCIPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -148,5 +180,38 @@ def test_text_files_are_opened_with_an_encoding():
         f"{path.name}:{line}"
         for path in sorted(package.glob("*.py"))
         for line in _text_opens_without_encoding(path.read_text(encoding="utf-8"))
+    }
+    assert not found, found
+
+
+def _scipy_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import SciPy or one of its modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_imports_no_scipy():
+    """The package needs numpy alone: no module imports SciPy, at the top or
+    inside a function."""
+    probe = (
+        "import scipy\nimport numpy, scipy.special\nfrom scipy import stats\n"
+        "from scipy.special import ndtr\nimport scipyx\nfrom . import scipy\n"
+        "def f():\n    import scipy.optimize\n"
+    )
+    assert _scipy_imports(probe) == [1, 2, 3, 4, 8]
+    package = Path(ccpnet.__file__).resolve().parent
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        for line in _scipy_imports(path.read_text(encoding="utf-8"))
     }
     assert not found, found
