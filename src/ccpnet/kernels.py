@@ -163,11 +163,8 @@ def scenario_exposures(
     into blocks."""
     n_paths, n_bilateral, n_dealers = out.shape[0], plan.n_bilateral, plan.n_dealers
     per_path, step = _per_path(plan), block_paths(plan)
-    scratch, at = None, 0
+    scratch, at = np.empty(max(2, min(step, n_paths)) * per_path), 0
     for sub in (y[a : a + step] for y in blocks for a in range(0, y.shape[0], step)):
-        if scratch is None:  # allocated late, so that a t3 chunk's shocks
-            # and its t3 column's copy reach their peak before it exists
-            scratch = np.empty(max(2, min(step, n_paths)) * per_path)
         width = sub.shape[0]
         # BLAS rounds a one-column product differently, so a lone path is
         # evaluated as two copies of itself

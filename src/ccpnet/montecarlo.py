@@ -28,12 +28,11 @@ reduction. Its size comes from the market alone (``_chunk_paths``): at most
 ``_CHUNK_PATHS`` paths of at most ``_BLOCK_DOUBLES`` draws in all. A
 worker makes one kernel call per chunk, which writes the chunk's (paths,
 scenarios, dealers) exposures, and pulls the chunk's shocks from one
-generator (``_shocks``) as it evaluates them. On a Gaussian market each
-block is drawn into one reused buffer just before it is evaluated, so a
+generator (``_shocks``) as it evaluates them. Each block is drawn into
+one reused buffer just before it is evaluated, so on any market a
 worker's working set is its chunk's exposures, one block of shocks (at
-rho > 0 also that block's normals) and the kernel scratch. The t3 map
-runs once over a chunk's whole column, so with a t3 class the generator
-draws the chunk's shocks first and yields them as one block.
+rho > 0 also that block's normals, with a t3 class one copy of its
+column) and the kernel scratch.
 
 Each worker reduces only its own chunk, as soon as its exposures exist: a
 ``_ChunkSummary`` of its EE moments and mean-max sums, the exposure
@@ -102,9 +101,14 @@ def _t3_tail_magnitude(q):
     """
     c = np.cbrt(np.pi * q)
     z = np.full_like(q, 1.5 ** (1.0 / 3.0))
+    p = np.empty_like(q)
     for _ in range(3):
         y = (c * z) ** 2
-        z -= (z**3 * np.polyval(_T3_TAIL_SERIES, y) - 1.0) * (1.0 + y) ** 2 / (2.0 * z * z)
+        p.fill(_T3_TAIL_SERIES[0])  # P(y): np.polyval's bits, in place
+        for coef in _T3_TAIL_SERIES[1:]:
+            p *= y
+            p += coef
+        z -= (z**3 * p - 1.0) * (1.0 + y) ** 2 / (2.0 * z * z)
     with np.errstate(divide="ignore"):  # q = 0 is u = 0 or 1: infinite quantile
         return 1.0 / (c * z)
 
@@ -163,6 +167,8 @@ def student_t3_unit_ppf(u, out=None):
     elif out.dtype != float or out.shape != u.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float64 array of u's shape")
     flat_u, flat_v = u.reshape(-1), out.reshape(-1)
+    if flat_u.size == 0:
+        return out
     intercepts, slopes = _t3_start_table()
     scratch = np.empty((3, min(_T3_BLOCK, flat_u.size)))
     tails, q_tails = [], []
@@ -257,6 +263,8 @@ def _t3_from_normal(v: np.ndarray) -> np.ndarray:
     3e-13, the knots' own, and x / a keeps it as a -> 0.
     """
     flat = v.reshape(-1)
+    if flat.size == 0:
+        return v
     c0, c1, c2, c3 = _t3_map_table()
     scratch = np.empty((3, min(_T3_BLOCK, flat.size)))
     tails, a_tails = [], []
@@ -391,32 +399,18 @@ def _apply_marginals(y: np.ndarray, marginals) -> np.ndarray:
 
 def _shocks(config: MarketConfig, seed: int, start: int, count: int, step: int):
     """Standardized class shocks for paths [start, start+count), in blocks
-    (paths, pairs, K) that cover them in order: their normals
-    (``_normal_blocks``), drawn ``step`` paths at a time, correlated at
-    rho > 0 and with each t3 class's marginal applied. The mapping is
-    elementwise, so no value depends on ``step``. A Gaussian market yields
-    each block into one buffer, so a block holds until the next is pulled;
-    with a t3 class, whose map runs once over the whole column, the one
-    block is all ``count`` paths."""
-    n_pairs, _ = _draws(config)
-    normals = functools.partial(_normal_blocks, seed, config, start, count)
-    rho, shape = config.rho, (n_pairs, config.n_classes)
-    if not config.has_t_marginals():
-        if rho == 0.0:  # the normals are the shocks
-            yield from normals(step)
-            return
-        y = np.empty((min(step, count), *shape))
-        for z in normals(step):
-            yield _correlate(z, rho, out=y[: z.shape[0]])
-        return
-    if rho == 0.0:
-        (y,) = normals(count)
-    else:
-        y = np.empty((count, *shape))
-        for a, z in zip(range(0, count, step), normals(step)):
-            _correlate(z, rho, out=y[a : a + z.shape[0]])
-        z = None  # free the normal buffer before a t3 column is copied
-    yield _apply_marginals(y, config.marginals())
+    (paths, pairs, K) of ``step`` paths (the last may be shorter) that cover
+    them in order: their normals (``_normal_blocks``), correlated at rho > 0
+    and with each t3 class's marginal applied. Every block is yielded in
+    one buffer, so a block holds until the next is pulled. The mapping is
+    elementwise, so no value depends on ``step``."""
+    rho, marginals = config.rho, config.marginals()
+    blocks = _normal_blocks(seed, config, start, count, step)
+    if rho > 0.0:  # at rho = 0 the normals are the Gaussian shocks
+        buf = np.empty((min(step, count), _draws(config)[0], config.n_classes))
+        blocks = (_correlate(z, rho, out=buf[: z.shape[0]]) for z in blocks)
+    for y in blocks:
+        yield _apply_marginals(y, marginals)
 
 
 # A chunk holds at most _CHUNK_PATHS paths and at most _BLOCK_DOUBLES
@@ -483,9 +477,9 @@ def _tail_size(n: int, level: float) -> int:
     return n - int(math.floor((n - 1) * level))
 
 
-# every chunk thread holds a chunk's working set (on the default market about
-# 5 MB when every class is Gaussian and about 18 MB with a t3 class), so the
-# thread count is bounded before any thread starts
+# every chunk thread holds a chunk's working set (about 5 MB on the default
+# market, with or without a t3 class), so the thread count is bounded before
+# any thread starts
 MAX_THREADS = 64
 # Bound on a run's tail buffer (``_TopRows``) in doubles, 8 GiB: a path count
 # whose buffer would be larger is rejected before any work starts.

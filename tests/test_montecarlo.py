@@ -354,6 +354,15 @@ def test_t3_map_zero_signs_and_infinite_tails():
     assert np.signbit(got).tolist() == [False, True, False, True, False, True]
 
 
+def test_t3_maps_of_empty_input_are_empty():
+    """The quantile and the normal-score map give an empty result of a
+    zero-size input's shape."""
+    assert student_t3_unit_ppf([]).shape == (0,)
+    for shape in ((0,), (0, 3), (2, 0)):
+        assert student_t3_unit_ppf(np.empty(shape)).shape == shape
+        assert _t3_of_normal(np.empty(shape)).shape == shape
+
+
 def test_t3_map_bitwise_equal_across_blocks():
     """The map is elementwise: the whole array, with _T3_BLOCK seams and a
     short last block, gets the bits of pieces mapped apart, tail values at
@@ -395,55 +404,42 @@ def _plan_nbytes(plan):
     return sum(a.nbytes for a in (plan.shared, plan.ccp_w, plan.gather, plan.coef))
 
 
-def test_gaussian_chunk_peak_memory_is_output_plus_one_block(paper_market):
-    """On a Gaussian market the kernel pulls the shocks block by block, so a
-    chunk holds its (paths, scenarios, dealers) output, one block of shocks
-    (at rho = 0 the normals are drawn straight into it, so there is no
-    second buffer), the kernel scratch and the plan that the traced call builds,
-    besides the two buffers of ``np.getbufsize()`` doubles that a ufunc on a
-    strided view iterates through (the kernel's positive part): never the
-    chunk's shocks."""
-    config, scenarios, _ = paper_market
+@pytest.mark.parametrize("marginal", ["gaussian", "t3"])
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_chunk_peak_memory_is_output_plus_one_block(rho, marginal):
+    """The kernel pulls a chunk's shocks block by block on any market, so a
+    chunk holds its (paths, scenarios, dealers) output, one block of normals
+    (at rho = 0 they are the shocks, so there is no second buffer), at
+    rho > 0 the block of shocks they are mixed into, with a t3 class one
+    copy of a block's t3 column and the map's scratch, the kernel scratch
+    and the plan that the traced call builds, besides the two buffers of
+    ``np.getbufsize()`` doubles that a ufunc on a strided view iterates
+    through (the kernel's positive part): never the chunk's shocks."""
+    rc = dataio.RunConfig(rho=rho, marginals={"credit": marginal})
+    config, scenarios, _ = dataio.build_market(rc)
     chunk = montecarlo._chunk_paths(config)
     plan = montecarlo._plan(config, scenarios)
     step = kernels.block_paths(plan)
     n_pairs = montecarlo._draws(config)[0]
-    assert config.rho == 0.0
-    block_nbytes = step * n_pairs * config.n_classes * 8
-    out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
-    ufunc_nbytes = 2 * np.getbufsize() * 8
-    bound = out_nbytes + block_nbytes + kernels._SCRATCH_DOUBLES * 8 + _plan_nbytes(plan)
-    bound += ufunc_nbytes
+    column = step * n_pairs * 8  # one class's column of one block
+    bound = chunk * len(scenarios) * config.n_dealers * 8  # the output
+    bound += column * config.n_classes  # the shocks (the normals at rho = 0)
+    if rho > 0.0:
+        bound += column * (config.n_classes + 1)  # the normals they are mixed from
+    if marginal == "t3":
+        bound += column + _T3_SCRATCH_NBYTES  # the t3 column's copy, the map's scratch
+        montecarlo._t3_map_table()  # built once per process, as simulate does
+    bound += kernels._SCRATCH_DOUBLES * 8 + _plan_nbytes(plan) + 2 * np.getbufsize() * 8
     assert bound < chunk * n_pairs * config.n_classes * 8  # below the chunk's shocks
     peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
     assert peak <= bound
 
 
-def test_chunk_peak_memory_is_output_plus_shocks(paper_market_t3):
-    """One chunk of the default t3 market holds its (paths, scenarios,
-    dealers) output plus its shocks, one block of normals while they are
-    correlated, then the t3 class's column and the quantile's
-    scratch. The block and the column never coexist, so their sum also
-    covers the kernel plan that the traced call builds."""
-    config, scenarios = paper_market_t3
-    chunk = montecarlo._chunk_paths(config)
-    n_pairs, draws = montecarlo._draws(config)
-    shocks_nbytes = chunk * n_pairs * config.n_classes * 8
-    normal_nbytes = kernels.block_paths(montecarlo._plan(config, scenarios)) * draws * 8
-    column_nbytes = chunk * n_pairs * 8
-    out_nbytes = chunk * len(scenarios) * config.n_dealers * 8
-    peak = _peak_traced_bytes(exposures_for_paths, config, scenarios, 1, 0, chunk)
-    assert peak <= (
-        out_nbytes + shocks_nbytes + normal_nbytes + column_nbytes + _T3_SCRATCH_NBYTES
-    )
-
-
 def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch):
     """A chunk makes one kernel call, which writes the whole chunk output.
-    Its shock blocks cover the chunk's paths in order: on a Gaussian market
-    none is larger than the kernel's block, and a t3 chunk arrives as one
-    block. A default-market chunk is 2207 paths, so a 2000-path run is one
-    kernel call."""
+    Its shock blocks cover the chunk's paths in order, and on either
+    marginal none is larger than the kernel's block. A default-market chunk
+    is 2207 paths, so a 2000-path run is one kernel call."""
     config, scenarios, _ = paper_market
     chunk = montecarlo._chunk_paths(config)
     assert chunk == 2207
@@ -458,7 +454,7 @@ def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch)
         return kernel((seen.append(y.copy()) or y for y in blocks), *args, out=out)
 
     monkeypatch.setattr(kernels, "scenario_exposures", recording_kernel)
-    for market, gaussian in ((config, True), (paper_market_t3[0], False)):
+    for market in (config, paper_market_t3[0]):
         e = exposures_for_paths(market, scenarios, 2, 0, chunk)
         assert e.shape == (chunk, len(scenarios), market.n_dealers)
         [(blocks, out)] = calls
@@ -466,8 +462,7 @@ def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch)
         assert np.array_equal(
             np.concatenate(blocks), joined_shocks(market, 2, 0, chunk, step)
         )
-        sizes = [y.shape[0] for y in blocks]
-        assert max(sizes) <= step if gaussian else sizes == [chunk]
+        assert max(y.shape[0] for y in blocks) <= step
         calls.clear()
     simulate(config, scenarios, 2000, 3)
     [(blocks, out)] = calls
@@ -479,9 +474,9 @@ def test_chunk_calls_the_kernel_once(paper_market, paper_market_t3, monkeypatch)
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 def test_shock_blocks_join_to_one_pass_copula(rho, step, marginal):
     """A chunk's shock blocks, joined in order, are the one-pass copula of
-    its normals bit for bit, a last block of one path included. No block of
-    a Gaussian chunk is larger than ``step``, and a t3 chunk arrives as one
-    block."""
+    its normals bit for bit, a last block of one path included. On either
+    marginal every block but the last is ``step`` paths, and none is
+    larger."""
     rc = dataio.RunConfig(rho=rho, marginals={"credit": marginal})
     config, _, _ = dataio.build_market(rc)
     count = 2 * 53 + 1
@@ -489,9 +484,7 @@ def test_shock_blocks_join_to_one_pass_copula(rho, step, marginal):
     blocks = [y.copy() for y in montecarlo._shocks(config, 6, 5, count, step)]
     ref = copula_values(_normals(6, config, 5, count), rho, config.marginals())
     assert np.array_equal(np.concatenate(blocks), ref)
-    sizes = [y.shape[0] for y in blocks]  # a Gaussian block is at most step paths
-    gaussian = [min(step, count - a) for a in range(0, count, step)]
-    assert sizes == (gaussian if marginal == "gaussian" else [count])
+    assert [y.shape[0] for y in blocks] == [min(step, count - a) for a in range(0, count, step)]
 
 
 @pytest.mark.parametrize("n_dealers", [3, 20, 60])
