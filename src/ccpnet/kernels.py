@@ -13,19 +13,19 @@ the directed rows by owner, so each dealer owns one contiguous run: its
 ``+`` rows, then its ``-`` rows, each in pair order. Every dealer owns as
 many directed rows as every other.
 
-Each block is walked in sub-blocks of at most ``block_paths(plan)`` paths.
-Per sub-block, one gather puts each directed row's (classes, paths) shocks
-in that order, and one stacked matmul applies each directed row's fixed
-(rows, classes) coefficient matrix to them: the rows are the distinct
-bilateral remainders 1-w and one unit row per class that some CCP clears,
-scaled by the direction's signed pair scale. Bilateral rows take their
-positive part; one reduction over each dealer's run then sums its
-counterparties left to right. The cleared rows sum to net
-positions, and every CCP group is max(w . net, 0).
+Each block holds at most ``block_paths(plan)`` paths. Per block, one
+gather puts each directed row's (classes, paths) shocks in that order, and
+one stacked matmul applies each directed row's fixed (rows, classes)
+coefficient matrix to them: the rows are the distinct bilateral remainders
+1-w and one unit row per class that some CCP clears, scaled by the
+direction's signed pair scale. Bilateral rows take their positive part; one
+reduction over each dealer's run then sums its counterparties left to
+right. The cleared rows sum to net positions, and every CCP group is
+max(w . net, 0).
 
 Every exposure is computed path by path in the same order whatever the chunk
-and sub-block sizes, so a path's bits do not depend on which chunk holds it
-or where its sub-block starts.
+and block sizes, so a path's bits do not depend on which chunk holds it or
+where its block starts.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ import numpy as np
 # (perfbench/child.py) reads this name and records it in its metadata line.
 DEFAULT_BACKEND = "numpy"
 
-# Doubles of scratch (2 MB) for one sub-block of paths: its shocks in pair
+# Doubles of scratch (2 MB) for one block of paths: its shocks in pair
 # and in directed order, the directed rows, the per-dealer sums, the CCP
 # terms and the exposures. That is about 4,880 doubles per path on the
-# default market, so a sub-block holds 53 paths. It fits a core's L2 cache,
-# is reused by every sub-block of a chunk and is freed when the kernel
-# returns. It also sizes the blocks that the sampler draws (``block_paths``);
-# no bit depends on it.
+# default market, so a block holds at most 53 paths. It fits a core's L2
+# cache, is reused by every block of a chunk and is freed when the kernel
+# returns. It sizes the blocks that the sampler draws (``block_paths``); no
+# bit depends on it.
 _SCRATCH_DOUBLES = 2**18
 
 
@@ -146,8 +146,8 @@ def _per_path(plan: Plan) -> int:
 
 
 def block_paths(plan: Plan) -> int:
-    """Paths per sub-block under ``plan``: as many as ``_SCRATCH_DOUBLES``
-    of scratch hold, at least one."""
+    """Widest shock block under ``plan``: as many paths as
+    ``_SCRATCH_DOUBLES`` of scratch hold, at least one."""
     return max(1, _SCRATCH_DOUBLES // _per_path(plan))
 
 
@@ -157,19 +157,29 @@ def scenario_exposures(
     out: np.ndarray,  # (paths, scenarios, dealers) destination
 ) -> np.ndarray:
     """Write the realized exposures of the shock ``blocks`` under ``plan``
-    to ``out`` and return it. The blocks cover out's paths in order; each is
-    read only before the next is pulled, so the caller may draw every block
-    into one buffer. A path's bits do not depend on how the paths are split
-    into blocks."""
+    to ``out`` and return it. The blocks cover out's paths in order, each
+    at most ``block_paths(plan)`` paths wide, and each is evaluated whole,
+    before the next is pulled, so the caller may draw every block into one
+    buffer. A path's bits do not depend on how the paths are split into
+    blocks.
+
+    Raises ``ValueError`` for a block wider than ``block_paths(plan)``, and
+    for blocks that hold more or fewer paths than ``out``."""
     n_paths, n_bilateral, n_dealers = out.shape[0], plan.n_bilateral, plan.n_dealers
     per_path, step = _per_path(plan), block_paths(plan)
     scratch, at = np.empty(max(2, min(step, n_paths)) * per_path), 0
-    for sub in (y[a : a + step] for y in blocks for a in range(0, y.shape[0], step)):
-        width = sub.shape[0]
+    for y in blocks:
+        width = y.shape[0]
+        if width > step:
+            raise ValueError(f"a shock block of {width} paths is wider than the kernel's {step}")
+        if at + width > n_paths:
+            raise ValueError(
+                f"a shock block of {width} paths at path {at} overruns the {n_paths} paths of out"
+            )
         # BLAS rounds a one-column product differently, so a lone path is
         # evaluated as two copies of itself
         pairwise, shocks, x, total, ccp, exposure = _carve(scratch, max(2, width), *plan.shapes)
-        np.copyto(pairwise, sub.transpose(1, 2, 0))
+        np.copyto(pairwise, y.transpose(1, 2, 0))
         # mode="clip" writes to out unbuffered
         np.take(pairwise, plan.gather, axis=0, out=shocks, mode="clip")
         np.matmul(plan.coef, shocks, out=x)

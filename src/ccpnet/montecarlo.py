@@ -83,14 +83,6 @@ _T3_TAIL_Q = 1e-4
 # pi q = w^3 P(w^2) for the tail probability q at |v| = 1/w, with
 # P(y) = sum_{n>=1} (-1)^(n+1) 2n/(2n+1) y^(n-1); highest power first
 _T3_TAIL_SERIES = tuple((-1) ** (n + 1) * 2 * n / (2 * n + 1) for n in range(13, 0, -1))
-# The Halley step starts from x r, with r = cbrt(q), interpolated linearly
-# between _T3_STEPS + 1 even knots in r over [cbrt(_T3_TAIL_Q), cbrt(1/2)].
-# x r is smooth there: 0 at the median, about -cbrt(2 / (3 pi)) in the tail.
-# Plain floats, not np.cbrt: a numpy call at import raised the peak RSS of
-# every run, Gaussian ones included, by about 0.1 MB.
-_T3_STEPS = 2048
-_T3_R0 = _T3_TAIL_Q ** (1.0 / 3.0)
-_T3_STEP = (0.5 ** (1.0 / 3.0) - _T3_R0) / _T3_STEPS
 
 
 def _t3_tail_magnitude(q):
@@ -113,28 +105,6 @@ def _t3_tail_magnitude(q):
         return 1.0 / (c * z)
 
 
-@functools.cache
-def _t3_start_table() -> tuple[np.ndarray, np.ndarray]:
-    """(intercepts, slopes) of the _T3_STEPS segments of the start: x r is
-    about intercept + slope * r on the segment holding r.
-
-    Built on first use, so a run without a t3 class never builds it: each
-    knot's x solves pi (F(x) - r^3) = 0 by 64 bisection steps on [-30, 0],
-    which holds every knot since F(-30) < _T3_TAIL_Q.
-    """
-    r = _T3_R0 + _T3_STEP * np.arange(_T3_STEPS + 1)
-    c = np.pi * (0.5 - r**3)
-    lo, hi = np.full_like(r, -30.0), np.zeros_like(r)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = np.arctan(mid) + mid / (1.0 + mid * mid) + c < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    xr = 0.5 * (lo + hi) * r
-    slopes = np.diff(xr) / _T3_STEP
-    return xr[:-1] - slopes * r[:-1], slopes
-
-
 def student_t3_unit_ppf(u, out=None):
     """Quantile of the unit-variance t3 marginal, written to ``out`` when it
     is given: a C-contiguous float64 array of u's shape, which may be u
@@ -145,8 +115,9 @@ def student_t3_unit_ppf(u, out=None):
     q = min(u, 1-u), which is exact: solve F(x) = q for x <= 0, and return x
     for u < 1/2 and -x above.
 
-    The start reads x r, with r = cbrt(q), off a table of 2048 even steps in
-    r (``_t3_start_table``), and one Halley step follows. With s = 1+x^2 and
+    The start is closed-form: (pi/2)(q - 1/2) / (1 - 1.6 (q - 1/2)^2) near
+    the median, with slope pi/2, and the cubic tail -cbrt(2 / (3 pi q)) for
+    q < 0.15. Three Halley steps follow. With s = 1+x^2 and
     g = pi (F(x) - q), and since F''/F'^2 = -2 pi x s, the step is
     x -= g s^2 / 2 / (1 + g x s). It runs on the signed quantile: with
     c = pi (q - 1/2) given the sign of u - 1/2, g = arctan x + x/s - c for
@@ -157,9 +128,10 @@ def student_t3_unit_ppf(u, out=None):
     numpy calls, and few values need it.
 
     The round-trip defect |cdf(ppf(u)) - u| is at machine epsilon. Against
-    a 40-digit inversion the relative error is at most about 3e-13 (near
+    a 40-digit inversion the relative error is at most about 4e-13 (near
     q = 1e-4) and about 1e-16 in the series range, for u down to 1e-300 and
-    up to 1 - 2^-53. u = 0 and 1 map to -inf and inf.
+    up to 1 - 2^-53. u = 0 and 1 map to -inf and inf; u outside [0, 1] and
+    nan map to nan.
     """
     u = np.asarray(u, dtype=float)
     if out is None:
@@ -169,48 +141,51 @@ def student_t3_unit_ppf(u, out=None):
     flat_u, flat_v = u.reshape(-1), out.reshape(-1)
     if flat_u.size == 0:
         return out
-    intercepts, slopes = _t3_start_table()
-    scratch = np.empty((3, min(_T3_BLOCK, flat_u.size)))
+    scratch = np.empty((4, min(_T3_BLOCK, flat_u.size)))
     tails, q_tails = [], []
     for start in range(0, flat_u.size, _T3_BLOCK):
         ub = flat_u[start : start + _T3_BLOCK]
         x = flat_v[start : start + _T3_BLOCK]
-        q, a, b = scratch[:, : ub.size]
-        k = b.view(np.intp)  # the segment index shares b's row
+        q, a, b, t = scratch[:, : ub.size]
         # x may alias ub (out=u), so ub is read only before x is first written
         np.subtract(1.0, ub, out=q)
         np.minimum(q, ub, out=q)
+        np.copyto(q, np.nan, where=q < 0.0)  # u outside [0, 1]
         tail = np.flatnonzero(q < _T3_TAIL_Q)
         tails.append(tail + start)
         q_tails.append(q[tail])
-        # the Halley step runs on q >= _T3_TAIL_Q; the tail is overwritten
+        # the Halley steps run on q >= _T3_TAIL_Q; the tail is overwritten
         np.maximum(q, _T3_TAIL_Q, out=q)
         np.subtract(ub, 0.5, out=b)  # the sign of the quantile
-        np.cbrt(q, out=a)
+        # the start: the rational form near the median, the cubic tail below
+        np.subtract(q, 0.5, out=x)
+        np.multiply(x, x, out=a)
+        a *= -1.6
+        a += 1.0
+        x *= np.pi / 2.0
+        x /= a
+        np.multiply(q, 3.0 * np.pi, out=a)
+        np.divide(-2.0, a, out=a)
+        np.cbrt(a, out=a)
+        np.copyto(x, a, where=q < 0.15)
+        np.copysign(x, b, out=x)
         q -= 0.5
         q *= np.pi
         np.copysign(q, b, out=q)  # c
-        np.subtract(a, _T3_R0, out=x)
-        x *= 1.0 / _T3_STEP
-        np.copyto(k, x, casting="unsafe")  # truncates; clip mode takes the ends
-        np.take(intercepts, k, out=x, mode="clip")
-        x /= a
-        np.take(slopes, k, out=a, mode="clip")
-        x += a
-        np.copysign(x, q, out=x)
-        np.multiply(x, x, out=b)
-        b += 1.0  # s
-        np.divide(x, b, out=a)
-        np.subtract(a, q, out=q)
-        np.arctan(x, out=a)
-        a += q  # g
-        a *= b  # g s
-        b *= a
-        b *= 0.5  # g s^2 / 2
-        a *= x
-        a += 1.0  # 1 + g x s
-        b /= a
-        x -= b
+        for _ in range(3):
+            np.multiply(x, x, out=b)
+            b += 1.0  # s
+            np.divide(x, b, out=t)
+            t -= q
+            np.arctan(x, out=a)
+            a += t  # g
+            a *= b  # g s
+            b *= a
+            b *= 0.5  # g s^2 / 2
+            a *= x
+            a += 1.0  # 1 + g x s
+            b /= a
+            x -= b
     tail = np.concatenate(tails)
     flat_v[tail] = np.copysign(_t3_tail_magnitude(np.concatenate(q_tails)), flat_v[tail])
     return out
@@ -784,7 +759,7 @@ def simulate(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         if threads > 1:
             results = _in_order(pool, reduce_chunk, starts, 2 * threads)
-        else:
+        else:  # inline: one pool worker would add page faults, system CPU and peak RSS
             results = map(reduce_chunk, starts)
         for c_sums, c_diffs, c_top in results:
             sums.merge(c_sums)

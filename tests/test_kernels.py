@@ -161,21 +161,32 @@ def test_out_is_filled_and_returned():
 
 
 def test_blocks_must_cover_out():
-    """The blocks cover out's paths exactly: too few or too many is an
-    error, not a partly written or overrun output."""
+    """The blocks cover out's paths exactly, each at most
+    ``block_paths(plan)`` wide: too few or too many paths, or too wide a
+    block, is the kernel's own error, not a partly written or overrun
+    output."""
     y, *args = _random_problem(17, n_paths=30)
     plan = kernels.plan(*args)
     out = np.empty((30, plan.n_scenarios, plan.n_dealers))
     with pytest.raises(ValueError, match="hold 20 of the 30 paths"):
         kernels.scenario_exposures([y[:20]], plan, out)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block of 1 paths at path 30 overruns the 30 paths"):
         kernels.scenario_exposures([y, y[:1]], plan, out)
+    out = np.full((10, plan.n_scenarios, plan.n_dealers), np.nan)
+    with pytest.raises(ValueError, match="block of 20 paths at path 0 overruns the 10 paths"):
+        kernels.scenario_exposures([y[:20]], plan, out)
+    assert np.isnan(out).all()
+    step = kernels.block_paths(plan)
+    wide = np.zeros((step + 1, *y.shape[1:]))
+    out = np.empty((step + 1, plan.n_scenarios, plan.n_dealers))
+    too_wide = f"block of {step + 1} paths is wider than the kernel's {step}"
+    with pytest.raises(ValueError, match=too_wide):
+        kernels.scenario_exposures([wide], plan, out)
 
 
 def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
-    """Each path rounds alike whatever the block and sub-block widths, a
-    lone path included, and whether the blocks come in one call or in
-    several."""
+    """Each path rounds alike whatever the block widths, a lone path
+    included, and whether the blocks come in one call or in several."""
     y, *args = _random_problem(19, n_paths=301, n_dealers=7)
     plan = kernels.plan(*args)
     whole = _exposures(y, plan)
@@ -185,9 +196,10 @@ def test_path_bits_independent_of_block_and_sub_block_split(monkeypatch):
         assert np.array_equal(np.concatenate(split), whole)
         kernels.scenario_exposures(np.split(y, cuts), plan, out)
         assert np.array_equal(out, whole)
-    monkeypatch.setattr(kernels, "_SCRATCH_DOUBLES", 1)  # one path per sub-block
+    monkeypatch.setattr(kernels, "_SCRATCH_DOUBLES", 1)  # one path per block
     assert kernels.block_paths(plan) == 1
-    assert np.array_equal(_exposures(y, plan), whole)
+    kernels.scenario_exposures(np.split(y, y.shape[0]), plan, out)
+    assert np.array_equal(out, whole)
 
 
 def test_plan_is_read_only_and_reused():

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,21 +166,35 @@ def _bisect_t3_unit_cdf(q):
 
 
 def test_t3_ppf_at_start_table_knots_and_midpoints():
-    """The start is linear between knots, so its error peaks between them:
-    at every knot r = cbrt(q) of the start table, every midpoint and both
-    sides of the tail-series switch, the quantile agrees with a bisection on
-    the closed-form CDF within 1e-12 relative and round-trips to 5e-16."""
-    halves = np.arange(2 * montecarlo._T3_STEPS + 1) / 2.0
-    r = montecarlo._T3_R0 + montecarlo._T3_STEP * halves
-    switch = montecarlo._T3_TAIL_Q * (1.0 + np.array([-1.0, 1.0]) * 2.0**-52)
+    """On 2048 even steps in r = cbrt(q) over [cbrt(1e-4), cbrt(1/2)], at
+    every knot, every midpoint and both sides of the tail-series switch, the
+    quantile agrees with a bisection on the closed-form CDF within 1e-12
+    relative and round-trips to 5e-16."""
+    r0 = 1e-4 ** (1.0 / 3.0)
+    r = r0 + (0.5 ** (1.0 / 3.0) - r0) / 2048 * (np.arange(2 * 2048 + 1) / 2.0)
+    switch = 1e-4 * (1.0 + np.array([-1.0, 1.0]) * 2.0**-52)
     q = np.concatenate([r**3, switch])
     x = student_t3_unit_ppf(q)
     assert np.abs(student_t3_unit_cdf(x) - q).max() < 5e-16
     ref = _bisect_t3_unit_cdf(q)
-    median = 2 * montecarlo._T3_STEPS  # the last knot, q = 1/2 to rounding
+    median = 2 * 2048  # the last knot, q = 1/2 to rounding
     assert abs(x[median]) < 1e-15 and abs(ref[median]) < 1e-15
     rest = np.delete(np.arange(q.size), median)
     assert np.abs(x[rest] / ref[rest] - 1.0).max() < 1e-12
+
+
+def test_t3_ppf_outside_unit_interval_is_nan():
+    """u outside [0, 1] has no quantile: it maps to nan, as nan does,
+    without a warning, and leaves the other values' bits alone."""
+    bad = [-0.1, 1.5, -1e-300, 1.0 + 1e-15, -math.inf, math.inf, math.nan]
+    good = [0.0, 1e-300, 1e-5, 0.25, 0.5, 0.9, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = student_t3_unit_ppf(bad + good)
+    assert np.isnan(x[: len(bad)]).all()
+    ref = student_t3_unit_ppf(good)
+    assert np.array_equal(x[len(bad) :].view(np.uint64), ref.view(np.uint64))
+    assert ref[[0, -1]].tolist() == [-math.inf, math.inf]
 
 
 def _peak_traced_bytes(fn, *args):
@@ -381,11 +396,11 @@ def test_t3_map_bitwise_equal_across_blocks():
     assert np.array_equal(whole[block - 3 : block + 3], one_by_one)
 
 
-# A bound on what the t3 quantile allocates besides its output: its three
-# scratch rows of _T3_BLOCK doubles (one also holds the start table's index)
-# and the block's tail mask, with room for two more block-sized doubles and
-# two more masks. The start table is a fixed 32 KiB.
-_T3_SCRATCH_NBYTES = (3 + 2) * montecarlo._T3_BLOCK * 8 + 3 * montecarlo._T3_BLOCK
+# A bound on what the t3 quantile or the copula's t3 map allocates besides
+# its output: the quantile's four scratch rows of _T3_BLOCK doubles (the
+# map's three) and one block-sized mask, with room for one more row of
+# doubles and two more masks.
+_T3_SCRATCH_NBYTES = (4 + 1) * montecarlo._T3_BLOCK * 8 + 3 * montecarlo._T3_BLOCK
 
 
 def test_copula_peak_memory_with_t3_class():
@@ -1030,9 +1045,9 @@ def test_ee_standard_error_is_calibrated():
 
 
 def test_chunk_seams_on_default_market(paper_market_t3, monkeypatch):
-    """Chunks that are not a whole number of kernel sub-blocks: reports are
+    """Chunks that are not a whole number of kernel blocks: reports are
     bitwise equal at 1 and 2 threads, and the paths on both sides of a chunk
-    seam and of sub-block seams match the straight-line oracle."""
+    seam and of block seams match the straight-line oracle."""
     config, scenarios = paper_market_t3
     # chunks [0, 2207), [2207, 4414) and [4414, 5000)
     chunk = montecarlo._chunk_paths(config)
@@ -1041,7 +1056,7 @@ def test_chunk_seams_on_default_market(paper_market_t3, monkeypatch):
     b = simulate(config, scenarios, 5000, 8, threads=2)
     assert reports_equal(a, b)
 
-    widths = []  # paths of each kernel sub-block, in order
+    widths = []  # paths of each kernel block, in order
     carve = kernels._carve
 
     def recording_carve(flat, paths, *shapes):
@@ -1055,7 +1070,7 @@ def test_chunk_seams_on_default_market(paper_market_t3, monkeypatch):
     )
     check_pathwise(engine, scenarios)
     step = widths[0]
-    assert chunk % step  # each chunk ends in a short sub-block
+    assert chunk % step  # each chunk ends in a short block
     short = chunk // step * step
     for seam in (step, short, chunk):
         draws = sample_draws(config, 8, seam - 1, 2)  # the paths either side

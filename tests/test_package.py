@@ -65,27 +65,26 @@ assert engine_loaded() == ["ccpnet.montecarlo"], engine_loaded()
 """
 
 
-# the t3 quantile's start table and the t3 copula's map table are built on
-# first use, by a t3 run alone
+# the t3 copula's map table is built on first use, by a t3 run alone: a
+# Gaussian run and a bare quantile call build no table
 _T3_TABLES_ON_FIRST_USE = """
 import ccpnet.cli
 from ccpnet import dataio, montecarlo
 
 
 def built():
-    tables = (montecarlo._t3_start_table, montecarlo._t3_map_table)
-    return [table.cache_info().currsize for table in tables]
+    return montecarlo._t3_map_table.cache_info().currsize
 
 
-assert built() == [0, 0], built()
+assert built() == 0, built()
 config, scenarios, _ = dataio.build_market(dataio.RunConfig())
 montecarlo.simulate(config, scenarios, 1000, 1)
-assert built() == [0, 0], built()
+assert built() == 0, built()
 montecarlo.student_t3_unit_ppf([0.25])
-assert built() == [1, 0], built()
+assert built() == 0, built()
 config, scenarios, _ = dataio.build_market(dataio.RunConfig(marginals={"credit": "t3"}))
 montecarlo.simulate(config, scenarios, 1000, 1)
-assert built() == [1, 1], built()
+assert built() == 1, built()
 """
 
 # the ccpnet command runs a t3 Monte Carlo run and a surface without SciPy
